@@ -5,7 +5,6 @@ analogues, and the nilCoxeter/nilHecke algebra structures behind them.
 from .affine import (
     AffinePermutation,
     CorootVector,
-    apply_generator,
     cyclically_decreasing,
     grassmannian_from_partition,
     translation_element,
@@ -37,7 +36,7 @@ from .partition import (
     dominance_leq,
     partitions_of,
 )
-from .permutation import Permutation, from_code, is_reduced, lambda_of, symmetric_group
+from .permutation import Permutation, from_code, is_reduced, symmetric_group
 from .stanley import (
     affine_schur_expand,
     affine_stanley,

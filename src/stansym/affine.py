@@ -160,16 +160,6 @@ def _affine_reduced_words(n, window):
     return tuple(sorted(words))
 
 
-def apply_generator(w, i):
-    """Right multiplication w * s_i."""
-    return w.right_mult_generator(i)
-
-
-def lambda_of(w):
-    """The partition conjugate to the decreasing sort of the inverse's code."""
-    return w.shape()
-
-
 def cyclically_decreasing_word(n, subset):
     """A cyclically decreasing word using exactly the generators in ``subset``.
 

@@ -20,7 +20,6 @@ from .tableaux import MarkedWord, little_move_chain
 DEFAULT_CAPS = {
     "max_rank_finite": 5,
     "max_rank_affine": 4,
-    "max_degree": 8,
 }
 
 

@@ -7,14 +7,13 @@ affine analogues, the noncommutative (k-)Schur functions, and the
 commutative-subalgebra experiments.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .affine import AffinePermutation, cyclically_decreasing
 from .partition import as_partition, partitions_inside, staircase
 from .permutation import Permutation
-from .symfunc import _jacobi_trudi_h, k_schur
+from .symfunc import _jacobi_trudi_h, _solve_exact, k_schur
 
 
 class NilCoxeterElement:
@@ -203,20 +202,18 @@ def _coordinates(elements):
         {w for a in elements for w in a.coeffs},
         key=lambda w: (w.length(), w.window),
     )
-    rows = [[Fraction(a.coeffs.get(w, 0)) for a in elements] for w in support]
+    rows = [[a.coeffs.get(w, 0) for a in elements] for w in support]
     return rows, support
 
 
 def expand_in_span(basis, target):
     """Integer coordinates of ``target`` in the span of ``basis``, or None."""
-    from .symfunc import _solve_exact
-
     rows, support = _coordinates(list(basis) + [target])
     lhs = [row[:-1] for row in rows]
     rhs = [row[-1] for row in rows]
     if not support:
         return [0] * len(basis)
-    sol, bad = _solve_exact(lhs, rhs)
+    sol, _, bad = _solve_exact(lhs, rhs)
     if bad is not None or any(x.denominator != 1 for x in sol):
         return None
     return [int(x) for x in sol]
@@ -262,7 +259,8 @@ def conjecture_52_report(n):
     ideal_series = _root_poset_ideal_series(n)
 
     rows, _ = _coordinates([elements[la] for la in shapes])
-    independent = _rank(rows) == len(shapes)
+    _, rank, _ = _solve_exact(rows, [0] * len(rows))
+    independent = rank == len(shapes)
 
     nonnegative = all(
         c >= 0 for a in elements.values() for c in a.coeffs.values()
@@ -300,26 +298,3 @@ def conjecture_52_report(n):
         "structure_constants_integral": integral,
         "structure_constants_nonnegative": structure_nonnegative,
     }
-
-
-def _rank(rows):
-    if not rows:
-        return 0
-    m, k = len(rows), len(rows[0])
-    a = [row[:] for row in rows]
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r

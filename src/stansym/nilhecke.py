@@ -8,7 +8,6 @@ the coproduct, the constant-term projection phi_0, the j-basis of the affine
 Fomin-Stanley subalgebra, and the kappa projection to the finite algebra.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .affine import AffinePermutation, elements_of_length, translation_element
@@ -457,14 +456,14 @@ def _j_basis_by_solver(n, w):
         key=lambda t: (t[0], t[1].window),
     )
     for i, y in support:
-        rows.append([Fraction(columns[x][i].coeffs.get(y, 0)) for x in index])
-        rhs.append(Fraction(0))
+        rows.append([columns[x][i].coeffs.get(y, 0) for x in index])
+        rhs.append(0)
     # normalization on the Grassmannian terms
     for x in index:
         if x.is_grassmannian():
-            rows.append([Fraction(1 if z == x else 0) for z in index])
-            rhs.append(Fraction(1 if x == w else 0))
-    sol, bad = _solve_exact(rows, rhs)
+            rows.append([1 if z == x else 0 for z in index])
+            rhs.append(1 if x == w else 0)
+    sol, _, bad = _solve_exact(rows, rhs)
     if bad is not None:
         raise AssertionError(f"j-basis system inconsistent for {w!r}")
     if any(c.denominator != 1 for c in sol):

@@ -68,7 +68,8 @@ def count_standard_tableaux(la):
     num = prod(range(1, n + 1))
     den = prod(h for row in hooks(la) for h in row)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise AssertionError(f"hook-length product {den} does not divide {n}! for {la}")
     return q
 
 
@@ -113,11 +114,6 @@ def bounded_partitions(n, d):
     if d < 0:
         raise ValueError("degree must be nonnegative")
     return list(partitions_of(d, n - 1))
-
-
-def is_bounded(la, n):
-    la = as_partition(la)
-    return not la or la[0] <= n - 1
 
 
 def staircase(m):

@@ -193,11 +193,6 @@ def from_code(c):
     return Permutation(window)
 
 
-def lambda_of(w):
-    """The partition conjugate to the decreasing sort of the inverse's code."""
-    return w.shape()
-
-
 def symmetric_group(n):
     """All elements of S_n."""
     return [Permutation(p) for p in _itpermutations(range(1, n + 1))]

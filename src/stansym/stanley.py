@@ -12,20 +12,10 @@ arbitrary compositions.
 from functools import lru_cache
 from itertools import combinations
 
-from .affine import (
-    AffinePermutation,
-    cyclically_decreasing,
-    grassmannian_from_partition,
-)
-from .partition import (
-    as_partition,
-    bounded_partitions,
-    dominance_leq,
-    partitions_of,
-    sort_composition,
-)
+from .affine import AffinePermutation, cyclically_decreasing
+from .partition import as_partition, partitions_of, sort_composition
 from .permutation import Permutation
-from .symfunc import SymFunc, affine_schur, fundamental_quasisym
+from .symfunc import SymFunc, change_basis, fundamental_quasisym
 
 
 def _prefix_sums(alpha):
@@ -208,27 +198,14 @@ def check_symmetry_affine(w):
 
 
 def affine_schur_expand(w):
-    """F~_w in the affine Schur basis, by unitriangular back substitution."""
-    n, ell = w.n, w.length()
-    f = affine_stanley(w).coeffs
-    index = bounded_partitions(n, ell)  # reverse-lex extends dominance
-    A = {la: affine_schur(n, la).coeffs for la in index}
-    coeffs = {}
-    residue = dict(f)
-    for la in index:  # dominance-largest first
-        c = residue.get(la, 0)
-        if c:
-            coeffs[la] = c
-            for mu, k in A[la].items():
-                residue[mu] = residue.get(mu, 0) - c * k
-    assert not any(residue.values()), f"affine Schur expansion failed for {w!r}"
-    return SymFunc(ell, f"affineSchur({n})", coeffs)
+    """F~_w in the affine Schur basis, by an exact change of basis."""
+    return change_basis(affine_stanley(w), "affineSchur", w.n)
 
 
 def coproduct_check(w):
     """True iff Delta F~_w equals the sum of F~_u (x) F~_v over length-additive
     factorizations w = u v."""
-    from .symfunc import change_basis, coproduct
+    from .symfunc import coproduct
 
     lhs = coproduct(affine_stanley(w))
     # enumerate u by length; v = u^{-1} w

@@ -3,8 +3,9 @@
 A SymFunc is a homogeneous element of the ring of symmetric functions (or of
 the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
 of the bases m, h, e, s, affine Schur, or k-Schur.  All transition matrices
-are computed degree by degree; inversions use exact rational elimination and
-results are checked to be integral.
+are computed degree by degree; every inversion goes through one
+fraction-free integer elimination, ``_solve_exact``, and results are checked
+to be integral.
 """
 
 from fractions import Fraction
@@ -260,10 +261,10 @@ def change_basis(f, basis, n=None):
     index = _basis_partitions(name, rank, f.degree)
     columns = {la: _expand_to_m(name, rank, la) for la in index}
     support = sorted({mu for col in columns.values() for mu in col} | set(fm.coeffs), reverse=True)
-    # solve sum_la x_la * columns[la] = fm by rational elimination
-    rows = [[Fraction(columns[la].get(mu, 0)) for la in index] for mu in support]
-    rhs = [Fraction(fm.coeffs.get(mu, 0)) for mu in support]
-    sol, residual_row = _solve_exact(rows, rhs)
+    # solve sum_la x_la * columns[la] = fm
+    rows = [[columns[la].get(mu, 0) for la in index] for mu in support]
+    rhs = [fm.coeffs.get(mu, 0) for mu in support]
+    sol, _, residual_row = _solve_exact(rows, rhs)
     if residual_row is not None:
         raise ValueError(
             f"not expressible in basis {target}: obstructing coefficient on "
@@ -279,36 +280,56 @@ def change_basis(f, basis, n=None):
 
 
 def _solve_exact(rows, rhs):
-    """Solve an (over)determined exact linear system by Gaussian elimination.
+    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` exactly over the integers.
 
-    Returns (solution, None) or (None, index of an inconsistent row).
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every entry
+    stays an integer minor of the augmented matrix, so each division is
+    exact.  Entries must be ints; anything else raises TypeError rather than
+    being truncated.  Returns ``(solution, rank, None)``, with the free
+    unknowns set to 0 and the solution as Fractions, or, for an inconsistent
+    system, ``(None, rank, i)`` with ``i`` the index of an input row that
+    the others contradict.
     """
-    m, k = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        line = [*row, b]
+        for x in line:
+            if not isinstance(x, int):
+                raise TypeError(f"exact solve needs int entries, got {x!r}")
+        aug.append(line)
+    m, k = len(aug), len(rows[0]) if rows else 0
     order = list(range(m))
     pivots = []
-    r = 0
+    prev = 1  # the previous pivot, which divides every updated entry
     for c in range(k):
+        r = len(pivots)
         p = next((i for i in range(r, m) if aug[i][c]), None)
         if p is None:
             continue
         aug[r], aug[p] = aug[p], aug[r]
         order[r], order[p] = order[p], order[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        top = aug[r]
+        piv = top[c]
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[c]
+            if f:
+                aug[i] = row[:c] + [(piv * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
+            elif piv != prev:
+                aug[i] = row[:c] + [piv * x // prev for x in row[c:]]
         pivots.append(c)
-        r += 1
-    for i in range(m):
-        if all(x == 0 for x in aug[i][:k]) and aug[i][k]:
-            return None, order[i]
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][k]
-    return sol, None
+        prev = piv
+    rank = len(pivots)
+    for i in range(rank, m):
+        if aug[i][k]:
+            return None, rank, order[i]
+    # prev is the minor on the pivot rows and columns, so by Cramer's rule
+    # prev * x is integral; back substitution divides exactly
+    scaled = [0] * k
+    for r in reversed(range(rank)):
+        row, c = aug[r], pivots[r]
+        scaled[c] = (prev * row[k] - sum(row[j] * scaled[j] for j in pivots[r + 1:])) // row[c]
+    return [Fraction(x, prev) for x in scaled], rank, None
 
 
 def hall_inner_product(f, g):
@@ -424,7 +445,11 @@ def affine_schur(n, la):
     if la and la[0] > n - 1:
         raise ValueError(f"partition {la} is not ({n-1})-bounded")
     f = affine_stanley(grassmannian_from_partition(n, la))
-    assert f.coeffs.get(la) == 1, "affine Schur leading coefficient must be 1"
+    if f.coeffs.get(la) != 1:
+        raise AssertionError(
+            f"affine Schur leading coefficient for n={n}, la={la}: "
+            f"expected 1, got {f.coeffs.get(la, 0)}"
+        )
     return f
 
 
@@ -432,29 +457,36 @@ def affine_schur(n, la):
 def _k_schur_h_table(n, degree):
     """h-expansions of all k-Schur functions of one degree, by duality.
 
-    The matrix A[la][mu] = [m_mu] F~_la is unitriangular for any linear
-    extension of dominance, so the inverse-transpose is computed over the
-    integers by back substitution.
+    With A[nu][mu] = [m_mu] F~_nu, the h-coefficients c of the k-Schur
+    function s^(k)_la solve sum_mu c[mu] * A[nu][mu] = delta(la, nu) for
+    every nu; each la is one exact solve, checked to be integral.
     """
-    index = bounded_partitions(n, degree)  # reverse-lex extends dominance
+    index = bounded_partitions(n, degree)
     A = {la: affine_schur(n, la).coeffs for la in index}
     for la in index:
-        assert all(mu == la or (mu in index and dominance_leq(mu, la)) for mu in A[la])
+        for mu in A[la]:
+            if mu != la and not (mu in index and dominance_leq(mu, la)):
+                raise AssertionError(
+                    f"F~_{la} (n={n}) has a term m_{mu} outside the dominance order below {la}"
+                )
+    rows = [[A[nu].get(mu, 0) for mu in index] for nu in index]
     table = {}
     for la in index:
-        # solve sum_mu c[mu] * A[nu][mu] = delta(la, nu) over nu
-        c = {}
-        for nu in reversed(index):  # from dominance-smallest upward
-            val = (1 if nu == la else 0) - sum(
-                c[mu] * A[nu].get(mu, 0) for mu in c
-            )
-            c[nu] = val  # A[nu][nu] == 1
-        table[la] = SymFunc(degree, "h", {mu: v for mu, v in c.items() if v})
+        sol, _, bad = _solve_exact(rows, [1 if nu == la else 0 for nu in index])
+        if bad is not None:
+            raise AssertionError(f"k-Schur duality system for n={n}, la={la} is inconsistent")
+        for mu, x in zip(index, sol):
+            if x.denominator != 1:
+                raise AssertionError(f"k-Schur s^(k)_{la} (n={n}) has coefficient {x} on h_{mu}")
+        table[la] = SymFunc(degree, "h", {mu: int(x) for mu, x in zip(index, sol)})
     # duality sanity: <s^(k)_la, F~_mu> = delta
     for la in index:
         for mu in index:
             got = sum(table[la].coeffs.get(nu, 0) * A[mu].get(nu, 0) for nu in index)
-            assert got == (1 if la == mu else 0)
+            if got != (1 if la == mu else 0):
+                raise AssertionError(
+                    f"<s^(k)_{la}, F~_{mu}> (n={n}): expected {int(la == mu)}, got {got}"
+                )
     return table
 
 

@@ -142,14 +142,12 @@ def test_json_round_trip():
     assert AffinePermutation.from_json(w.to_json()) == w
 
 
-def test_apply_generator_and_lambda_of():
-    from stansym.affine import apply_generator, lambda_of
-
+def test_right_mult_generator_and_shape():
     e = AffinePermutation.identity(3)
-    assert apply_generator(e, 0).window == (0, 2, 4)
+    assert e.right_mult_generator(0).window == (0, 2, 4)
     w = e
     for i in (2, 1, 2, 0):
-        w = apply_generator(w, i)
+        w = w.right_mult_generator(i)
     assert w.window == (-2, 2, 6)
-    assert apply_generator(apply_generator(w, 1), 1) == w
-    assert lambda_of(AffinePermutation(3, [-4, 3, 7])) == (2, 1, 1, 1, 1)
+    assert w.right_mult_generator(1).right_mult_generator(1) == w
+    assert AffinePermutation(3, [-4, 3, 7]).shape() == (2, 1, 1, 1, 1)

@@ -1,0 +1,31 @@
+"""The names the benchmark's tracer reads from stansym still exist.
+
+``perfbench/tracer.py`` reads the lru caches in ``CACHES`` after every round
+and wraps the private functions in ``PRIVATE_FUNCTIONS``.  If one of them is
+renamed or loses its cache, no round reports and every end-to-end metric is
+lost, so a refactor must fail here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+def test_every_traced_cache_is_an_lru_cache():
+    for mod, names in tracer.CACHES.items():
+        module = importlib.import_module(f"stansym.{mod}")
+        for name in names:
+            assert hasattr(getattr(module, name, None), "cache_info"), f"{mod}.{name}"
+
+
+def test_every_traced_private_function_exists():
+    for mod, names in tracer.PRIVATE_FUNCTIONS.items():
+        module = importlib.import_module(f"stansym.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod}.{name}"

@@ -117,9 +117,7 @@ def test_json_round_trip():
     assert Permutation.from_json(w.to_json()) == w
 
 
-def test_lambda_of_examples():
-    from stansym.permutation import lambda_of
-
-    assert lambda_of(Permutation([2, 1, 6, 5, 3, 4])) == (4, 2)
-    assert lambda_of(Permutation([2, 4, 3, 1])) == (2, 1, 1)
-    assert lambda_of(Permutation.identity(3)) == ()
+def test_shape_examples():
+    assert Permutation([2, 1, 6, 5, 3, 4]).shape() == (4, 2)
+    assert Permutation([2, 4, 3, 1]).shape() == (2, 1, 1)
+    assert Permutation.identity(3).shape() == ()

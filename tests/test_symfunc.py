@@ -1,5 +1,7 @@
 """Symmetric function bases, the Hall pairing, and the affine bases."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from stansym.partition import bounded_partitions, partitions_of, sort_compositio
 from stansym.symfunc import (
     QuasiSymFunc,
     SymFunc,
+    _solve_exact,
     affine_schur,
     change_basis,
     coproduct,
@@ -179,3 +182,79 @@ def test_reduce_to_bounded():
 def test_json_round_trip():
     f = SymFunc(3, "m", {(2, 1): 2, (1, 1, 1): -1})
     assert SymFunc.from_json(f.to_json()) == f
+
+
+def gauss_jordan(rows, rhs):
+    """Reference solver: Gauss-Jordan elimination over Fractions.
+
+    Returns (solution with free unknowns 0, rank, None) or
+    (None, rank, input index of an inconsistent row).
+    """
+    m, k = len(rows), len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    order = list(range(m))
+    pivots = []
+    r = 0
+    for c in range(k):
+        p = next((i for i in range(r, m) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        order[r], order[p] = order[p], order[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(m):
+        if all(x == 0 for x in aug[i][:k]) and aug[i][k]:
+            return None, r, order[i]
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][k]
+    return sol, r, None
+
+
+@st.composite
+def integer_systems(draw):
+    """An m x k integer system B C of rank at most r, consistent or not."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, k)))
+    small = st.integers(-3, 3)
+    B = [[draw(small) for _ in range(r)] for _ in range(m)]
+    C = [[draw(small) for _ in range(k)] for _ in range(r)]
+    rows = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(k)] for i in range(m)]
+    if draw(st.booleans()):
+        x = [draw(small) for _ in range(k)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(st.integers(-5, 5)) for _ in range(m)]
+    return rows, rhs
+
+
+@given(integer_systems())
+@settings(max_examples=400, deadline=None)
+def test_solver_agrees_with_gauss_jordan(system):
+    rows, rhs = system
+    assert _solve_exact(rows, rhs) == gauss_jordan(rows, rhs)
+
+
+def test_solver_solution_solves_the_system():
+    rows = [[2, 4, 1], [1, 3, 0], [3, 7, 1]]
+    sol, rank, bad = _solve_exact(rows, [5, 2, 7])
+    assert rank == 2 and bad is None
+    assert [sum(a * x for a, x in zip(row, sol)) for row in rows] == [5, 2, 7]
+    assert _solve_exact(rows, [5, 2, 8]) == (None, 2, 2)
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[Fraction(1, 2), 1], [0, 1]], [0, 1]),
+    ([[1, 0], [0, 1]], [0.5, 1]),
+    ([[1.0, 0], [0, 1]], [0, 1]),
+])
+def test_solver_rejects_non_integer_entries(rows, rhs):
+    with pytest.raises(TypeError):
+        _solve_exact(rows, rhs)
