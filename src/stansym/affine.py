@@ -8,6 +8,7 @@ is rejected).
 """
 
 from functools import lru_cache
+from operator import index
 
 from .partition import as_partition, conjugate, sort_composition
 from .permutation import Permutation
@@ -17,10 +18,10 @@ class AffinePermutation:
     __slots__ = ("window", "n")
 
     def __init__(self, n, window):
-        n = int(n)
+        n = index(n)
         if n < 3:
             raise ValueError("affine symmetric group requires rank n >= 3")
-        window = tuple(int(x) for x in window)
+        window = tuple(map(index, window))
         if len(window) != n:
             raise ValueError(f"window must have length {n}: {window}")
         if sorted(x % n for x in window) != list(range(n)):
@@ -70,7 +71,7 @@ class AffinePermutation:
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return AffinePermutation(self.n, (self(other(i)) for i in range(1, self.n + 1)))
+        return AffinePermutation(self.n, map(self, other.window))
 
     def inverse(self):
         out = [0] * self.n
@@ -101,26 +102,26 @@ class AffinePermutation:
             raise ValueError(f"{self!r} is not in the finite subgroup")
         return Permutation(self.window)
 
+    def inversions(self):
+        """The l(w) pairs (i, j) with 1 <= i <= n, i < j and w(i) > w(j)."""
+        n = self.n
+        for i, wi in enumerate(self.window, 1):
+            for r, wr in enumerate(self.window, 1):
+                # j = r + t*n with j > i and w(j) = wr + t*n < wi
+                for t in range((i - r) // n + 1, -((wr - wi) // n)):
+                    yield i, r + t * n
+
     def code(self):
         """c_i = #{j > i : w(j) < w(i)} for i = 1..n; has at least one zero."""
-        out = []
-        for i in range(1, self.n + 1):
-            wi = self(i)
-            total = 0
-            for r in range(1, self.n + 1):
-                # positions j = r + t*n with j > i and w(j) < w(i)
-                wr = self(r)
-                # t > (i - r)/n  and  t < (wi - wr)/n
-                tmin = (i - r) // self.n + 1
-                # largest t with wr + t*n < wi
-                tmax = -((wr - wi) // self.n) - 1
-                if tmax >= tmin:
-                    total += tmax - tmin + 1
-            out.append(total)
+        out = [0] * self.n
+        for i, _ in self.inversions():
+            out[i - 1] += 1
         return tuple(out)
 
     def length(self):
-        return sum(self.code())
+        """Shi's formula: the sum of |floor((w_j - w_i) / n)| over i < j <= n."""
+        w, n = self.window, self.n
+        return sum(abs((w[j] - w[i]) // n) for i in range(n) for j in range(i + 1, n))
 
     def shape(self):
         """The partition conjugate to the sorted code of the inverse."""
@@ -202,7 +203,7 @@ class CorootVector:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(map(index, coords))
         if sum(coords) != 0:
             raise ValueError(f"coroot coordinates must sum to 0: {coords}")
         self.coords = coords
@@ -237,12 +238,6 @@ class CorootVector:
         """The S_n orbit, as a sorted list of distinct vectors."""
         from itertools import permutations as itp
         return sorted({tuple(p) for p in itp(self.coords)})
-
-    def is_dominant(self):
-        return all(self.coords[i] >= self.coords[i + 1] for i in range(self.n - 1))
-
-    def is_antidominant(self):
-        return all(self.coords[i] <= self.coords[i + 1] for i in range(self.n - 1))
 
 
 def theta_coroot(n):

@@ -36,11 +36,20 @@ def load_caps():
     return caps
 
 
+def _json_integers(text):
+    """A JSON array of integers; any other entry is a usage error."""
+    items = json.loads(text)
+    bad = [x for x in items if not isinstance(x, int)]
+    if bad:
+        raise ValueError(f"not an integer: {bad[0]!r} in {text}")
+    return items
+
+
 def parse_permutation(text):
     """One-line digit string (n <= 9) or a JSON array."""
     text = text.strip()
     if text.startswith("["):
-        return Permutation(json.loads(text))
+        return Permutation(_json_integers(text))
     if not text.isdigit():
         raise ValueError(f"not a one-line permutation or JSON array: {text!r}")
     return Permutation([int(c) for c in text])
@@ -49,7 +58,7 @@ def parse_permutation(text):
 def parse_word(text):
     text = text.strip()
     if text.startswith("["):
-        return tuple(int(x) for x in json.loads(text))
+        return tuple(_json_integers(text))
     if not text.isdigit():
         raise ValueError(f"not a generator word: {text!r}")
     return tuple(int(c) for c in text)
@@ -61,14 +70,14 @@ def parse_affine(text, n, mode):
     if mode == "auto":
         mode = "window" if text.startswith("[") else "word"
     if mode == "window":
-        return AffinePermutation(n, json.loads(text))
+        return AffinePermutation(n, _json_integers(text))
     return AffinePermutation.from_word(parse_word(text), n)
 
 
 def parse_partition(text):
     text = text.strip()
     if text.startswith("["):
-        return as_partition(json.loads(text))
+        return as_partition(_json_integers(text))
     if not text:
         return ()
     return as_partition([int(p) for p in text.split(",")])
@@ -395,6 +404,9 @@ def main(argv=None):
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a cross-check between independent routes failed
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def dispatch(args, fmt, caps):

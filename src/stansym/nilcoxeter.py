@@ -9,6 +9,7 @@ commutative-subalgebra experiments.
 
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 from .affine import AffinePermutation, cyclically_decreasing
 from .partition import as_partition, partitions_inside, staircase
@@ -22,11 +23,11 @@ class NilCoxeterElement:
     __slots__ = ("n", "affine", "coeffs")
 
     def __init__(self, n, affine, coeffs):
-        self.n = int(n)
+        self.n = index(n)
         self.affine = bool(affine)
         clean = {}
         for w, c in coeffs.items():
-            c = int(c)
+            c = index(c)
             if not c:
                 continue
             w = self._check_key(w)
@@ -93,18 +94,8 @@ class NilCoxeterElement:
     def is_zero(self):
         return not self.coeffs
 
-    def graded_component(self, d):
-        return NilCoxeterElement(
-            self.n, self.affine, {w: c for w, c in self.coeffs.items() if w.length() == d}
-        )
-
     def degrees(self):
         return sorted({w.length() for w in self.coeffs})
-
-    def inner_product(self, other):
-        """<A_w, A_v> = delta, extended bilinearly."""
-        self._compat(other)
-        return sum(c * other.coeffs.get(w, 0) for w, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:

@@ -9,6 +9,7 @@ Fomin-Stanley subalgebra, and the kappa projection to the finite algebra.
 """
 
 from functools import lru_cache
+from operator import index
 
 from .affine import AffinePermutation, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
@@ -21,13 +22,13 @@ class ScalarPoly:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        self.n = int(n)
+        self.n = index(n)
         clean = {}
         for exp, c in coeffs.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != self.n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp} for {self.n} variables")
-            c = int(c)
+            c = index(c)
             if c:
                 clean[exp] = clean.get(exp, 0) + c
         self.coeffs = {e: c for e, c in clean.items() if c}
@@ -169,12 +170,12 @@ class NilHeckeElement:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
-        self.n = int(n)
+        self.n = index(n)
         clean = {}
         for w, p in coeffs.items():
             if not isinstance(w, AffinePermutation) or w.n != self.n:
                 raise ValueError(f"expected affine permutations of rank {self.n}: {w!r}")
-            if isinstance(p, int):
+            if not isinstance(p, ScalarPoly):
                 p = ScalarPoly.const(self.n, p)
             if not p.is_zero():
                 clean[w] = clean.get(w, ScalarPoly.zero(self.n)) + p
@@ -304,8 +305,12 @@ def _affine_transposition(n, i, j):
 
 def chevalley(w, f):
     """A_w * f for a linear scalar f, by the Chevalley formula:
-    (w.f) A_w + sum <alpha^vee, f> A_{w s_alpha} over length-lowering
-    positive-root reflections."""
+    (w.f) A_w + sum <alpha^vee, f> A_{w s_alpha} over the reflections with
+    l(w s_alpha) = l(w) - 1.
+
+    A reflection lowers the length of w exactly when it exchanges an
+    inversion (i, j) of w, so the sum runs over w.inversions().
+    """
     n = w.n
     if any(sum(e) != 1 for e in f.coeffs):
         raise ValueError("Chevalley formula needs a homogeneous linear scalar")
@@ -313,20 +318,14 @@ def chevalley(w, f):
     for e, c in f.coeffs.items():
         coeff[e.index(1)] = c
     ell = w.length()
-    out = NilHeckeElement.basis(w, f.permute_variables(_level_zero_target(w)))
-    bound = n * (ell + 2)
-    for i in range(1, n + 1):
-        for j in range(i + 1, i + bound + 1):
-            if (j - i) % n == 0:
-                continue
-            t = _affine_transposition(n, i, j)
-            wt = w * t
-            if wt.length() != ell - 1:
-                continue
-            pairing = coeff[(i - 1) % n] - coeff[(j - 1) % n]
-            if pairing:
-                out = out + pairing * NilHeckeElement.basis(wt)
-    return out
+    terms = {w: f.permute_variables(_level_zero_target(w))}
+    for i, j in w.inversions():
+        wt = w * _affine_transposition(n, i, j)
+        if wt.length() != ell - 1:
+            continue
+        # distinct inversions are distinct reflections, so each wt is new
+        terms[wt] = coeff[i - 1] - coeff[(j - 1) % n]
+    return NilHeckeElement(n, terms)
 
 
 # -- coproduct ----------------------------------------------------------------

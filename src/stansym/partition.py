@@ -8,11 +8,12 @@ contain internal zeros (codes of permutations do).
 from functools import lru_cache
 from itertools import permutations
 from math import prod
+from operator import index
 
 
 def as_partition(parts):
     """Validate and normalize an iterable of parts into a partition tuple."""
-    la = tuple(int(p) for p in parts)
+    la = tuple(map(index, parts))
     while la and la[-1] == 0:
         la = la[:-1]
     if any(p <= 0 for p in la):

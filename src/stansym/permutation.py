@@ -7,6 +7,7 @@ stands for the product ``s_{i_1} s_{i_2} ... s_{i_l}``.
 
 from functools import lru_cache
 from itertools import permutations as _itpermutations
+from operator import index
 
 from .partition import conjugate, sort_composition
 
@@ -15,7 +16,7 @@ class Permutation:
     __slots__ = ("window", "n")
 
     def __init__(self, window):
-        window = tuple(int(x) for x in window)
+        window = tuple(map(index, window))
         n = len(window)
         if sorted(window) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {window}")
@@ -45,10 +46,12 @@ class Permutation:
         word = tuple(word)
         if n is None:
             n = max(word, default=0) + 1
-        w = Permutation.identity(n)
+        w = list(range(1, n + 1))
         for i in word:
-            w = w * Permutation.simple(i, n)
-        return w
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"generator index {i} out of range for S_{n}")
+            w[i - 1], w[i] = w[i], w[i - 1]
+        return Permutation(w)
 
     def __call__(self, i):
         """Value as a bijection of the positive integers (stable embedding)."""
@@ -61,9 +64,9 @@ class Permutation:
         return Permutation(self.window + tuple(range(self.n + 1, n + 1)))
 
     def __mul__(self, other):
-        n = max(self.n, other.n)
-        w, v = self.embed(n), other.embed(n)
-        return Permutation(w.window[v.window[i] - 1] for i in range(n))
+        w, m = self.window, self.n
+        # beyond other's window, other fixes i and the product is w(i)
+        return Permutation([w[x - 1] if x <= m else x for x in other.window] + list(w[other.n:]))
 
     def inverse(self):
         out = [0] * self.n
@@ -71,15 +74,18 @@ class Permutation:
             out[x - 1] = i + 1
         return Permutation(out)
 
-    def __eq__(self, other):
-        n = max(self.n, other.n)
-        return self.embed(n).window == other.embed(n).window
-
-    def __hash__(self):
+    def _stable_window(self):
+        """The window without trailing fixed points, the same for every embedding."""
         w = self.window
         while w and w[-1] == len(w):
             w = w[:-1]
-        return hash(w)
+        return w
+
+    def __eq__(self, other):
+        return self._stable_window() == other._stable_window()
+
+    def __hash__(self):
+        return hash(self._stable_window())
 
     def __repr__(self):
         return f"Permutation({list(self.window)})"
@@ -99,9 +105,6 @@ class Permutation:
 
     def right_descents(self):
         return [i for i in range(1, self.n) if self.window[i - 1] > self.window[i]]
-
-    def descents(self):
-        return self.right_descents()
 
     def code(self):
         """The sequence c_i = #{j > i : w(j) < w(i)}, length n."""
@@ -163,19 +166,18 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def _reduced_words(window):
-    w = Permutation(window)
-    if w.is_identity():
-        return ((),)
     words = []
-    for i in w.right_descents():
-        shorter = w * Permutation.simple(i, w.n)
-        words.extend(word + (i,) for word in _reduced_words(shorter.window))
-    return tuple(sorted(words))
+    for i in range(1, len(window)):
+        if window[i - 1] > window[i]:  # a right descent: recurse on w s_i
+            shorter = window[:i - 1] + (window[i], window[i - 1]) + window[i + 1:]
+            words.extend(word + (i,) for word in _reduced_words(shorter))
+    # only the identity has no right descent
+    return tuple(sorted(words)) if words else ((),)
 
 
 def from_code(c):
     """The unique permutation with the given code."""
-    c = tuple(int(x) for x in c)
+    c = tuple(map(index, c))
     while c and c[-1] == 0:
         c = c[:-1]
     if any(x < 0 for x in c):

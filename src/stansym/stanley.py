@@ -9,8 +9,10 @@ symmetry of the result is a theorem, and ``check_symmetry`` verifies it on
 arbitrary compositions.
 """
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import gt, lt
 
 from .affine import AffinePermutation, cyclically_decreasing
 from .partition import as_partition, partitions_of, sort_composition
@@ -18,29 +20,19 @@ from .permutation import Permutation
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
 
 
-def _prefix_sums(alpha):
-    out = set()
-    s = 0
-    for a in alpha[:-1]:
-        s += a
-        out.add(s)
-    return out
+def _position_sets(words, relation):
+    """How many words have each set {i : relation(word[i-1], word[i])}."""
+    return Counter(
+        frozenset(i for i in range(1, len(word)) if relation(word[i - 1], word[i]))
+        for word in words
+    )
 
 
-def _coeff_original(w, alpha):
-    """Coefficient of x^alpha: pairs (a in R(w), b weakly increasing with
-    content alpha and b strict at ascents of a).
-
-    The b-sequence with a given content is unique, so this counts reduced
-    words whose ascent set lies in the block boundaries of alpha.
-    """
-    boundaries = _prefix_sums([a for a in alpha if a])
-    count = 0
-    for word in w.reduced_words():
-        ascents = {i + 1 for i in range(len(word) - 1) if word[i] < word[i + 1]}
-        if ascents <= boundaries:
-            count += 1
-    return count
+def _count_within(histogram, alpha):
+    """How many words of the histogram have their set within the partial sums
+    of alpha (the sets lie in 1..l-1, so the total l may be among the sums)."""
+    sums = set(accumulate(alpha))
+    return sum(c for positions, c in histogram.items() if positions <= sums)
 
 
 @lru_cache(maxsize=None)
@@ -67,23 +59,6 @@ def _count_decreasing_factorizations(window, alpha):
     return total
 
 
-def _coeff_quasisym_table(w):
-    """m-coefficients of sum of L_Des(a) over a in R(w^{-1})."""
-    words = w.inverse().reduced_words()
-    ell = w.length()
-    coeffs = {}
-    for la in partitions_of(ell):
-        boundaries = _prefix_sums(la)
-        count = 0
-        for word in words:
-            descents = {i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1]}
-            if descents <= boundaries:
-                count += 1
-        if count:
-            coeffs[la] = count
-    return coeffs
-
-
 def stanley_fn(w, method="decreasing"):
     """The Stanley symmetric function F_w in the m basis.
 
@@ -92,18 +67,25 @@ def stanley_fn(w, method="decreasing"):
     "quasisym" (fundamental quasi-symmetric functions on R(w^{-1})).
     """
     ell = w.length()
-    if method == "original":
-        coeffs = {la: _coeff_original(w, la) for la in partitions_of(ell)}
-    elif method == "decreasing":
-        coeffs = {
+    if method == "decreasing":
+        return SymFunc(ell, "m", {
             la: _count_decreasing_factorizations(w.window, la)
             for la in partitions_of(ell)
-        }
+        })
+    if method == "original":
+        # A compatible pair (a, b) has a in R(w) and b weakly increasing,
+        # strict at the ascents of a.  The b of content alpha is unique and
+        # strict exactly at the partial sums of alpha, so x^alpha counts the
+        # a whose ascent set lies within them.
+        histogram = _position_sets(w.reduced_words(), lt)
     elif method == "quasisym":
-        coeffs = _coeff_quasisym_table(w)
+        # M_alpha has coefficient 1 in L_D when D lies within the partial
+        # sums of alpha and 0 otherwise, so the m-coefficient of the sum of
+        # L_Des(a) counts the a whose descent set lies within them.
+        histogram = _position_sets(w.inverse().reduced_words(), gt)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SymFunc(ell, "m", coeffs)
+    return SymFunc(ell, "m", {la: _count_within(histogram, la) for la in partitions_of(ell)})
 
 
 def stanley_quasisym(w):
@@ -120,11 +102,11 @@ def stanley_quasisym(w):
 
 def check_symmetry_finite(w):
     """Monomial coefficients agree across rearrangements of each partition."""
-    ell = w.length()
-    for la in partitions_of(ell):
-        base = _coeff_original(w, la)
-        for alpha in set(_rearrangements(la)):
-            if _coeff_original(w, alpha) != base:
+    histogram = _position_sets(w.reduced_words(), lt)  # the "original" route's
+    for la in partitions_of(w.length()):
+        base = _count_within(histogram, la)
+        for alpha in _rearrangements(la):
+            if _count_within(histogram, alpha) != base:
                 return False
     return True
 

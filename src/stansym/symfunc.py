@@ -11,6 +11,7 @@ to be integral.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperm
+from operator import index
 
 from .partition import (
     as_partition,
@@ -50,7 +51,7 @@ class SymFunc:
     __slots__ = ("degree", "basis", "coeffs")
 
     def __init__(self, degree, basis, coeffs):
-        self.degree = int(degree)
+        self.degree = index(degree)
         self.basis = basis
         name, n = _parse_basis(basis)
         clean = {}
@@ -60,8 +61,7 @@ class SymFunc:
                 raise ValueError(f"term {la} is not of degree {self.degree}")
             if n is not None and la and la[0] > n - 1:
                 raise ValueError(f"term {la} is not ({n-1})-bounded")
-            if c:
-                clean[la] = clean.get(la, 0) + int(c)
+            clean[la] = clean.get(la, 0) + index(c)
         self.coeffs = {la: c for la, c in clean.items() if c}
 
     @staticmethod
@@ -353,14 +353,13 @@ class QuasiSymFunc:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
-        self.degree = int(degree)
+        self.degree = index(degree)
         self.coeffs = {}
         for alpha, c in coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(index, alpha))
             if any(a <= 0 for a in alpha) or sum(alpha) != self.degree:
                 raise ValueError(f"bad composition {alpha} for degree {self.degree}")
-            if c:
-                self.coeffs[alpha] = self.coeffs.get(alpha, 0) + int(c)
+            self.coeffs[alpha] = self.coeffs.get(alpha, 0) + index(c)
         self.coeffs = {a: c for a, c in self.coeffs.items() if c}
 
     def __add__(self, other):
@@ -377,10 +376,6 @@ class QuasiSymFunc:
     def __repr__(self):
         bits = [f"{c}*M{a}" for a, c in sorted(self.coeffs.items())]
         return " + ".join(bits) or "0"
-
-    def monomial_coefficient(self, alpha):
-        """Coefficient of x^alpha for a composition with positive parts."""
-        return self.coeffs.get(tuple(a for a in alpha if a), 0)
 
     def is_symmetric(self):
         return all(

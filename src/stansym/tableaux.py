@@ -3,6 +3,7 @@ and the transition-formula bookkeeping.
 """
 
 from functools import lru_cache
+from operator import index
 
 from .partition import as_partition
 from .permutation import Permutation, is_reduced
@@ -14,7 +15,7 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         shape = tuple(len(row) for row in rows)
         as_partition(shape)
         if any(x <= 0 for row in rows for x in row):
@@ -45,11 +46,6 @@ class Tableau:
             self.rows[i][j] < self.rows[i + 1][j]
             for i in range(len(self.rows) - 1)
             for j in range(len(self.rows[i + 1]))
-        )
-
-    def is_semistandard(self):
-        return self.is_column_strict() and all(
-            row[j] <= row[j + 1] for row in self.rows for j in range(len(row) - 1)
         )
 
     def is_standard(self):
@@ -192,7 +188,7 @@ class MarkedWord:
     __slots__ = ("word", "mark")
 
     def __init__(self, word, mark):
-        word = tuple(int(x) for x in word)
+        word = tuple(map(index, word))
         if not 1 <= mark <= len(word):
             raise ValueError(f"mark {mark} out of range")
         if any(x < 1 for x in word):
@@ -204,9 +200,6 @@ class MarkedWord:
 
     def is_reduced(self):
         return is_reduced(self.word)
-
-    def deleted(self):
-        return self.word[:self.mark - 1] + self.word[self.mark:]
 
     def __eq__(self, other):
         return self.word == other.word and self.mark == other.mark

@@ -62,11 +62,30 @@ def test_code_example():
 
 
 def test_code_has_a_zero_and_sums_to_length():
-    for l in range(6):
-        for w in elements_of_length(3, l):
-            c = w.code()
-            assert 0 in c
-            assert sum(c) == l == w.length()
+    # code() counts inversions, length() is Shi's formula on the window
+    for n, top in ((3, 5), (4, 5), (5, 4)):
+        for l in range(top + 1):
+            for w in elements_of_length(n, l):
+                c = w.code()
+                assert 0 in c
+                assert sum(c) == l == w.length() == len(list(w.inversions()))
+
+
+def test_inversions_match_a_search_of_the_window_shifts():
+    # the inversions with a fixed i and j mod n are consecutive shifts of j,
+    # at most l(w) of them, so none lies beyond j = i + n * (l + 1)
+    for n, top in ((3, 5), (4, 4)):
+        for l in range(top + 1):
+            for w in elements_of_length(n, l):
+                bound = n * (l + 1)
+                brute = {
+                    (i, j)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, i + bound + 1)
+                    if w(i) > w(j)
+                }
+                inversions = list(w.inversions())
+                assert len(inversions) == len(brute) and set(inversions) == brute
 
 
 def test_reduced_words_example():

@@ -11,6 +11,7 @@ from stansym.cli import (
     parse_permutation,
     parse_word,
 )
+from stansym.nilcoxeter import NilCoxeterElement
 
 
 def run(argv, capsys):
@@ -128,3 +129,26 @@ def test_bad_input_exits_2(capsys):
 def test_bad_window_exits_2(capsys):
     code, _, err = run(["affine-stanley", "-n", "3", "[1, 2, 4]"], capsys)
     assert code == 2
+
+
+def test_non_integer_json_entry_exits_2(capsys):
+    for argv in (
+        ["stanley", "[2.5, 1]"],
+        ["affine-stanley", "-n", "3", "[1.5, 2, 2.5]"],
+        ["eg-insert", "[1, 2.0]"],
+        ["kschur", "-n", "3", "[2, 0.5]"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_failed_cross_check_exits_1(capsys, monkeypatch):
+    from stansym import nilhecke
+
+    monkeypatch.setattr(
+        nilhecke, "_j_basis_by_solver", lambda n, w: NilCoxeterElement.zero(n, True)
+    )
+    code, out, err = run(["jbasis", "-n", "3", "2,1"], capsys)
+    assert code == 1 and out == ""
+    assert "j-basis constructions disagree" in err and "Traceback" not in err

@@ -83,12 +83,12 @@ def test_embed_group_is_word_independent():
 
 
 def test_chevalley_matches_multiplication():
-    n = 3
-    for l in range(4):
-        for w in elements_of_length(n, l):
-            for i in (1, 2, 3):
-                f = ScalarPoly.x(n, i)
-                assert chevalley(w, f) == NilHeckeElement.basis(w) * NilHeckeElement.from_scalar(f)
+    for n, top in ((3, 5), (4, 4), (5, 4)):
+        for l in range(top + 1):
+            for w in elements_of_length(n, l):
+                for i in range(1, n + 1):
+                    f = ScalarPoly.x(n, i)
+                    assert chevalley(w, f) == NilHeckeElement.basis(w) * NilHeckeElement.from_scalar(f)
 
 
 def test_chevalley_rejects_nonlinear():

@@ -1,5 +1,7 @@
 """Finite symmetric group: codes, reduced words, pattern classes."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,45 @@ def test_longest_element():
     assert w0.window == (4, 3, 2, 1)
     assert w0.length() == 6
     assert len(w0.reduced_words()) == 16
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n + 1), st.lists(st.integers(1, n), max_size=12))
+))
+def test_from_word_is_the_product_of_simple_transpositions(case):
+    n, word = case
+    product = Permutation.identity(n)
+    for i in word:
+        product = product * Permutation.simple(i, n)
+    assert Permutation.from_word(word, n) == product
+    assert Permutation.from_word(word, n).n == n
+
+
+def test_from_word_rejects_out_of_range_letters():
+    for word in ((1, 3), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            Permutation.from_word(word, 3)
+
+
+def test_equality_ignores_trailing_fixed_points():
+    assert Permutation([2, 1]) == Permutation([2, 1, 3])
+    assert hash(Permutation([2, 1])) == hash(Permutation([2, 1, 3]))
+    assert Permutation([2, 1, 3]) != Permutation([1, 3, 2])
+    assert Permutation([2, 1]) * Permutation([1, 3, 2]) == Permutation([2, 3, 1])
+
+
+def test_reduced_words_are_the_short_words_for_w():
+    # every word of length l(w) over 1..n-1 whose product is w, for all of S_4
+    n = 4
+    found = {}
+    for l in range(7):
+        for word in product(range(1, n), repeat=l):
+            w = Permutation.from_word(word, n)
+            if w.length() == l:
+                found.setdefault(w, []).append(word)
+    assert len(found) == 24
+    for w, words in found.items():
+        assert w.reduced_words() == tuple(sorted(words))
 
 
 def test_reduced_word_counts_s3():

@@ -45,6 +45,15 @@ def test_three_definitions_agree_on_s4():
         assert a == b == c
 
 
+def test_histogram_routes_agree_with_the_factorization_count_on_s5():
+    # "original" and "quasisym" read one histogram of R(w) or R(w^-1) each;
+    # the decreasing-factorization DP shares no code with them
+    for w in symmetric_group(5):
+        want = stanley_fn(w, "decreasing")
+        assert stanley_fn(w, "original") == want == stanley_fn(w, "quasisym")
+        assert check_symmetry_finite(w)
+
+
 def test_quasisym_route_is_symmetric():
     for w in symmetric_group(4):
         q = stanley_quasisym(w)
