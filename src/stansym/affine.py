@@ -134,8 +134,25 @@ class AffinePermutation:
             out.append(0)
         return sorted(out)
 
+    def has_left_descent(self, i):
+        """True iff l(s_i w) < l(w), that is w^-1(i) > w^-1(i + 1)."""
+        n = self.n
+        # w^-1(t) = t + p - w(p) for the position p with w(p) = t (mod n)
+        shift = {x % n: p - x for p, x in enumerate(self.window, 1)}
+        return shift[i % n] > 1 + shift[(i + 1) % n]
+
     def reduced_words(self):
         return _affine_reduced_words(self.n, self.window)
+
+    def reduced_word(self):
+        """The lexicographically least reduced word, ``reduced_words()[0]``:
+        take the least left descent (the least right descent of the inverse,
+        which lists 0 first), multiply it off, and repeat."""
+        word, v = [], self.inverse()
+        while descents := v.right_descents():
+            word.append(descents[0])
+            v = v.right_mult_generator(descents[0])
+        return tuple(word)
 
     def is_grassmannian(self):
         w = self.window
@@ -275,10 +292,8 @@ def elements_of_length(n, length):
         return (AffinePermutation.identity(n),)
     out = set()
     for w in elements_of_length(n, length - 1):
-        for i in range(n):
-            longer = w.right_mult_generator(i)
-            if longer.length() == length:
-                out.add(longer)
+        descents = w.right_descents()  # w s_i > w exactly when i is not one
+        out.update(w.right_mult_generator(i) for i in range(n) if i not in descents)
     return tuple(sorted(out, key=lambda w: w.window))
 
 

@@ -103,7 +103,7 @@ class NilCoxeterElement:
         parts = []
         for w in sorted(self.coeffs, key=lambda u: (u.length(), u.window)):
             c = self.coeffs[w]
-            word = "".join(map(str, w.reduced_words()[0])) or "id"
+            word = "".join(map(str, w.reduced_word())) or "id"
             parts.append(f"{c}*A[{word}]" if c != 1 else f"A[{word}]")
         return " + ".join(parts)
 
@@ -111,7 +111,7 @@ class NilCoxeterElement:
         return [
             {
                 "window": list(w.window),
-                "word": list(w.reduced_words()[0]),
+                "word": list(w.reduced_word()),
                 "coeff": c,
             }
             for w, c in sorted(self.coeffs.items(), key=lambda p: (p[0].length(), p[0].window))
@@ -181,7 +181,7 @@ def divided_difference_action(a, f):
     total = ScalarPoly.zero(a.n)
     for w, c in a.coeffs.items():
         g = f
-        for i in reversed(w.reduced_words()[0]):
+        for i in reversed(w.reduced_word()):
             g = g.divided_difference(i, affine=False)
         total = total + c * g
     return total

@@ -165,20 +165,24 @@ def _level_zero_target(w):
 
 
 class NilHeckeElement:
-    """A finite sum of (polynomial scalar) * A_w over affine permutations."""
+    """A finite sum of (polynomial scalar) * A_w over affine permutations.
+
+    ``coeffs`` is a dict w -> p or an iterable of (w, p) pairs; the scalars
+    of a repeated w are summed.
+    """
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
         self.n = index(n)
         clean = {}
-        for w, p in coeffs.items():
+        for w, p in coeffs.items() if isinstance(coeffs, dict) else coeffs:
             if not isinstance(w, AffinePermutation) or w.n != self.n:
                 raise ValueError(f"expected affine permutations of rank {self.n}: {w!r}")
             if not isinstance(p, ScalarPoly):
                 p = ScalarPoly.const(self.n, p)
             if not p.is_zero():
-                clean[w] = clean.get(w, ScalarPoly.zero(self.n)) + p
+                clean[w] = clean[w] + p if w in clean else p
         self.coeffs = {w: p for w, p in clean.items() if not p.is_zero()}
 
     @staticmethod
@@ -204,10 +208,7 @@ class NilHeckeElement:
         return NilHeckeElement(a.n, dict(a.coeffs))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, p in other.coeffs.items():
-            out[w] = out.get(w, ScalarPoly.zero(self.n)) + p
-        return NilHeckeElement(self.n, out)
+        return NilHeckeElement(self.n, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -228,13 +229,13 @@ class NilHeckeElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        out = NilHeckeElement.zero(self.n)
+        terms = []
         for u, p in self.coeffs.items():
             t = other
-            for i in reversed(u.reduced_words()[0]):
+            for i in reversed(u.reduced_word()):
                 t = _letter_times(i, t)
-            out = out + t.scalar_left(p)
-        return out
+            terms.extend((w, p * q) for w, q in t.coeffs.items())
+        return NilHeckeElement(self.n, terms)
 
     def phi0(self):
         """Constant-term projection into the affine nilCoxeter algebra."""
@@ -247,7 +248,7 @@ class NilHeckeElement:
             return "NilHeckeElement(0)"
         parts = []
         for w in sorted(self.coeffs, key=lambda u: (u.length(), u.window)):
-            word = "".join(map(str, w.reduced_words()[0])) or "id"
+            word = "".join(map(str, w.reduced_word())) or "id"
             parts.append(f"({self.coeffs[w]!r})*A[{word}]")
         return " + ".join(parts)
 
@@ -264,13 +265,12 @@ def _letter_times(i, elem):
     i = i % n
     a, b = (i, i + 1) if i != 0 else (n, 1)
     si = AffinePermutation.simple(i, n)
-    out = NilHeckeElement.zero(n)
+    terms = []
     for v, q in elem.coeffs.items():
-        siv = si * v
-        if siv.length() == v.length() + 1:
-            out = out + NilHeckeElement.basis(siv, q.swap(a, b))
-        out = out + NilHeckeElement.basis(v, q.divided_difference(i))
-    return out
+        if not v.has_left_descent(i):  # s_i v > v
+            terms.append((si * v, q.swap(a, b)))
+        terms.append((v, q.divided_difference(i)))
+    return NilHeckeElement(n, terms)
 
 
 def commute_past(i, f):
@@ -282,7 +282,7 @@ def embed_group(w):
     """The image of an affine permutation under s_i -> 1 - alpha_i A_i."""
     n = w.n
     out = NilHeckeElement.one(n)
-    for i in w.reduced_words()[0]:
+    for i in w.reduced_word():
         si = NilHeckeElement.one(n) - NilHeckeElement.basis(
             AffinePermutation.simple(i, n), ScalarPoly.alpha(n, i)
         )
@@ -347,56 +347,34 @@ def _tensor_letter_act(i, T):
     si = AffinePermutation.simple(i, n)
     alpha = ScalarPoly.alpha(n, i)
     out = {}
-
-    def put(w, L):
-        out[w] = out.get(w, NilHeckeElement.zero(n)) + L
-
     for w, L in T.items():
         aL = _letter_times(i, L)
-        put(w, aL)
-        siw = si * w
-        if siw.length() == w.length() + 1:
-            put(siw, L)
-            put(siw, -1 * aL.scalar_left(alpha))
-    return _tensor_clean(out)
+        out.setdefault(w, []).extend(aL.coeffs.items())
+        if not w.has_left_descent(i):  # s_i w > w
+            longer = out.setdefault(si * w, [])
+            longer.extend(L.coeffs.items())
+            longer.extend((v, -(alpha * p)) for v, p in aL.coeffs.items())
+    return _tensor_clean({w: NilHeckeElement(n, terms) for w, terms in out.items()})
 
 
 def tensor_act(a, T):
     """Left action of a nilHecke element on a tensor, per the coproduct
     module structure."""
-    n = a.n
     out = {}
     for u, p in a.coeffs.items():
         cur = T
-        for i in reversed(u.reduced_words()[0]):
+        for i in reversed(u.reduced_word()):
             cur = _tensor_letter_act(i, cur)
         for w, L in cur.items():
-            out[w] = out.get(w, NilHeckeElement.zero(n)) + L.scalar_left(p)
-    return _tensor_clean(out)
+            out.setdefault(w, []).extend((v, p * q) for v, q in L.coeffs.items())
+    return _tensor_clean({w: NilHeckeElement(a.n, terms) for w, terms in out.items()})
 
 
-def coproduct(a, word_choice=None):
+def coproduct(a):
     """The coproduct Delta(a) = a.(1 (x) 1), as a dict (v, w) -> ScalarPoly
-    with all scalars collected in the left factor.
-
-    ``word_choice`` picks the reduced word used per basis term, for
-    word-independence tests.
-    """
-    n = a.n
-    e = AffinePermutation.identity(n)
-    unit = {e: NilHeckeElement.one(n)}
-    total = {}
-    for u, p in a.coeffs.items():
-        words = u.reduced_words()
-        word = words[0] if word_choice is None else words[word_choice % len(words)]
-        cur = unit
-        for i in reversed(word):
-            cur = _tensor_letter_act(i, cur)
-        for w, L in cur.items():
-            for v, q in L.coeffs.items():
-                key = (v, w)
-                total[key] = total.get(key, ScalarPoly.zero(n)) + p * q
-    return {k: q for k, q in total.items() if not q.is_zero()}
+    with all scalars collected in the left factor."""
+    unit = {AffinePermutation.identity(a.n): NilHeckeElement.one(a.n)}
+    return {(v, w): q for w, L in tensor_act(a, unit).items() for v, q in L.coeffs.items()}
 
 
 def tensor_phi0(delta):
@@ -439,23 +417,24 @@ def _phi0_a_x(x, i):
     return chevalley(x, ScalarPoly.x(x.n, i)).phi0()
 
 
-def _j_basis_by_solver(n, w):
+def _j_basis_by_solver(n, w, table):
     """The unique integer combination of {A_x : l(x) = l(w)} whose
-    Grassmannian part is A_w and which phi0-commutes with every x_i."""
+    Grassmannian part is A_w and which phi0-commutes with every x_i.
+
+    ``table`` maps each x of length l(w) to [phi0(A_x x_i) for i = 1..n].
+    """
     from .symfunc import _solve_exact
 
-    ell = w.length()
-    index = list(elements_of_length(n, ell))
+    index = list(table)
     rows = []
     rhs = []
-    # phi0(a x_i) = 0 for each i, coordinatewise over length ell-1 elements
-    columns = {x: [_phi0_a_x(x, i) for i in range(1, n + 1)] for x in index}
+    # phi0(a x_i) = 0 for each i, coordinatewise over elements of length l(w) - 1
     support = sorted(
-        {(i, y) for x in index for i in range(n) for y in columns[x][i].coeffs},
+        {(i, y) for x in index for i in range(n) for y in table[x][i].coeffs},
         key=lambda t: (t[0], t[1].window),
     )
     for i, y in support:
-        rows.append([columns[x][i].coeffs.get(y, 0) for x in index])
+        rows.append([table[x][i].coeffs.get(y, 0) for x in index])
         rhs.append(0)
     # normalization on the Grassmannian terms
     for x in index:
@@ -485,13 +464,20 @@ def j_basis_element(n, w, cross_check=True):
         grass = [x for x in a.coeffs if x.is_grassmannian()]
         if grass != [w] or a.coeffs[w] != 1:
             raise AssertionError(f"Grassmannian part of j-element for {w!r} is wrong")
-        for i in range(1, n + 1):
-            ax = NilCoxeterElement.zero(n, True)
+        table = {
+            x: [_phi0_a_x(x, i) for i in range(1, n + 1)]
+            for x in elements_of_length(n, w.length())
+        }
+        if not table.keys() >= a.coeffs.keys():
+            raise AssertionError(f"j-element for {w!r} is not of length {w.length()}")
+        for i in range(n):
+            ax = {}
             for x, c in a.coeffs.items():
-                ax = ax + c * _phi0_a_x(x, i)
-            if not ax.is_zero():
-                raise AssertionError(f"phi0(a x_{i}) != 0 for {w!r}")
-        if _j_basis_by_solver(n, w) != a:
+                for y, d in table[x][i].coeffs.items():
+                    ax[y] = ax.get(y, 0) + c * d
+            if any(ax.values()):
+                raise AssertionError(f"phi0(a x_{i + 1}) != 0 for {w!r}")
+        if _j_basis_by_solver(n, w, table) != a:
             raise AssertionError(f"j-basis constructions disagree for {w!r}")
     return a
 
@@ -512,9 +498,7 @@ def translation_centralizer_check(n, la):
     """True iff sum over the Weyl orbit of A_{t_mu} commutes with every x_i."""
     from .affine import CorootVector
 
-    a = NilHeckeElement.zero(n)
-    for mu in la.orbit():
-        a = a + NilHeckeElement.basis(translation_element(CorootVector(mu)))
+    a = NilHeckeElement(n, {translation_element(CorootVector(mu)): 1 for mu in la.orbit()})
     for i in range(1, n + 1):
         xi = ScalarPoly.x(n, i)
         if not (a * NilHeckeElement.from_scalar(xi) - a.scalar_left(xi)).is_zero():

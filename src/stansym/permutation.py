@@ -119,6 +119,16 @@ class Permutation:
         """All reduced words, lexicographically sorted."""
         return _reduced_words(self.window)
 
+    def reduced_word(self):
+        """The lexicographically least reduced word, ``reduced_words()[0]``:
+        take the least left descent (the least right descent of the inverse),
+        multiply it off, and repeat."""
+        word, v = [], self.inverse()
+        while descents := v.right_descents():
+            word.append(descents[0])
+            v = v.transposition_right(descents[0], descents[0] + 1)
+        return tuple(word)
+
     def is_grassmannian(self):
         return len(self.right_descents()) <= 1
 

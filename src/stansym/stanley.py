@@ -51,10 +51,11 @@ def _count_decreasing_factorizations(window, alpha):
     if not alpha:
         return 1 if w.is_identity() else 0
     k, rest = alpha[0], alpha[1:]
+    ell = w.length()
     total = 0
     for v in _decreasing_elements(w.n, k):
         tail = v.inverse() * w
-        if tail.length() == w.length() - k:
+        if tail.length() == ell - k:
             total += _count_decreasing_factorizations(tail.embed(w.n).window, rest)
     return total
 

@@ -151,6 +151,36 @@ def test_grassmannian_rejects_unbounded_shapes():
         grassmannian_from_partition(3, (3, 1))
 
 
+def test_elements_of_length_matches_a_length_filter():
+    # the old search: keep every w s_i whose length is one more
+    for n in (3, 4, 5):
+        level = {AffinePermutation.identity(n)}
+        for l in range(7):
+            assert elements_of_length(n, l) == tuple(sorted(level, key=lambda w: w.window))
+            level = {
+                w.right_mult_generator(i)
+                for w in level
+                for i in range(n)
+                if w.right_mult_generator(i).length() == l + 1
+            }
+
+
+def test_has_left_descent_matches_the_length_drop():
+    for n in (3, 4, 5):
+        for l in range(6):
+            for w in elements_of_length(n, l):
+                for i in range(n):
+                    shorter = (AffinePermutation.simple(i, n) * w).length() < l
+                    assert w.has_left_descent(i) == shorter
+
+
+def test_reduced_word_is_the_least_of_the_reduced_words():
+    for n in (3, 4, 5):
+        for l in range(7):
+            for w in elements_of_length(n, l):
+                assert w.reduced_word() == w.reduced_words()[0]
+
+
 def test_elements_of_length_counts_rank_3():
     # Poincare series (1+q)(1+q+q^2)/(1-q)^2 expanded through degree 5
     assert [len(elements_of_length(3, l)) for l in range(6)] == [1, 3, 6, 9, 12, 15]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from stansym.cli import (
+    load_caps,
     main,
     parse_affine,
     parse_partition,
@@ -147,8 +148,46 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch):
     from stansym import nilhecke
 
     monkeypatch.setattr(
-        nilhecke, "_j_basis_by_solver", lambda n, w: NilCoxeterElement.zero(n, True)
+        nilhecke, "_j_basis_by_solver", lambda n, w, table: NilCoxeterElement.zero(n, True)
     )
     code, out, err = run(["jbasis", "-n", "3", "2,1"], capsys)
     assert code == 1 and out == ""
     assert "j-basis constructions disagree" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, env",
+    [
+        ('{"max_rank_finite": 3.7}', {}),
+        ('{"max_rank_finite": "x"}', {}),
+        ("{}", {"STANSYM_MAX_RANK_AFFINE": "2.5"}),
+        ("{}", {"STANSYM_MAX_RANK_AFFINE": "0"}),
+        ('{"max_rank_finite": true}', {}),
+        ('{"max_rank_finite": 1}', {}),
+        ("{}", {"STANSYM_MAX_RANK_FINITE": " 4"}),
+        ("[4]", {}),
+        ('{"max_rank_finite": 4,', {}),
+        (None, {}),  # the config path is a directory
+    ],
+)
+def test_bad_cap_exits_2(config, env, capsys, monkeypatch, tmp_path):
+    path = tmp_path / "stansym.json"
+    if config is None:
+        path.mkdir()
+    else:
+        path.write_text(config)
+    monkeypatch.setenv("STANSYM_CONFIG", str(path))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(["stanley", "21"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_valid_cap_takes_effect(monkeypatch, tmp_path):
+    path = tmp_path / "stansym.json"
+    path.write_text(json.dumps({"max_rank_finite": 4}))
+    monkeypatch.setenv("STANSYM_CONFIG", str(path))
+    for key in ("STANSYM_MAX_RANK_FINITE", "STANSYM_MAX_RANK_AFFINE"):
+        monkeypatch.delenv(key, raising=False)
+    assert load_caps()["max_rank_finite"] == 4

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from stansym.permutation import (
     Permutation,
+    _reduced_words,
     from_code,
     is_reduced,
     symmetric_group,
@@ -101,6 +102,15 @@ def test_reduced_words_are_the_short_words_for_w():
     assert len(found) == 24
     for w, words in found.items():
         assert w.reduced_words() == tuple(sorted(words))
+
+
+def test_reduced_word_is_the_least_of_the_reduced_words():
+    try:
+        for n in range(1, 7):
+            for w in symmetric_group(n):
+                assert w.reduced_word() == w.reduced_words()[0]
+    finally:
+        _reduced_words.cache_clear()  # all of S_6 holds about 170 MB of words
 
 
 def test_reduced_word_counts_s3():
