@@ -6,11 +6,29 @@ of the bases m, h, e, s, affine Schur, or k-Schur.  All transition matrices
 are computed degree by degree; every inversion goes through one
 fraction-free integer elimination, ``_solve_exact``, and results are checked
 to be integral.
+
+Each basis element is first expanded into m, and the plain bases are
+counted there rather than multiplied out (Macdonald, Symmetric Functions
+and Hall Polynomials, I.6):
+
+- s by Kostka numbers, K(la, mu) = [m_mu] s_la, counting semistandard
+  tableaux one horizontal strip at a time (``_kostka_column``);
+- h and e by matrices with row sums la and column sums mu, with entries in
+  N or in {0, 1} (``_margin_column``).
+
+The two routes share no code.  Their oracles are the products they
+replaced, kept for the tests, nilCoxeter and ``SymFunc.__mul__``: the
+Jacobi-Trudi determinant ``_jacobi_trudi_h`` pushed through
+``_product_to_m(mu, _h_to_m)`` for s, and ``_product_to_m`` over one-part
+factors, multiplied by ``_m_product``, for h and e.
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _itperm
+from itertools import groupby, permutations as _itperm
+from math import factorial
 from operator import index
 
 from .partition import (
@@ -39,10 +57,13 @@ def _basis_key(basis, n=None):
 
 
 def _parse_basis(tag):
+    """(name, rank) from a tag that ``_basis_key`` produces; ValueError otherwise."""
     if tag in PLAIN_BASES:
         return tag, None
-    name, _, rest = tag.partition("(")
-    return name, int(rest.rstrip(")"))
+    ranked = re.fullmatch(r"(affineSchur|kSchur)\(([1-9][0-9]*)\)", tag) if isinstance(tag, str) else None
+    if ranked is None or int(ranked[2]) < 2:
+        raise ValueError(f"unknown basis tag {tag!r}")
+    return ranked[1], int(ranked[2])
 
 
 class SymFunc:
@@ -218,21 +239,116 @@ def _jacobi_trudi_h(la):
     return {mu: c for mu, c in out.items() if c}
 
 
+def _horizontal_strips(la, k):
+    """Partitions nu inside ``la`` such that la/nu is a horizontal strip of k cells.
+
+    Row i may lose at most la[i] - la[i+1] cells, so no two removed cells
+    share a column.
+    """
+    if not la:
+        if k == 0:
+            yield ()
+        return
+    nxt = la[1] if len(la) > 1 else 0
+    for r in range(min(k, la[0] - nxt) + 1):
+        row = la[0] - r  # 0 only in the last row, where the tail is ()
+        for tail in _horizontal_strips(la[1:], k - r):
+            yield ((row,) + tail) if row else ()
+
+
+def _kostka_column(la):
+    """[m_mu] s_la = K(la, mu), the number of SSYT of shape la and content mu.
+
+    K(la, mu) is 0 unless mu is below la in dominance order.  The cells
+    holding the largest entry, len(mu), form a horizontal strip of mu[-1]
+    cells; peeling it leaves a tableau of content mu[:-1].
+    """
+
+    @lru_cache(maxsize=None)
+    def kostka(shape, content):
+        if not content:
+            return 1
+        if len(shape) > len(content):
+            return 0  # the first column needs len(shape) distinct entries
+        rest = content[:-1]
+        return sum(kostka(inner, rest) for inner in _horizontal_strips(shape, content[-1]))
+
+    return {mu: kostka(la, mu) for mu in partitions_of(sum(la)) if dominance_leq(mu, la)}
+
+
+def _margin_column(la, cap):
+    """[m_mu] of h_la (cap None) or e_la (cap 1), for every mu of |la|.
+
+    Both count matrices with row sums la and column sums mu, with entries in
+    N for h and in {0, 1} for e (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6).  Rows are filled one at a time; the count for the
+    remaining rows depends only on the sorted remaining column sums.
+    """
+
+    def fills(cols, r):
+        """(column sums left over, ways) for the fillings of one row of sum r.
+
+        Equal columns are interchangeable, so each group of m columns of sum
+        v takes a partition of amounts, padded with zeros to m entries, in
+        m! / prod(n_a!) ways, n_a being the number of columns taking a.
+        """
+        # (sum v, columns m, the most one cell can take)
+        groups = [(v, len(list(g)), v if cap is None else min(v, cap)) for v, g in groupby(cols)]
+        room = [0] * (len(groups) + 1)  # room[g]: the most groups g.. can take
+        for g in reversed(range(len(groups))):
+            _, m, top = groups[g]
+            room[g] = room[g + 1] + m * top
+
+        def rest(g, r):
+            if g == len(groups):
+                yield (), 1
+                return
+            v, m, top = groups[g]
+            for t in range(max(0, r - room[g + 1]), min(r, m * top) + 1):
+                for amounts in partitions_of(t, top):
+                    if len(amounts) > m:
+                        continue
+                    amounts += (0,) * (m - len(amounts))
+                    ways = factorial(m)
+                    for n_a in Counter(amounts).values():
+                        ways //= factorial(n_a)
+                    left = tuple(v - a for a in amounts)
+                    for tail, more in rest(g + 1, r - t):
+                        yield left + tail, ways * more
+
+        return rest(0, r)
+
+    @lru_cache(maxsize=None)
+    def count(i, cols):
+        if i == len(la):
+            return 1
+        return sum(ways * count(i + 1, sort_composition(left)) for left, ways in fills(cols, la[i]))
+
+    out = {}
+    for mu in partitions_of(sum(la)):
+        c = count(0, mu)
+        if c:
+            out[mu] = c
+    return out
+
+
 @lru_cache(maxsize=None)
 def _expand_to_m(name, n, la):
-    """Basis element in the m basis, as a dict partition -> int."""
+    """Basis element in the m basis, as a dict partition -> int.
+
+    The plain bases are counted: s by Kostka numbers (``_kostka_column``,
+    oracle ``_jacobi_trudi_h`` through ``_product_to_m(mu, _h_to_m)``), h
+    and e by matrices with given margins (``_margin_column``, oracle
+    ``_product_to_m`` over one-part factors).
+    """
     if name == "m":
         return {la: 1}
     if name == "h":
-        return _product_to_m(la, _h_to_m)
+        return _margin_column(la, None)
     if name == "e":
-        return _product_to_m(la, lambda k: {(1,) * k: 1})
+        return _margin_column(la, 1)
     if name == "s":
-        out = {}
-        for mu, c in _jacobi_trudi_h(la).items():
-            for nu, k in _product_to_m(mu, _h_to_m).items():
-                out[nu] = out.get(nu, 0) + c * k
-        return {nu: c for nu, c in out.items() if c}
+        return _kostka_column(la)
     if name == "affineSchur":
         return dict(affine_schur(n, la).coeffs)
     if name == "kSchur":

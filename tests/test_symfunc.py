@@ -1,14 +1,26 @@
 """Symmetric function bases, the Hall pairing, and the affine bases."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stansym.partition import bounded_partitions, partitions_of, sort_composition
+from stansym.partition import (
+    bounded_partitions,
+    conjugate,
+    count_standard_tableaux,
+    dominance_leq,
+    partitions_of,
+    sort_composition,
+)
 from stansym.symfunc import (
     QuasiSymFunc,
     SymFunc,
+    _expand_to_m,
+    _h_to_m,
+    _jacobi_trudi_h,
+    _product_to_m,
     _solve_exact,
     affine_schur,
     change_basis,
@@ -46,12 +58,44 @@ def test_basis_round_trips(la, basis):
     assert change_basis(f.to_m(), basis) == f
 
 
-def test_omega_like_h_e_swap_on_schur():
-    # s_la in terms of h equals s_la' in terms of e with the same coefficients
-    for d in range(1, 6):
-        for la in partitions_of(d):
-            from stansym.partition import conjugate
+def _e_to_m(k):
+    """e_k = m_{1^k}: the one-part factor of the e products."""
+    return {(1,) * k: 1}
 
+
+def test_kostka_column_matches_jacobi_trudi():
+    for d in range(9):
+        for la in partitions_of(d):
+            want = {}
+            for mu, c in _jacobi_trudi_h(la).items():
+                for nu, k in _product_to_m(mu, _h_to_m).items():
+                    want[nu] = want.get(nu, 0) + c * k
+            assert _expand_to_m("s", None, la) == {nu: c for nu, c in want.items() if c}, la
+
+
+def test_kostka_numbers_are_unitriangular_and_count_standard_tableaux():
+    for d in range(13):
+        for la in partitions_of(d):
+            column = _expand_to_m("s", None, la)
+            assert column[(1,) * d] == count_standard_tableaux(la), la
+            assert column[la] == 1
+            # K(la, mu) > 0 exactly when mu is below la in dominance order
+            assert set(column) == {mu for mu in partitions_of(d) if dominance_leq(mu, la)}, la
+            assert all(c > 0 for c in column.values())
+
+
+def test_margin_columns_match_products_of_one_part_factors():
+    for d in range(8):
+        for la in partitions_of(d):
+            assert _expand_to_m("h", None, la) == _product_to_m(la, _h_to_m), la
+            assert _expand_to_m("e", None, la) == _product_to_m(la, _e_to_m), la
+
+
+def test_omega_like_h_e_swap_on_schur():
+    # s_la in terms of h equals s_la' in terms of e with the same coefficients;
+    # this crosses the Kostka route (s) with the matrix routes (h, e)
+    for d in range(1, 10):
+        for la in partitions_of(d):
             fh = change_basis(SymFunc.monomial("s", la), "h")
             fe = change_basis(SymFunc.monomial("s", conjugate(la)), "e")
             assert fh.coeffs == fe.coeffs
@@ -182,6 +226,23 @@ def test_reduce_to_bounded():
 def test_json_round_trip():
     f = SymFunc(3, "m", {(2, 1): 2, (1, 1, 1): -1})
     assert SymFunc.from_json(f.to_json()) == f
+
+
+def test_ranked_basis_tags_round_trip():
+    for tag in ("kSchur(3)", "affineSchur(10)"):
+        f = SymFunc(2, tag, {(1, 1): 1})
+        assert SymFunc.from_json(f.to_json()).basis == tag
+    assert change_basis(SymFunc.monomial("h", (1, 1)), "kSchur", 3).basis == "kSchur(3)"
+
+
+@pytest.mark.parametrize(
+    "tag", ["s(3)", "kSchur( 3 )", "zzz", "affineSchur(x)", "kSchur(1)", "kSchur(03)", "kSchur", None]
+)
+def test_malformed_basis_tags_are_rejected(tag):
+    with pytest.raises(ValueError, match=re.escape(repr(tag))):
+        SymFunc(2, tag, {(2,): 1})
+    with pytest.raises(ValueError, match=re.escape(repr(tag))):
+        SymFunc.from_json({"degree": 2, "basis": tag, "terms": [{"part": [2], "coeff": 1}]})
 
 
 def gauss_jordan(rows, rhs):
