@@ -36,7 +36,7 @@ from .partition import (
     dominance_leq,
     partitions_of,
 )
-from .permutation import Permutation, from_code, is_reduced, symmetric_group
+from .permutation import Permutation, count_reduced_words, from_code, is_reduced, symmetric_group
 from .stanley import (
     affine_schur_expand,
     affine_stanley,

@@ -194,7 +194,10 @@ def _suite_symmetry(suite, caps):
 
 
 def _suite_eg(suite, caps):
-    from .tableaux import coxeter_knuth_classes, eg_insert, word_descents
+    from .partition import count_standard_tableaux
+    from .permutation import count_reduced_words
+    from .stanley import schur_expand
+    from .tableaux import coxeter_knuth_classes, eg_insert, eg_tableaux_by_shape, word_descents
 
     ok_des = True
     ok_fiber = True
@@ -209,6 +212,20 @@ def _suite_eg(suite, caps):
             ok_fiber = False
     suite.check("Des(i) = Des(Q(i)) on S4", ok_des)
     suite.check("Coxeter-Knuth classes are P-fibers on S4", ok_fiber)
+
+    # the transition tree against the EG-tableau count, and against #R(w):
+    # each reduced word inserts to one EG tableau P and one standard Q
+    nf = min(5, caps["max_rank_finite"])
+    ok_eg = True
+    ok_count = True
+    for w in symmetric_group(nf):
+        s = schur_expand(w)
+        by_shape = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
+        ok_eg = ok_eg and s.coeffs == by_shape
+        total = sum(c * count_standard_tableaux(la) for la, c in s.coeffs.items())
+        ok_count = ok_count and total == count_reduced_words(w)
+    suite.check(f"transition-tree Schur expansion = EG-tableau count on S_{nf}", ok_eg)
+    suite.check(f"sum of c_la f^la = #R(w) on S_{nf}", ok_count)
 
 
 def _suite_transition(suite, caps):

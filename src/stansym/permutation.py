@@ -185,6 +185,25 @@ def _reduced_words(window):
     return tuple(sorted(words)) if words else ((),)
 
 
+def count_reduced_words(w):
+    """#R(w), the sum over right descents i of #R(w s_i), without listing a word.
+
+    The recursion is unrolled from w downwards one length at a time: each
+    window carries the number of paths from w to it, so only two lengths of
+    windows are held at once and the last layer is the identity alone.
+    """
+    layer = {w.window: 1}
+    for _ in range(w.length()):
+        below = {}
+        for v, paths in layer.items():
+            for i in range(1, len(v)):
+                if v[i - 1] > v[i]:
+                    u = v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
+                    below[u] = below.get(u, 0) + paths
+        layer = below
+    return sum(layer.values())
+
+
 def from_code(c):
     """The unique permutation with the given code."""
     c = tuple(map(index, c))

@@ -16,8 +16,8 @@ from operator import gt, lt
 
 from .affine import AffinePermutation, cyclically_decreasing
 from .partition import as_partition, partitions_of, sort_composition
-from .permutation import Permutation
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
+from .tableaux import transition_sides
 
 
 def _position_sets(words, relation):
@@ -37,26 +37,38 @@ def _count_within(histogram, alpha):
 
 @lru_cache(maxsize=None)
 def _decreasing_elements(n, k):
-    """Decreasing elements of S_n of length k, one per k-subset of 1..n-1."""
-    out = []
-    for subset in combinations(range(n - 1, 0, -1), k):
-        out.append(Permutation.from_word(subset, n))
-    return tuple(out)
+    """Decreasing words a_1 > ... > a_k over 1..n-1, one per k-subset."""
+    return tuple(combinations(range(n - 1, 0, -1), k))
 
 
 @lru_cache(maxsize=None)
 def _count_decreasing_factorizations(window, alpha):
-    """Factorizations w = v_1 ... v_r with v_i decreasing of length alpha_i."""
-    w = Permutation(window)
+    """Factorizations w = v_1 ... v_r with v_i decreasing of length alpha_i.
+
+    v_1 = s_{a_1} ... s_{a_k} splits off w length-additively iff each a_j is
+    a left descent of s_{a_{j-1}} ... s_{a_1} w when it is reached.  On the
+    inverse window pos, a is a left descent of u iff pos[a] > pos[a+1], and
+    s_a u swaps those two entries.
+    """
+    n = len(window)
     if not alpha:
-        return 1 if w.is_identity() else 0
+        return 1 if window == tuple(range(1, n + 1)) else 0
     k, rest = alpha[0], alpha[1:]
-    ell = w.length()
+    inverse = [0] * (n + 1)
+    for i, x in enumerate(window, 1):
+        inverse[x] = i
     total = 0
-    for v in _decreasing_elements(w.n, k):
-        tail = v.inverse() * w
-        if tail.length() == ell - k:
-            total += _count_decreasing_factorizations(tail.embed(w.n).window, rest)
+    for word in _decreasing_elements(n, k):
+        pos = inverse[:]
+        for a in word:
+            if pos[a] < pos[a + 1]:
+                break
+            pos[a], pos[a + 1] = pos[a + 1], pos[a]
+        else:
+            tail = [0] * n
+            for x in range(1, n + 1):
+                tail[pos[x] - 1] = x
+            total += _count_decreasing_factorizations(tuple(tail), rest)
     return total
 
 
@@ -118,12 +130,40 @@ def _rearrangements(la):
 
 
 def schur_expand(w):
-    """F_w in the Schur basis: coefficients count EG-tableaux for w^{-1}."""
-    from .tableaux import eg_tableaux_by_shape
+    """F_w in the Schur basis, by the Lascoux-Schutzenberger transition tree.
 
-    ell = w.length()
-    coeffs = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
-    return SymFunc(ell, "s", coeffs)
+    A vexillary w is a leaf: F_w = s_{lambda(w)} (Stanley 1984).  Otherwise
+    let r be the last descent of w, s the largest j > r with w(j) < w(r), and
+    v = w t_{rs}.  The transition identity at (v, r) has w as its only left
+    term, so F_w is the sum of F_u over the covers u = v t_{ir} with i < r,
+    or, when there are none, F_u for u = (1 x v) t_{1,r+1}.  The coefficients
+    count Edelman-Greene tableaux for w^{-1}; ``eg_tableaux_by_shape`` counts
+    them directly and is the cross-check in the tests and ``stansym verify``.
+    """
+    memo = {}
+
+    def expand(u):
+        key = u._stable_window()
+        if key in memo:
+            return memo[key]
+        if u.is_vexillary():
+            out = {u.shape(): 1}
+        else:
+            r = u.right_descents()[-1]
+            s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
+            v = u.transposition_right(r, s)
+            left, right, extra = transition_sides(v, r)
+            if left != [u]:
+                raise AssertionError(
+                    f"transition tree at {u}: the left side at (v, r) = ({v}, {r}) is {left}, not [{u}]"
+                )
+            out = Counter()
+            for child in right if extra is None else right + [extra]:
+                out.update(expand(child))
+        memo[key] = out
+        return out
+
+    return SymFunc(w.length(), "s", expand(w))
 
 
 # -- affine -------------------------------------------------------------------
@@ -211,8 +251,6 @@ def coproduct_check(w):
 
 def transition_check(w, r):
     """Verify the transition identity at (w, r) via Stanley symmetric functions."""
-    from .tableaux import transition_sides
-
     left, right, extra = transition_sides(w, r)
     lhs = SymFunc.zero(w.length() + 1)
     for u in left:

@@ -121,6 +121,21 @@ def test_verify_examples_suite(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    code, out, _ = run(["verify", "eg"], capsys)
+    assert code == 0 and "FAIL" not in out
+    assert "EG-tableau count on S_4" in out and "#R(w) on S_4" in out
+    # a wrong coefficient fails both checks
+    from stansym import stanley
+
+    right = stanley.schur_expand
+    monkeypatch.setattr(stanley, "schur_expand", lambda w: 2 * right(w) if w.length() == 3 else right(w))
+    code, out, _ = run(["verify", "eg"], capsys)
+    assert code == 1
+    assert "FAIL [eg] transition-tree" in out and "FAIL [eg] sum of c_la" in out
+
+
 def test_bad_input_exits_2(capsys):
     code, _, err = run(["stanley", "24x1"], capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 """Finite symmetric group: codes, reduced words, pattern classes."""
 
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from stansym.permutation import (
     Permutation,
     _reduced_words,
+    count_reduced_words,
     from_code,
     is_reduced,
     symmetric_group,
@@ -111,6 +113,22 @@ def test_reduced_word_is_the_least_of_the_reduced_words():
                 assert w.reduced_word() == w.reduced_words()[0]
     finally:
         _reduced_words.cache_clear()  # all of S_6 holds about 170 MB of words
+
+
+def test_count_reduced_words_matches_the_word_list():
+    try:
+        for n in range(1, 7):
+            for w in symmetric_group(n):
+                assert count_reduced_words(w) == len(w.reduced_words()), w
+    finally:
+        _reduced_words.cache_clear()
+
+
+def test_count_reduced_words_of_the_longest_element_is_stanleys_formula():
+    # (n choose 2)! / prod_{i<n} (2i - 1)^(n - i), Stanley 1984
+    for n in range(1, 10):
+        want = factorial(comb(n, 2)) // prod((2 * i - 1) ** (n - i) for i in range(1, n))
+        assert count_reduced_words(Permutation.longest(n)) == want
 
 
 def test_reduced_word_counts_s3():

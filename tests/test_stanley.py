@@ -1,10 +1,13 @@
 """Stanley symmetric functions, finite and affine, and their expansions."""
 
+import random
+
 import pytest
 
+from stansym import stanley
 from stansym.affine import AffinePermutation, elements_of_length
-from stansym.partition import staircase
-from stansym.permutation import Permutation, symmetric_group
+from stansym.partition import count_standard_tableaux, staircase
+from stansym.permutation import Permutation, _reduced_words, count_reduced_words, symmetric_group
 from stansym.stanley import (
     affine_schur_expand,
     affine_stanley,
@@ -17,6 +20,7 @@ from stansym.stanley import (
     transition_check,
 )
 from stansym.symfunc import SymFunc, change_basis
+from stansym.tableaux import eg_tableaux_by_shape
 
 
 def test_f_2431():
@@ -47,7 +51,8 @@ def test_three_definitions_agree_on_s4():
 
 def test_histogram_routes_agree_with_the_factorization_count_on_s5():
     # "original" and "quasisym" read one histogram of R(w) or R(w^-1) each;
-    # the decreasing-factorization DP shares no code with them
+    # the decreasing-factorization DP, which walks descents on the inverse
+    # window, shares no code with them
     for w in symmetric_group(5):
         want = stanley_fn(w, "decreasing")
         assert stanley_fn(w, "original") == want == stanley_fn(w, "quasisym")
@@ -84,9 +89,36 @@ def test_leading_term_and_dominance_bound():
 
 
 def test_longest_element_is_staircase_schur():
-    for n in (3, 4):
+    for n in range(3, 10):
         w0 = Permutation.longest(n)
         assert schur_expand(w0) == SymFunc.monomial("s", staircase(n - 1))
+
+
+def test_transition_tree_matches_the_eg_tableau_count():
+    s6 = random.Random(6).sample(symmetric_group(6), 100)
+    try:
+        for w in symmetric_group(5) + s6:
+            eg = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
+            assert schur_expand(w).coeffs == eg, w
+    finally:
+        _reduced_words.cache_clear()  # the EG count lists R(w^-1)
+
+
+def test_schur_coefficients_count_reduced_words():
+    # each reduced word EG-inserts to one P of shape la and one standard Q
+    sample = random.Random(7).sample(symmetric_group(7), 300)
+    s8 = Permutation([4, 8, 2, 7, 1, 6, 3, 5])
+    assert not s8.is_vexillary()
+    for w in sample + [s8]:
+        coeffs = schur_expand(w).coeffs
+        assert all(c > 0 for c in coeffs.values()), w
+        assert sum(c * count_standard_tableaux(la) for la, c in coeffs.items()) == count_reduced_words(w), w
+
+
+def test_transition_tree_names_w_when_its_left_side_is_wrong(monkeypatch):
+    monkeypatch.setattr(stanley, "transition_sides", lambda v, r: ([], [], None))
+    with pytest.raises(AssertionError, match="2143"):
+        schur_expand(Permutation([2, 1, 4, 3]))
 
 
 def test_grassmannian_gives_single_schur():
