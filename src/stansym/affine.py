@@ -31,6 +31,15 @@ class AffinePermutation:
         self.window = window
         self.n = n
 
+    @classmethod
+    def _from_valid(cls, n, window):
+        """An internal result, unchecked: ``window`` is the int tuple of an
+        element of S~_n."""
+        self = object.__new__(cls)
+        self.window = window
+        self.n = n
+        return self
+
     @staticmethod
     def identity(n):
         return AffinePermutation(n, range(1, n + 1))
@@ -66,12 +75,12 @@ class AffinePermutation:
             w[i - 1], w[i] = w[i], w[i - 1]
         else:  # s_0 swaps positions 0 and 1, i.e. n and n+1 shifted
             w[0], w[-1] = w[-1] - self.n, w[0] + self.n
-        return AffinePermutation(self.n, w)
+        return AffinePermutation._from_valid(self.n, tuple(w))
 
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return AffinePermutation(self.n, map(self, other.window))
+        return AffinePermutation._from_valid(self.n, tuple(map(self, other.window)))
 
     def inverse(self):
         out = [0] * self.n
@@ -79,7 +88,7 @@ class AffinePermutation:
             v = self(i)
             r = (v - 1) % self.n
             out[r] = i - (v - (r + 1))
-        return AffinePermutation(self.n, out)
+        return AffinePermutation._from_valid(self.n, tuple(out))
 
     def __eq__(self, other):
         return self.n == other.n and self.window == other.window

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import gt, lt
 
-from .affine import AffinePermutation, cyclically_decreasing
+from .affine import cyclically_decreasing_word
 from .partition import as_partition, partitions_of, sort_composition
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
 from .tableaux import transition_sides
@@ -171,26 +171,45 @@ def schur_expand(w):
 
 @lru_cache(maxsize=None)
 def _cyclically_decreasing_elements(n, k):
+    """Cyclically decreasing words of length k over Z/nZ, one per k-subset."""
     if k >= n:
         return ()
     return tuple(
-        cyclically_decreasing(n, subset) for subset in combinations(range(n), k)
+        cyclically_decreasing_word(n, subset) for subset in combinations(range(n), k)
     )
 
 
 @lru_cache(maxsize=None)
 def _count_cyclic_factorizations(n, window, alpha):
-    """Factorizations into cyclically decreasing factors of lengths alpha."""
-    w = AffinePermutation(n, window)
+    """Factorizations into cyclically decreasing factors of lengths alpha.
+
+    v = s_{a_1} ... s_{a_k} splits off w length-additively iff each a_j is a
+    left descent of s_{a_{j-1}} ... s_{a_1} w when it is reached.  Keep the
+    inverse as shifts, u^-1(t) = t + shift[t mod n]: a is a left descent of
+    u iff shift[a] > 1 + shift[a+1], and s_a u exchanges u^-1(a) and
+    u^-1(a+1).
+    """
     if not alpha:
-        return 1 if w.is_identity() else 0
+        return 1 if window == tuple(range(1, n + 1)) else 0
     k, rest = alpha[0], alpha[1:]
-    ell = w.length()
+    inverse = [0] * n
+    for p, x in enumerate(window, 1):
+        inverse[x % n] = p - x
     total = 0
-    for v in _cyclically_decreasing_elements(n, k):
-        tail = v.inverse() * w
-        if tail.length() == ell - k:
-            total += _count_cyclic_factorizations(n, tail.window, rest)
+    for word in _cyclically_decreasing_elements(n, k):
+        shift = inverse[:]
+        for a in word:
+            b = (a + 1) % n
+            if shift[a] <= 1 + shift[b]:
+                break
+            shift[a], shift[b] = shift[b] + 1, shift[a] - 1
+        else:
+            # the tail sends p = t + shift[t mod n] back to t
+            tail = [0] * n
+            for t in range(1, n + 1):
+                q, r = divmod(t + shift[t % n] - 1, n)
+                tail[r] = t - q * n
+            total += _count_cyclic_factorizations(n, tuple(tail), rest)
     return total
 
 

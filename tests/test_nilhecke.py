@@ -2,11 +2,18 @@
 
 import pytest
 
-from stansym.affine import AffinePermutation, CorootVector, elements_of_length
+from stansym import nilhecke
+from stansym.affine import (
+    AffinePermutation,
+    CorootVector,
+    elements_of_length,
+    grassmannian_from_partition,
+)
 from stansym.nilcoxeter import NilCoxeterElement, h_element
 from stansym.nilhecke import (
     NilHeckeElement,
     ScalarPoly,
+    _phi0_x_table,
     chevalley,
     commute_past,
     coproduct,
@@ -176,8 +183,6 @@ def test_j_basis_example_rank_3():
         (2, 1): [("101", 1), ("102", 1), ("210", 1), ("212", 1), ("020", 1), ("021", 1)],
         (1, 1, 1): [("101", 1), ("201", 1), ("012", 1), ("212", 1), ("020", 1), ("120", 1)],
     }
-    from stansym.affine import grassmannian_from_partition
-
     for la, terms in cases.items():
         w = grassmannian_from_partition(n, la)
         want = NilCoxeterElement(
@@ -185,6 +190,43 @@ def test_j_basis_example_rank_3():
             {aff(tuple(int(c) for c in word), n): coeff for word, coeff in terms},
         )
         assert j_basis_element(n, w) == want
+
+
+def test_phi0_table_matches_the_chevalley_formula():
+    for n, top in ((3, 6), (4, 5), (5, 4)):
+        for l in range(top + 1):
+            table = _phi0_x_table(n, l)
+            assert list(table) == list(elements_of_length(n, l))
+            for x, rows in table.items():
+                assert rows == [chevalley(x, ScalarPoly.x(n, i)).phi0() for i in range(1, n + 1)]
+
+
+def test_j_basis_finds_each_cover_once_per_element(monkeypatch):
+    calls = []
+    transposition = nilhecke._affine_transposition
+
+    def counted(*args):
+        calls.append(args)
+        return transposition(*args)
+
+    monkeypatch.setattr(nilhecke, "_affine_transposition", counted)
+    w = grassmannian_from_partition(4, (2, 1, 1))
+    j_basis_element(4, w)
+    assert len(calls) == 4 * len(elements_of_length(4, 4))
+
+
+def test_j_basis_disagreement_names_the_witness(monkeypatch):
+    n, w = 4, grassmannian_from_partition(4, (2, 1))
+    right = nilhecke.noncommutative_schur(n, w.shape(), affine=True)
+    x = next(x for x in right.coeffs if x != w)
+
+    def wrong(*args, **kwargs):
+        return right + NilCoxeterElement.basis(x)
+
+    monkeypatch.setattr(nilhecke, "noncommutative_schur", wrong)
+    with pytest.raises(AssertionError, match="j-basis constructions disagree") as err:
+        j_basis_element(n, w)
+    assert str(list(x.window)) in str(err.value)
 
 
 def test_j_basis_rejects_non_grassmannian():
@@ -205,7 +247,6 @@ def test_j_basis_elements_commute():
 
 
 def test_kappa_of_221_element_rank_4():
-    from stansym.affine import grassmannian_from_partition
     from stansym.permutation import Permutation
 
     n = 4

@@ -1,16 +1,19 @@
 """Stanley symmetric functions, finite and affine, and their expansions."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
 from stansym import stanley
-from stansym.affine import AffinePermutation, elements_of_length
-from stansym.partition import count_standard_tableaux, staircase
+from stansym.affine import AffinePermutation, cyclically_decreasing, elements_of_length
+from stansym.partition import count_standard_tableaux, partitions_of, staircase
 from stansym.permutation import Permutation, _reduced_words, count_reduced_words, symmetric_group
 from stansym.stanley import (
     affine_schur_expand,
     affine_stanley,
+    affine_stanley_coefficient,
     check_symmetry_affine,
     check_symmetry_finite,
     coproduct_check,
@@ -157,6 +160,63 @@ def test_affine_x1_xl_coefficient_counts_reduced_words():
     for l in range(6):
         for w in elements_of_length(3, l):
             assert affine_stanley(w)[(1,) * l] == len(w.reduced_words())
+
+
+def _cyclic_count_by_length(w, alpha, memo):
+    """The factorization count by Shi length: v splits off w length-additively
+    iff l(v^-1 w) = l(w) - l(v), tried for every cyclically decreasing v."""
+    if not alpha:
+        return int(w.is_identity())
+    key = (w.window, alpha)
+    if key not in memo:
+        k, ell = alpha[0], w.length()
+        total = 0
+        for subset in combinations(range(w.n), k) if k < w.n else ():
+            tail = cyclically_decreasing(w.n, subset).inverse() * w
+            if tail.length() == ell - k:
+                total += _cyclic_count_by_length(tail, alpha[1:], memo)
+        memo[key] = total
+    return memo[key]
+
+
+def _compositions(d):
+    if d == 0:
+        yield ()
+    for first in range(1, d + 1):
+        for rest in _compositions(d - first):
+            yield (first,) + rest
+
+
+def test_cyclic_descent_walk_matches_the_length_count():
+    memo = {}
+    for n, top in ((3, 7), (4, 6), (5, 5)):
+        for l in range(top + 1):
+            for w in elements_of_length(n, l):
+                f = affine_stanley(w)
+                for la in partitions_of(l):
+                    assert f[la] == _cyclic_count_by_length(w, la, memo), (w, la)
+                if l <= 5:
+                    for alpha in _compositions(l):
+                        got = affine_stanley_coefficient(w, alpha)
+                        assert got == _cyclic_count_by_length(w, alpha, memo), (w, alpha)
+
+
+def test_affine_stanley_calls_no_length_or_inverse_in_the_factorization_count(monkeypatch):
+    callers = []
+    for name in ("length", "inverse"):
+        method = getattr(AffinePermutation, name)
+
+        def traced(self, method=method):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return method(self)
+
+        monkeypatch.setattr(AffinePermutation, name, traced)
+    stanley._count_cyclic_factorizations.cache_clear()
+    w = AffinePermutation.from_word((1, 0, 2, 3, 1, 0), 4)
+    assert w.length() == 6
+    callers.clear()
+    assert affine_stanley(w)[(1,) * 6] == len(w.reduced_words())
+    assert "_count_cyclic_factorizations" not in callers
 
 
 def test_affine_schur_expansion_example():
