@@ -15,7 +15,8 @@ from .permutation import Permutation
 
 
 class AffinePermutation:
-    __slots__ = ("window", "n")
+    # _length and _hash are computed on first use and kept
+    __slots__ = ("window", "n", "_length", "_hash")
 
     def __init__(self, n, window):
         n = index(n)
@@ -30,6 +31,7 @@ class AffinePermutation:
             raise ValueError(f"window must sum to {n*(n+1)//2}: {window}")
         self.window = window
         self.n = n
+        self._length = self._hash = None
 
     @classmethod
     def _from_valid(cls, n, window):
@@ -38,6 +40,7 @@ class AffinePermutation:
         self = object.__new__(cls)
         self.window = window
         self.n = n
+        self._length = self._hash = None
         return self
 
     @staticmethod
@@ -94,7 +97,9 @@ class AffinePermutation:
         return self.n == other.n and self.window == other.window
 
     def __hash__(self):
-        return hash((self.n, self.window))
+        if self._hash is None:
+            self._hash = hash((self.n, self.window))
+        return self._hash
 
     def __repr__(self):
         return f"AffinePermutation({self.n}, {list(self.window)})"
@@ -129,8 +134,10 @@ class AffinePermutation:
 
     def length(self):
         """Shi's formula: the sum of |floor((w_j - w_i) / n)| over i < j <= n."""
-        w, n = self.window, self.n
-        return sum(abs((w[j] - w[i]) // n) for i in range(n) for j in range(i + 1, n))
+        if self._length is None:
+            w, n = self.window, self.n
+            self._length = sum(abs((w[j] - w[i]) // n) for i in range(n) for j in range(i + 1, n))
+        return self._length
 
     def shape(self):
         """The partition conjugate to the sorted code of the inverse."""

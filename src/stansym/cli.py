@@ -352,19 +352,22 @@ def _suite_conjectures(suite, caps):
                 r["nonnegative"] and r["structure_constants_nonnegative"])
     ok_pos = True
     ok_agree = True
-    for l in range(5):
-        for w in elements_of_length(3, l):
-            if not w.is_grassmannian():
-                continue
-            try:
-                jw = j_basis_element(3, w)
-            except AssertionError:
-                ok_agree = False
-                continue
-            if any(c < 0 for c in kappa(jw).coeffs.values()):
-                ok_pos = False
-    suite.check("j-basis algorithms agree (rank 3, length <= 4)", ok_agree)
-    suite.check("kappa of j-basis elements observed nonnegative", ok_pos)
+    na = caps["max_rank_affine"]
+    for n in range(3, na + 1):
+        for l in range(7):
+            for w in elements_of_length(n, l):
+                if not w.is_grassmannian():
+                    continue
+                try:
+                    jw = j_basis_element(n, w)
+                except AssertionError:
+                    ok_agree = False
+                    continue
+                if any(c < 0 for c in kappa(jw).coeffs.values()):
+                    ok_pos = False
+    ranks = f"ranks 3..{na}" if na > 3 else "rank 3"
+    suite.check(f"j-basis algorithms agree ({ranks}, length <= 6)", ok_agree)
+    suite.check(f"kappa of j-basis elements observed nonnegative ({ranks}, length <= 6)", ok_pos)
     suite.check(
         "translation orbit sums centralize the scalars (rank 3)",
         translation_centralizer_check(3, CorootVector((-1, 0, 1))),

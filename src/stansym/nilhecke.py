@@ -444,11 +444,13 @@ def phi0(a):
     raise TypeError(f"cannot project {a!r}")
 
 
+@lru_cache(maxsize=16)
 def _phi0_x_table(n, ell):
     """{x: [phi0(A_x x_i) for i = 1..n]} over the x of length ell.
 
     By the Chevalley formula the degree-1 head of A_x x_i has no constant
     term, and a cover (y, a, b) of x contributes +1 to row a and -1 to row b.
+    The table is cached and shared, so callers only read it.
     """
     table = {}
     for x in elements_of_length(n, ell):
@@ -469,21 +471,29 @@ def _j_basis_by_solver(n, w, table):
     from .symfunc import _solve_exact
 
     index = list(table)
+    # phi0(a x_i) = 0 for each i, coordinatewise over elements of length l(w) - 1;
+    # row (i, y) gathers the nonzero phi0(A_x x_i)[y] by the column of x
+    entries = {}
+    for col, x in enumerate(index):
+        for i, phi in enumerate(table[x]):
+            for y, c in phi.coeffs.items():
+                entries.setdefault((i, y), []).append((col, c))
+    support = sorted(entries, key=lambda t: (t[0], t[1].window))
     rows = []
-    rhs = []
-    # phi0(a x_i) = 0 for each i, coordinatewise over elements of length l(w) - 1
-    support = sorted(
-        {(i, y) for x in index for i in range(n) for y in table[x][i].coeffs},
-        key=lambda t: (t[0], t[1].window),
-    )
-    for i, y in support:
-        rows.append([table[x][i].coeffs.get(y, 0) for x in index])
-        rhs.append(0)
+    for key in support:
+        row = [0] * len(index)
+        for col, c in entries[key]:
+            row[col] = c
+        rows.append(row)
+    rhs = [0] * len(support)
     # normalization on the Grassmannian terms
-    grassmannian = [x for x in index if x.is_grassmannian()]
-    for x in grassmannian:
-        rows.append([1 if z == x else 0 for z in index])
-        rhs.append(1 if x == w else 0)
+    grassmannian = []
+    for col, x in enumerate(index):
+        if x.is_grassmannian():
+            grassmannian.append(x)
+            rows.append([0] * len(index))
+            rows[-1][col] = 1
+            rhs.append(1 if x == w else 0)
     sol, _, bad = _solve_exact(rows, rhs)
     if bad is not None:
         if bad < len(support):

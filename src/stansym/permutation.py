@@ -13,7 +13,8 @@ from .partition import conjugate, sort_composition
 
 
 class Permutation:
-    __slots__ = ("window", "n")
+    # _length and _hash are computed on first use and kept
+    __slots__ = ("window", "n", "_length", "_hash")
 
     def __init__(self, window):
         window = tuple(map(index, window))
@@ -22,6 +23,7 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {window}")
         self.window = window
         self.n = n
+        self._length = self._hash = None
 
     @staticmethod
     def identity(n):
@@ -85,7 +87,9 @@ class Permutation:
         return self._stable_window() == other._stable_window()
 
     def __hash__(self):
-        return hash(self._stable_window())
+        if self._hash is None:
+            self._hash = hash(self._stable_window())
+        return self._hash
 
     def __repr__(self):
         return f"Permutation({list(self.window)})"
@@ -97,8 +101,10 @@ class Permutation:
 
     def length(self):
         """Number of inversions."""
-        w = self.window
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n) if w[i] > w[j])
+        if self._length is None:
+            w = self.window
+            self._length = sum(1 for i in range(self.n) for j in range(i + 1, self.n) if w[i] > w[j])
+        return self._length
 
     def is_identity(self):
         return self.window == tuple(range(1, self.n + 1))

@@ -5,7 +5,9 @@ the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
 of the bases m, h, e, s, affine Schur, or k-Schur.  All transition matrices
 are computed degree by degree; every inversion goes through one
 fraction-free integer elimination, ``_solve_exact``, and results are checked
-to be integral.
+to be integral.  The elimination runs on sparse rows and is cached per
+matrix (``_eliminate``), so the many right-hand sides that basis changes,
+the k-Schur table and the j-basis pose against one matrix share it.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
@@ -395,57 +397,113 @@ def change_basis(f, basis, n=None):
     return SymFunc(f.degree, target, coeffs)
 
 
+def _check_ints(line):
+    """TypeError unless every entry of ``line`` is an int."""
+    if set(map(type, line)) <= {int}:  # the common case, decided at C speed
+        return
+    for x in line:
+        if not isinstance(x, int):
+            raise TypeError(f"exact solve needs int entries, got {x!r}")
+
+
 def _solve_exact(rows, rhs):
     """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` exactly over the integers.
 
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every entry
-    stays an integer minor of the augmented matrix, so each division is
-    exact.  Entries must be ints; anything else raises TypeError rather than
-    being truncated.  Returns ``(solution, rank, None)``, with the free
+    Each distinct matrix is eliminated once, fraction-free on sparse rows,
+    by the cached ``_eliminate``; its recorded steps are then replayed on
+    ``rhs``, followed by the residual test and back substitution.  Entries
+    must be ints; anything else raises TypeError rather than being
+    truncated, and every entry is checked on every call, before the cache is
+    consulted (``1.0 == 1`` and both hash alike).  Returns ``(solution, rank, None)``, with the free
     unknowns set to 0 and the solution as Fractions, or, for an inconsistent
     system, ``(None, rank, i)`` with ``i`` the index of an input row that
     the others contradict.
     """
-    aug = []
-    for row, b in zip(rows, rhs):
-        line = [*row, b]
-        for x in line:
-            if not isinstance(x, int):
-                raise TypeError(f"exact solve needs int entries, got {x!r}")
-        aug.append(line)
-    m, k = len(aug), len(rows[0]) if rows else 0
-    order = list(range(m))
-    pivots = []
-    prev = 1  # the previous pivot, which divides every updated entry
-    for c in range(k):
-        r = len(pivots)
-        p = next((i for i in range(r, m) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        order[r], order[p] = order[p], order[r]
-        top = aug[r]
-        piv = top[c]
-        for i in range(r + 1, m):
-            row = aug[i]
-            f = row[c]
-            if f:
-                aug[i] = row[:c] + [(piv * x - f * y) // prev for x, y in zip(row[c:], top[c:])]
-            elif piv != prev:
-                aug[i] = row[:c] + [piv * x // prev for x in row[c:]]
-        pivots.append(c)
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        _check_ints(row)
+        if len(row) != width:
+            raise ValueError(f"rows of {len(row)} and {width} entries")
+    _check_ints(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand side entries")
+    steps, pivots, order = _eliminate(tuple(map(tuple, rows)))
+    b = list(rhs)
+    prev = 1
+    for r, p, scale, piv, updates in steps:
+        b[r], b[p] = b[p], b[r]
+        top = b[r] = b[r] * prev // scale
+        for i, f, d in updates:
+            b[i] = (piv * b[i] - f * top) // d
         prev = piv
     rank = len(pivots)
-    for i in range(rank, m):
-        if aug[i][k]:
+    for i in range(rank, len(b)):
+        if b[i]:
             return None, rank, order[i]
     # prev is the minor on the pivot rows and columns, so by Cramer's rule
     # prev * x is integral; back substitution divides exactly
-    scaled = [0] * k
+    scaled = [0] * width
     for r in reversed(range(rank)):
-        row, c = aug[r], pivots[r]
-        scaled[c] = (prev * row[k] - sum(row[j] * scaled[j] for j in pivots[r + 1:])) // row[c]
+        c, piv, rest = pivots[r]
+        scaled[c] = (prev * b[r] - sum(v * scaled[j] for j, v in rest.items())) // piv
     return [Fraction(x, prev) for x in scaled], rank, None
+
+
+@lru_cache(maxsize=32)
+def _eliminate(matrix):
+    """Fraction-free elimination of ``matrix`` (Bareiss, Math. Comp. 22,
+    1968) on sparse rows ``{column: int}``, recorded for ``_solve_exact``.
+
+    The pivots are those of dense elimination: columns left to right, and
+    for each the first row, in the current order, with a nonzero entry.  In
+    Bareiss's scheme every entry is an integer minor and step t divides by
+    the pivot of step t - 1.  A row the step leaves alone would only be
+    rescaled by the ratio of the two pivots, so it is left as it stands and
+    carries the pivot it was last divided to, ``level``; when a step next
+    updates it, it divides by that level instead, exactly.  A pivot row is
+    first brought to the current level, so the pivots stay Bareiss's.
+
+    Returns ``(steps, pivots, order)``.  ``steps`` holds one
+    ``(r, p, scale, pivot, updates)`` per pivot: swap rows r and p, bring
+    row r from level ``scale`` to the previous pivot, then for each
+    ``(i, f, d)`` in ``updates`` set row i to (pivot * row i - f * row r) / d.
+    ``pivots`` holds ``(column, pivot, other entries)`` of each pivot row
+    and ``order`` the input index of each row in the final order.
+    """
+    m, k = len(matrix), len(matrix[0]) if matrix else 0
+    work = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    level = [1] * m
+    order = list(range(m))
+    steps, pivots = [], []
+    prev = 1
+    for c in range(k):
+        r = len(pivots)
+        hits = [i for i in range(r, m) if c in work[i]]
+        if not hits:
+            continue
+        p = hits[0]
+        for seq in (work, level, order):
+            seq[r], seq[p] = seq[p], seq[r]
+        top, scale = work[r], level[r]
+        if scale != prev:
+            top = {j: v * prev // scale for j, v in top.items()}
+        piv = top.pop(c)
+        updates = []
+        # the rows between r and p have no entry in column c, and the row
+        # swapped down to p had none either
+        for i in hits[1:]:
+            row, d = work[i], level[i]
+            f = row.pop(c)
+            new = {j: piv * v for j, v in row.items()}
+            for j, t in top.items():
+                new[j] = new.get(j, 0) - f * t
+            work[i] = {j: v // d for j, v in new.items() if v}
+            level[i] = piv
+            updates.append((i, f, d))
+        steps.append((r, p, scale, piv, tuple(updates)))
+        pivots.append((c, piv, top))
+        prev = piv
+    return tuple(steps), tuple(pivots), tuple(order)
 
 
 def hall_inner_product(f, g):

@@ -121,6 +121,19 @@ def test_verify_examples_suite(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("cap, scope", [(None, "ranks 3..4"), ("3", "rank 3")])
+def test_verify_conjectures_runs_the_j_basis_up_to_the_affine_cap(cap, scope, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.delenv("STANSYM_MAX_RANK_AFFINE", raising=False)
+    if cap is not None:
+        monkeypatch.setenv("STANSYM_MAX_RANK_AFFINE", cap)
+    code, out, _ = run(["verify", "conjectures"], capsys)
+    assert code == 0 and "FAIL" not in out
+    lines = [line for line in out.splitlines() if "j-basis" in line]
+    assert len(lines) == 2
+    assert all(line.endswith(f"({scope}, length <= 6)") for line in lines)
+
+
 def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
     code, out, _ = run(["verify", "eg"], capsys)

@@ -1,8 +1,10 @@
 """Results built inside the package skip the public constructors' checks;
-each must still be exactly what the public constructor would build."""
+each must still be exactly what the public constructor would build, and the
+length and hash a group element keeps must be those computed afresh."""
 
 from stansym.affine import AffinePermutation, elements_of_length
 from stansym.nilhecke import NilHeckeElement, ScalarPoly, _level_zero_target
+from stansym.permutation import Permutation, symmetric_group
 
 SIZES = ((3, 5), (4, 4))
 
@@ -26,6 +28,35 @@ def test_affine_group_results_rebuild():
         for r in results:
             assert type(r.window) is tuple and r.n == n
             assert AffinePermutation(n, r.window) == r
+            _assert_keeps_fresh_values(r, AffinePermutation(n, r.window), _shi_length)
+
+
+def _shi_length(w):
+    n = w.n
+    return sum(abs((w(j) - w(i)) // n) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def _inversion_count(w):
+    return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if w.window[i] > w.window[j])
+
+
+def _assert_keeps_fresh_values(w, fresh, length):
+    """w's kept length and hash, asked for twice, equal those of a fresh copy."""
+    for _ in range(2):
+        assert w.length() == fresh.length() == length(w)
+        assert hash(w) == hash(fresh)
+    assert w._length == length(w)
+    assert w._hash == hash(fresh)
+
+
+def test_group_elements_keep_their_length_and_hash():
+    for w in _elements():
+        _assert_keeps_fresh_values(w, AffinePermutation(w.n, w.window), _shi_length)
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for r in (w, w.inverse(), w * w, w.embed(n + 1)):
+                _assert_keeps_fresh_values(r, Permutation(r.window), _inversion_count)
+        assert hash(Permutation.identity(n)) == hash(Permutation.identity(n + 2))
 
 
 def test_scalar_poly_results_rebuild_without_zeros():

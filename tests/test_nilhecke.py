@@ -2,7 +2,7 @@
 
 import pytest
 
-from stansym import nilhecke
+from stansym import nilhecke, symfunc
 from stansym.affine import (
     AffinePermutation,
     CorootVector,
@@ -201,7 +201,7 @@ def test_phi0_table_matches_the_chevalley_formula():
                 assert rows == [chevalley(x, ScalarPoly.x(n, i)).phi0() for i in range(1, n + 1)]
 
 
-def test_j_basis_finds_each_cover_once_per_element(monkeypatch):
+def _count_transpositions(monkeypatch):
     calls = []
     transposition = nilhecke._affine_transposition
 
@@ -210,9 +210,36 @@ def test_j_basis_finds_each_cover_once_per_element(monkeypatch):
         return transposition(*args)
 
     monkeypatch.setattr(nilhecke, "_affine_transposition", counted)
+    return calls
+
+
+def test_j_basis_finds_each_cover_once_per_element(monkeypatch):
+    _phi0_x_table.cache_clear()
+    calls = _count_transpositions(monkeypatch)
     w = grassmannian_from_partition(4, (2, 1, 1))
     j_basis_element(4, w)
     assert len(calls) == 4 * len(elements_of_length(4, 4))
+
+
+def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch):
+    n, ell = 4, 4
+    grassmannians = [w for w in elements_of_length(n, ell) if w.is_grassmannian()]
+    assert len(grassmannians) == 4
+    for w in grassmannians:  # the k-Schur route runs its own solve; warm it first
+        j_basis_element(n, w, cross_check=False)
+    _phi0_x_table.cache_clear()
+    symfunc._eliminate.cache_clear()
+    calls = _count_transpositions(monkeypatch)
+    for w in grassmannians:
+        j_basis_element(n, w)
+    # each x of length ell has ell inversions, each tried once over all four
+    assert len(calls) == ell * len(elements_of_length(n, ell))
+    assert symfunc._eliminate.cache_info().misses == 1
+
+
+def test_solver_and_phi0_caches_are_bounded():
+    for cached in (_phi0_x_table, symfunc._eliminate):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_j_basis_disagreement_names_the_witness(monkeypatch):

@@ -20,6 +20,7 @@ from stansym.symfunc import (
     _expand_to_m,
     _h_to_m,
     _jacobi_trudi_h,
+    _eliminate,
     _product_to_m,
     _solve_exact,
     affine_schur,
@@ -303,6 +304,40 @@ def test_solver_agrees_with_gauss_jordan(system):
     assert _solve_exact(rows, rhs) == gauss_jordan(rows, rhs)
 
 
+@st.composite
+def systems_with_many_right_hand_sides(draw):
+    """One m x k integer system B C and at least 20 right-hand sides."""
+    rows, rhs = draw(integer_systems())
+    small = st.integers(-3, 3)
+    many = [rhs]
+    for _ in range(draw(st.integers(19, 30))):
+        if draw(st.booleans()):
+            x = [draw(small) for _ in rows[0]]
+            many.append([sum(a * b for a, b in zip(row, x)) for row in rows])
+        else:
+            many.append([draw(st.integers(-5, 5)) for _ in rows])
+    return rows, many
+
+
+@given(systems_with_many_right_hand_sides())
+@settings(max_examples=100, deadline=None)
+def test_solver_replays_one_elimination_on_each_right_hand_side(system):
+    rows, many = system
+    before = _eliminate.cache_info()
+    for rhs in many:
+        assert _solve_exact(rows, rhs) == gauss_jordan(rows, rhs)
+    after = _eliminate.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= len(many) - 1
+
+
+def test_solver_returns_fresh_lists():
+    rows = [[1, 1], [0, 2]]
+    sol, _, _ = _solve_exact(rows, [3, 2])
+    sol.append("scribble")
+    assert _solve_exact(rows, [3, 2]) == ([Fraction(2), Fraction(1)], 2, None)
+
+
 def test_solver_solution_solves_the_system():
     rows = [[2, 4, 1], [1, 3, 0], [3, 7, 1]]
     sol, rank, bad = _solve_exact(rows, [5, 2, 7])
@@ -319,3 +354,24 @@ def test_solver_solution_solves_the_system():
 def test_solver_rejects_non_integer_entries(rows, rhs):
     with pytest.raises(TypeError):
         _solve_exact(rows, rhs)
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[1, 0], [0, 1]], [1]),
+    ([[1, 0], [0, 1]], [1, 2, 3]),
+    ([[1, 0], [1]], [1, 2]),
+])
+def test_solver_rejects_mismatched_shapes(rows, rhs):
+    with pytest.raises(ValueError):
+        _solve_exact(rows, rhs)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1), 1.0])
+def test_solver_rejects_non_integers_equal_to_a_cached_matrix(entry):
+    rows = [[1, 0], [0, 1]]
+    _solve_exact(rows, [0, 1])  # the int matrix is now cached
+    assert ((entry, 0), (0, 1)) == tuple(map(tuple, rows))
+    with pytest.raises(TypeError):
+        _solve_exact([[entry, 0], [0, 1]], [0, 1])
+    with pytest.raises(TypeError):
+        _solve_exact(rows, [0, entry])
