@@ -196,7 +196,8 @@ def _suite_symmetry(suite, caps):
 def _suite_eg(suite, caps):
     from .partition import count_standard_tableaux
     from .permutation import count_reduced_words
-    from .stanley import schur_expand
+    from .stanley import schur_expand, stanley_fn
+    from .symfunc import change_basis
     from .tableaux import coxeter_knuth_classes, eg_insert, eg_tableaux_by_shape, word_descents
 
     ok_des = True
@@ -213,19 +214,24 @@ def _suite_eg(suite, caps):
     suite.check("Des(i) = Des(Q(i)) on S4", ok_des)
     suite.check("Coxeter-Knuth classes are P-fibers on S4", ok_fiber)
 
-    # the transition tree against the EG-tableau count, and against #R(w):
-    # each reduced word inserts to one EG tableau P and one standard Q
+    # the transition tree against the EG-tableau count, against #R(w) (each
+    # reduced word inserts to one EG tableau P and one standard Q), and
+    # against F_w peeled into s by Kostka numbers
     nf = min(5, caps["max_rank_finite"])
     ok_eg = True
     ok_count = True
+    ok_peel = True
     for w in symmetric_group(nf):
         s = schur_expand(w)
         by_shape = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
         ok_eg = ok_eg and s.coeffs == by_shape
         total = sum(c * count_standard_tableaux(la) for la, c in s.coeffs.items())
         ok_count = ok_count and total == count_reduced_words(w)
+        peeled = change_basis(stanley_fn(w), "s")
+        ok_peel = ok_peel and peeled.basis == "s" and s.coeffs == peeled.coeffs
     suite.check(f"transition-tree Schur expansion = EG-tableau count on S_{nf}", ok_eg)
     suite.check(f"sum of c_la f^la = #R(w) on S_{nf}", ok_count)
+    suite.check(f"transition-tree Schur expansion = Kostka peel of F_w on S_{nf}", ok_peel)
 
 
 def _suite_transition(suite, caps):

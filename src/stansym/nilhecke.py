@@ -462,17 +462,21 @@ def _phi0_x_table(n, ell):
     return table
 
 
-def _j_basis_by_solver(n, w, table):
-    """The unique integer combination of {A_x : l(x) = l(w)} whose
-    Grassmannian part is A_w and which phi0-commutes with every x_i.
+@lru_cache(maxsize=16)
+def _j_basis_system(n, ell):
+    """The j-basis linear system of length ell, built and factored once.
 
-    ``table`` maps each x of length l(w) to [phi0(A_x x_i) for i = 1..n].
+    The unknowns are the coefficients of the A_x with l(x) = ell.  Row (i, y)
+    asks phi0(a x_i) to vanish at y, for each i and each y of length ell - 1,
+    gathering the nonzero phi0(A_x x_i)[y] of ``_phi0_x_table`` by the column
+    of x; one normalization row per Grassmannian x follows.  Returns
+    ``(index, support, grassmannian, system)``: the x, the (i, y) rows, the
+    Grassmannian x in row order, and the ``_eliminate`` result.
     """
-    from .symfunc import _solve_exact
+    from .symfunc import _eliminate
 
-    index = list(table)
-    # phi0(a x_i) = 0 for each i, coordinatewise over elements of length l(w) - 1;
-    # row (i, y) gathers the nonzero phi0(A_x x_i)[y] by the column of x
+    table = _phi0_x_table(n, ell)
+    index = tuple(table)
     entries = {}
     for col, x in enumerate(index):
         for i, phi in enumerate(table[x]):
@@ -485,16 +489,28 @@ def _j_basis_by_solver(n, w, table):
         for col, c in entries[key]:
             row[col] = c
         rows.append(row)
-    rhs = [0] * len(support)
-    # normalization on the Grassmannian terms
     grassmannian = []
     for col, x in enumerate(index):
         if x.is_grassmannian():
             grassmannian.append(x)
             rows.append([0] * len(index))
             rows[-1][col] = 1
-            rhs.append(1 if x == w else 0)
-    sol, _, bad = _solve_exact(rows, rhs)
+    return index, tuple(support), tuple(grassmannian), _eliminate(tuple(map(tuple, rows)))
+
+
+def _j_basis_by_solver(n, w, table):
+    """The unique integer combination of {A_x : l(x) = l(w)} whose
+    Grassmannian part is A_w and which phi0-commutes with every x_i.
+
+    ``table`` is ``_phi0_x_table(n, l(w))``, the table the cached system
+    ``_j_basis_system(n, l(w))`` is built from; each call replays that
+    system on its normalization right-hand side only.
+    """
+    from .symfunc import _replay
+
+    index, support, grassmannian, system = _j_basis_system(n, w.length())
+    rhs = [0] * len(support) + [1 if x == w else 0 for x in grassmannian]
+    sol, _, bad = _replay(system, len(index), rhs)
     if bad is not None:
         if bad < len(support):
             i, y = support[bad]
@@ -505,7 +521,7 @@ def _j_basis_by_solver(n, w, table):
     for x, c in zip(index, sol):
         if c.denominator != 1:
             raise AssertionError(f"j-basis solution not integral for {w!r}: {x!r} has coefficient {c}")
-    return NilCoxeterElement(n, True, {x: int(c) for x, c in zip(index, sol)})
+    return NilCoxeterElement(n, True, {x: c.numerator for x, c in zip(index, sol)})
 
 
 def j_basis_element(n, w, cross_check=True):

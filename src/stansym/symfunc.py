@@ -2,31 +2,40 @@
 
 A SymFunc is a homogeneous element of the ring of symmetric functions (or of
 the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
-of the bases m, h, e, s, affine Schur, or k-Schur.  All transition matrices
-are computed degree by degree; every inversion goes through one
-fraction-free integer elimination, ``_solve_exact``, and results are checked
-to be integral.  The elimination runs on sparse rows and is cached per
-matrix (``_eliminate``), so the many right-hand sides that basis changes,
-the k-Schur table and the j-basis pose against one matrix share it.
+of the bases m, h, e, s, affine Schur, or k-Schur.  Basis change goes
+through m, degree by degree, and builds each column once:
+
+- s and affine Schur are unitriangular over m in dominance order, so
+  ``change_basis`` to them peels: it takes the lex-largest m-term, which is
+  dominance-maximal, subtracts that coefficient times the term's column, and
+  repeats.  It builds only the columns it meets.
+- h, e and k-Schur are solved for.  One fraction-free integer elimination,
+  ``_eliminate``, factors the transition of each (basis, rank, degree) once
+  (``_transition``), and every right-hand side replays it (``_replay``).
+  ``_solve_exact`` is the checked entry point for other callers; the
+  k-Schur table and the j-basis use the same elimination.  Results are
+  checked to be integral.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
 and Hall Polynomials, I.6):
 
 - s by Kostka numbers, K(la, mu) = [m_mu] s_la, counting semistandard
-  tableaux one horizontal strip at a time (``_kostka_column``);
+  tableaux one horizontal strip at a time (``_kostka``);
 - h and e by matrices with row sums la and column sums mu, with entries in
-  N or in {0, 1} (``_margin_column``).
+  N or in {0, 1} (``_margin_count``).
 
-The two routes share no code.  Their oracles are the products they
-replaced, kept for the tests, nilCoxeter and ``SymFunc.__mul__``: the
-Jacobi-Trudi determinant ``_jacobi_trudi_h`` pushed through
-``_product_to_m(mu, _h_to_m)`` for s, and ``_product_to_m`` over one-part
-factors, multiplied by ``_m_product``, for h and e.
+Both counts are bounded module-level memos, so subproblems are shared across
+columns and degrees.  Products are taken in h, where h_la h_mu = h_{la u mu}.
+
+The two counting routes share no code.  Their oracles are the products they
+replaced, kept for the tests and nilCoxeter: the Jacobi-Trudi determinant
+``_jacobi_trudi_h`` pushed through ``_product_to_m(mu, _h_to_m)`` for s, and
+``_product_to_m`` over one-part factors, multiplied by ``_m_product``, for h
+and e.
 """
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, permutations as _itperm
@@ -87,6 +96,17 @@ class SymFunc:
             clean[la] = clean.get(la, 0) + index(c)
         self.coeffs = {la: c for la, c in clean.items() if c}
 
+    @classmethod
+    def _from_valid(cls, degree, basis, coeffs):
+        """An internal result, unchecked: ``coeffs`` maps partitions of
+        ``degree`` that ``basis`` admits to int coefficients, and the zero
+        ones are dropped here."""
+        self = object.__new__(cls)
+        self.degree = degree
+        self.basis = basis
+        self.coeffs = {la: c for la, c in coeffs.items() if c}
+        return self
+
     @staticmethod
     def monomial(basis, la, coeff=1):
         la = as_partition(la)
@@ -114,21 +134,22 @@ class SymFunc:
         out = dict(self.coeffs)
         for la, c in other.coeffs.items():
             out[la] = out.get(la, 0) + c
-        return SymFunc(self.degree, self.basis, out)
+        return SymFunc._from_valid(self.degree, self.basis, out)
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, other):
+        """The product, in m; two SymFuncs multiply in h, h_la h_mu = h_{la u mu}."""
         if isinstance(other, int):
-            return SymFunc(self.degree, self.basis, {la: c * other for la, c in self.coeffs.items()})
-        a, b = self.to_m(), other.to_m()
+            return SymFunc._from_valid(self.degree, self.basis, {la: c * other for la, c in self.coeffs.items()})
+        a, b = change_basis(self, "h"), change_basis(other, "h")
         out = {}
         for la, ca in a.coeffs.items():
             for mu, cb in b.coeffs.items():
-                for nu, k in _m_product(la, mu).items():
-                    out[nu] = out.get(nu, 0) + ca * cb * k
-        return SymFunc(self.degree + other.degree, "m", out)
+                nu = tuple(sorted(la + mu, reverse=True))
+                out[nu] = out.get(nu, 0) + ca * cb
+        return SymFunc._from_valid(self.degree + other.degree, "h", out).to_m()
 
     __rmul__ = __mul__
 
@@ -161,7 +182,7 @@ class SymFunc:
         for la, c in self.coeffs.items():
             for mu, k in _expand_to_m(name, n, la).items():
                 out[mu] = out.get(mu, 0) + c * k
-        return SymFunc(self.degree, "m", out)
+        return SymFunc._from_valid(self.degree, "m", out)
 
     def change_basis(self, basis, n=None):
         return change_basis(self, basis, n)
@@ -258,77 +279,94 @@ def _horizontal_strips(la, k):
             yield ((row,) + tail) if row else ()
 
 
-def _kostka_column(la):
-    """[m_mu] s_la = K(la, mu), the number of SSYT of shape la and content mu.
+@lru_cache(maxsize=1 << 16)
+def _kostka(shape, content):
+    """K(shape, content), the number of SSYT of a shape and a partition content.
 
-    K(la, mu) is 0 unless mu is below la in dominance order.  The cells
-    holding the largest entry, len(mu), form a horizontal strip of mu[-1]
-    cells; peeling it leaves a tableau of content mu[:-1].
+    The cells holding the largest entry, len(content), form a horizontal
+    strip of content[-1] cells; peeling it leaves a tableau of content
+    content[:-1].  One memo serves every column and degree.
     """
+    if not content:
+        return 1
+    if len(shape) > len(content):
+        return 0  # the first column needs len(shape) distinct entries
+    rest = content[:-1]
+    return sum(_kostka(inner, rest) for inner in _horizontal_strips(shape, content[-1]))
 
-    @lru_cache(maxsize=None)
-    def kostka(shape, content):
-        if not content:
-            return 1
-        if len(shape) > len(content):
-            return 0  # the first column needs len(shape) distinct entries
-        rest = content[:-1]
-        return sum(kostka(inner, rest) for inner in _horizontal_strips(shape, content[-1]))
 
-    return {mu: kostka(la, mu) for mu in partitions_of(sum(la)) if dominance_leq(mu, la)}
+def _kostka_column(la):
+    """[m_mu] s_la = K(la, mu), nonzero exactly for mu below la in dominance order."""
+    return {mu: _kostka(la, mu) for mu in partitions_of(sum(la)) if dominance_leq(mu, la)}
+
+
+@lru_cache(maxsize=1 << 10)
+def _group_fills(m, top, t):
+    """(amounts, ways) for m interchangeable columns taking t cells in all,
+    at most ``top`` each: the partitions of t into at most m parts, padded
+    with zeros to m entries, taken in m! / prod(n_a!) ways, n_a being the
+    number of columns taking a."""
+    out = []
+    for amounts in partitions_of(t, top):
+        if len(amounts) > m:
+            continue
+        amounts += (0,) * (m - len(amounts))
+        ways = factorial(m)
+        for _, same in groupby(amounts):
+            ways //= factorial(len(list(same)))
+        out.append((amounts, ways))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_fills(cols, r, cap):
+    """(sorted column sums left over, ways) for the fillings of one row of sum
+    r against the column sums ``cols`` (a partition), entries at most ``cap``."""
+    # (sum v, columns m, the most one cell can take)
+    groups = [(v, len(list(g)), v if cap is None else min(v, cap)) for v, g in groupby(cols)]
+    room = [0] * (len(groups) + 1)  # room[g]: the most groups g.. can take
+    for g in reversed(range(len(groups))):
+        _, m, top = groups[g]
+        room[g] = room[g + 1] + m * top
+
+    def rest(g, r):
+        if g == len(groups):
+            yield (), 1
+            return
+        v, m, top = groups[g]
+        for t in range(max(0, r - room[g + 1]), min(r, m * top) + 1):
+            for amounts, ways in _group_fills(m, top, t):
+                left = tuple(v - a for a in amounts)
+                for tail, more in rest(g + 1, r - t):
+                    yield left + tail, ways * more
+
+    out = {}
+    for left, ways in rest(0, r):
+        left = sort_composition(left)
+        out[left] = out.get(left, 0) + ways
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=1 << 14)
+def _margin_count(rows, cols, cap):
+    """Matrices with row sums ``rows`` and column sums ``cols`` (a partition),
+    with entries in N (cap None) or in {0, 1} (cap 1).
+
+    Rows are filled one at a time; the count for the remaining rows depends
+    only on the sorted remaining column sums, so one memo serves every
+    column and degree.
+    """
+    if not rows:
+        return 1
+    return sum(ways * _margin_count(rows[1:], left, cap) for left, ways in _row_fills(cols, rows[0], cap))
 
 
 def _margin_column(la, cap):
-    """[m_mu] of h_la (cap None) or e_la (cap 1), for every mu of |la|.
-
-    Both count matrices with row sums la and column sums mu, with entries in
-    N for h and in {0, 1} for e (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.6).  Rows are filled one at a time; the count for the
-    remaining rows depends only on the sorted remaining column sums.
-    """
-
-    def fills(cols, r):
-        """(column sums left over, ways) for the fillings of one row of sum r.
-
-        Equal columns are interchangeable, so each group of m columns of sum
-        v takes a partition of amounts, padded with zeros to m entries, in
-        m! / prod(n_a!) ways, n_a being the number of columns taking a.
-        """
-        # (sum v, columns m, the most one cell can take)
-        groups = [(v, len(list(g)), v if cap is None else min(v, cap)) for v, g in groupby(cols)]
-        room = [0] * (len(groups) + 1)  # room[g]: the most groups g.. can take
-        for g in reversed(range(len(groups))):
-            _, m, top = groups[g]
-            room[g] = room[g + 1] + m * top
-
-        def rest(g, r):
-            if g == len(groups):
-                yield (), 1
-                return
-            v, m, top = groups[g]
-            for t in range(max(0, r - room[g + 1]), min(r, m * top) + 1):
-                for amounts in partitions_of(t, top):
-                    if len(amounts) > m:
-                        continue
-                    amounts += (0,) * (m - len(amounts))
-                    ways = factorial(m)
-                    for n_a in Counter(amounts).values():
-                        ways //= factorial(n_a)
-                    left = tuple(v - a for a in amounts)
-                    for tail, more in rest(g + 1, r - t):
-                        yield left + tail, ways * more
-
-        return rest(0, r)
-
-    @lru_cache(maxsize=None)
-    def count(i, cols):
-        if i == len(la):
-            return 1
-        return sum(ways * count(i + 1, sort_composition(left)) for left, ways in fills(cols, la[i]))
-
+    """[m_mu] of h_la (cap None) or e_la (cap 1), for every mu of |la|
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.6)."""
     out = {}
     for mu in partitions_of(sum(la)):
-        c = count(0, mu)
+        c = _margin_count(la, mu, cap)
         if c:
             out[mu] = c
     return out
@@ -338,10 +376,10 @@ def _margin_column(la, cap):
 def _expand_to_m(name, n, la):
     """Basis element in the m basis, as a dict partition -> int.
 
-    The plain bases are counted: s by Kostka numbers (``_kostka_column``,
-    oracle ``_jacobi_trudi_h`` through ``_product_to_m(mu, _h_to_m)``), h
-    and e by matrices with given margins (``_margin_column``, oracle
-    ``_product_to_m`` over one-part factors).
+    The plain bases are counted: s by Kostka numbers (``_kostka``, oracle
+    ``_jacobi_trudi_h`` through ``_product_to_m(mu, _h_to_m)``), h and e by
+    matrices with given margins (``_margin_count``, oracle ``_product_to_m``
+    over one-part factors).
     """
     if name == "m":
         return {la: 1}
@@ -367,22 +405,29 @@ def _basis_partitions(name, n, degree):
 def change_basis(f, basis, n=None):
     """Rewrite ``f`` in another basis; exact, with integrality enforced.
 
-    Raises ValueError naming the obstructing coefficient when ``f`` does not
-    lie in the span of the target basis (e.g. a general symmetric function
-    expressed in k-Schur functions).
+    s and affineSchur are reached by peeling (``_peel``), which builds only
+    the columns it meets; h, e and kSchur by replaying the transition of the
+    degree, factored once (``_transition``).  Raises ValueError naming an
+    obstructing m-term when ``f`` does not lie in the span of the target
+    basis (e.g. a general symmetric function expressed in k-Schur or affine
+    Schur functions).
     """
     target = _basis_key(basis, n)
     if target == f.basis:
         return f
     name, rank = _parse_basis(target)
     fm = f.to_m()
-    index = _basis_partitions(name, rank, f.degree)
-    columns = {la: _expand_to_m(name, rank, la) for la in index}
-    support = sorted({mu for col in columns.values() for mu in col} | set(fm.coeffs), reverse=True)
-    # solve sum_la x_la * columns[la] = fm
-    rows = [[columns[la].get(mu, 0) for la in index] for mu in support]
-    rhs = [fm.coeffs.get(mu, 0) for mu in support]
-    sol, _, residual_row = _solve_exact(rows, rhs)
+    if name == "m":
+        return fm
+    if name in ("s", "affineSchur"):
+        return _peel(fm, name, rank, target)
+    index, support, row_of, system = _transition(name, rank, f.degree)
+    rhs = [0] * len(support)
+    for mu, c in fm.coeffs.items():
+        if mu not in row_of:  # no basis element has an m_mu term
+            raise ValueError(f"not expressible in basis {target}: obstructing coefficient on m_{mu}")
+        rhs[row_of[mu]] = c
+    sol, _, residual_row = _replay(system, len(index), rhs)
     if residual_row is not None:
         raise ValueError(
             f"not expressible in basis {target}: obstructing coefficient on "
@@ -392,9 +437,52 @@ def change_basis(f, basis, n=None):
     for la, x in zip(index, sol):
         if x.denominator != 1:
             raise ValueError(f"non-integer coefficient {x} on {la} in basis {target}")
-        if x:
-            coeffs[la] = int(x)
-    return SymFunc(f.degree, target, coeffs)
+        coeffs[la] = x.numerator
+    return SymFunc._from_valid(f.degree, target, coeffs)
+
+
+def _peel(fm, name, rank, target):
+    """``fm`` in a basis unitriangular over m in dominance order (s, affineSchur).
+
+    The lex-largest m-term is dominance-maximal, so it is the leading term
+    of exactly one basis element of the expansion, with that coefficient;
+    subtracting that element's column leaves a smaller remainder.
+    """
+    rest = dict(fm.coeffs)
+    out = {}
+    while rest:
+        la = max(rest)
+        if rank is not None and la and la[0] > rank - 1:
+            raise ValueError(
+                f"not expressible in basis {target}: the leading term m_{la} is not ({rank - 1})-bounded"
+            )
+        column = _expand_to_m(name, rank, la)
+        if column.get(la) != 1 or max(column) != la:
+            raise AssertionError(f"the {target} column of {la} does not lead with m_{la}")
+        c = out[la] = rest[la]
+        for mu, k in column.items():
+            v = rest.get(mu, 0) - c * k
+            if v:
+                rest[mu] = v
+            else:
+                rest.pop(mu, None)
+    return SymFunc._from_valid(fm.degree, target, out)
+
+
+@lru_cache(maxsize=32)
+def _transition(name, rank, degree):
+    """The m-transition of basis ``name`` in one degree, factored once.
+
+    Returns ``(index, support, row_of, system)``: the basis partitions (the
+    unknowns), the m-terms their columns reach (the rows), each row's
+    position, and the ``_eliminate`` result of the matrix.  The entry is
+    cached and shared, so callers only read it.
+    """
+    index = _basis_partitions(name, rank, degree)
+    columns = [_expand_to_m(name, rank, la) for la in index]
+    support = sorted({mu for col in columns for mu in col}, reverse=True)
+    matrix = tuple(tuple(col.get(mu, 0) for col in columns) for mu in support)
+    return tuple(index), tuple(support), {mu: i for i, mu in enumerate(support)}, _eliminate(matrix)
 
 
 def _check_ints(line):
@@ -410,14 +498,14 @@ def _solve_exact(rows, rhs):
     """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` exactly over the integers.
 
     Each distinct matrix is eliminated once, fraction-free on sparse rows,
-    by the cached ``_eliminate``; its recorded steps are then replayed on
-    ``rhs``, followed by the residual test and back substitution.  Entries
-    must be ints; anything else raises TypeError rather than being
+    by the cached ``_eliminate``; ``_replay`` then runs its recorded steps
+    on ``rhs``, followed by the residual test and back substitution.
+    Entries must be ints; anything else raises TypeError rather than being
     truncated, and every entry is checked on every call, before the cache is
-    consulted (``1.0 == 1`` and both hash alike).  Returns ``(solution, rank, None)``, with the free
-    unknowns set to 0 and the solution as Fractions, or, for an inconsistent
-    system, ``(None, rank, i)`` with ``i`` the index of an input row that
-    the others contradict.
+    consulted (``1.0 == 1`` and both hash alike).  Returns ``(solution,
+    rank, None)``, with the free unknowns set to 0 and the solution as
+    Fractions, or, for an inconsistent system, ``(None, rank, i)`` with
+    ``i`` the index of an input row that the others contradict.
     """
     width = len(rows[0]) if rows else 0
     for row in rows:
@@ -427,7 +515,15 @@ def _solve_exact(rows, rhs):
     _check_ints(rhs)
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand side entries")
-    steps, pivots, order = _eliminate(tuple(map(tuple, rows)))
+    return _replay(_eliminate(tuple(map(tuple, rows))), width, rhs)
+
+
+def _replay(system, width, rhs):
+    """Solve against a matrix of ``width`` columns that ``_eliminate``
+    factored into ``system``, for an int ``rhs`` with one entry per row;
+    returns what ``_solve_exact`` returns.  Internal callers whose matrix
+    and right-hand side are ints by construction call it directly."""
+    steps, pivots, order = system
     b = list(rhs)
     prev = 1
     for r, p, scale, piv, updates in steps:
@@ -638,16 +734,16 @@ def _k_schur_h_table(n, degree):
                 raise AssertionError(
                     f"F~_{la} (n={n}) has a term m_{mu} outside the dominance order below {la}"
                 )
-    rows = [[A[nu].get(mu, 0) for mu in index] for nu in index]
+    system = _eliminate(tuple(tuple(A[nu].get(mu, 0) for mu in index) for nu in index))
     table = {}
     for la in index:
-        sol, _, bad = _solve_exact(rows, [1 if nu == la else 0 for nu in index])
+        sol, _, bad = _replay(system, len(index), [1 if nu == la else 0 for nu in index])
         if bad is not None:
             raise AssertionError(f"k-Schur duality system for n={n}, la={la} is inconsistent")
         for mu, x in zip(index, sol):
             if x.denominator != 1:
                 raise AssertionError(f"k-Schur s^(k)_{la} (n={n}) has coefficient {x} on h_{mu}")
-        table[la] = SymFunc(degree, "h", {mu: int(x) for mu, x in zip(index, sol)})
+        table[la] = SymFunc._from_valid(degree, "h", {mu: x.numerator for mu, x in zip(index, sol)})
     # duality sanity: <s^(k)_la, F~_mu> = delta
     for la in index:
         for mu in index:

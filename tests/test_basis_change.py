@@ -1,0 +1,177 @@
+"""The basis-change paths against the full solve they replace.
+
+Change to s and affine Schur peels the leading m-term; change to h, e and
+k-Schur replays one factored transition per (basis, rank, degree); products
+are taken in h.  The oracle ``_change_basis_by_solve`` builds every column of
+the degree and solves the whole system with ``_solve_exact``.
+"""
+
+import random
+
+import pytest
+
+from stansym import symfunc
+from stansym.affine import elements_of_length
+from stansym.partition import bounded_partitions, partitions_of
+from stansym.permutation import Permutation
+from stansym.stanley import affine_stanley, stanley_fn
+from stansym.symfunc import (
+    SymFunc,
+    _basis_key,
+    _basis_partitions,
+    _expand_to_m,
+    _m_product,
+    _parse_basis,
+    _solve_exact,
+    change_basis,
+)
+
+
+def _change_basis_by_solve(f, basis, n=None):
+    """Every column of the degree, one full exact solve."""
+    target = _basis_key(basis, n)
+    name, rank = _parse_basis(target)
+    fm = f.to_m()
+    index = _basis_partitions(name, rank, f.degree)
+    columns = {la: _expand_to_m(name, rank, la) for la in index}
+    support = sorted({mu for col in columns.values() for mu in col} | set(fm.coeffs), reverse=True)
+    rows = [[columns[la].get(mu, 0) for la in index] for mu in support]
+    sol, _, bad = _solve_exact(rows, [fm.coeffs.get(mu, 0) for mu in support])
+    if bad is not None:
+        raise ValueError(f"not expressible in basis {target}: obstructing coefficient on m_{support[bad]}")
+    assert all(x.denominator == 1 for x in sol)
+    return SymFunc(f.degree, target, {la: int(x) for la, x in zip(index, sol)})
+
+
+def _combination(rng, basis, partitions, degree):
+    """A seeded integer combination of a few basis elements of one degree."""
+    picks = rng.sample(partitions, min(len(partitions), rng.randint(1, 4)))
+    return SymFunc(degree, basis, {la: rng.choice([-3, -2, -1, 1, 2, 5]) for la in picks})
+
+
+def test_schur_peel_equals_the_full_solve():
+    rng = random.Random(20261018)
+    for d in range(9):
+        for la in partitions_of(d):
+            m = SymFunc.monomial("s", la).to_m()
+            assert change_basis(m, "s") == _change_basis_by_solve(m, "s") == SymFunc.monomial("s", la)
+        for basis in ("m", "h", "e", "s"):
+            for _ in range(3):
+                f = _combination(rng, basis, partitions_of(d), d)
+                peeled = change_basis(f, "s")
+                assert peeled.basis == "s"
+                assert peeled.coeffs == _change_basis_by_solve(f, "s").coeffs, f
+
+
+@pytest.mark.parametrize("n, top", [(3, 6), (4, 5), (5, 4)])
+def test_affine_schur_peel_equals_the_full_solve(n, top):
+    rng = random.Random(n)
+    for d in range(top + 1):
+        bounded = bounded_partitions(n, d)
+        cases = [affine_stanley(w) for w in elements_of_length(n, d)]
+        cases += [_combination(rng, f"affineSchur({n})", bounded, d) for _ in range(3)]
+        cases += [_combination(rng, "m", bounded, d) for _ in range(3)]
+        for f in cases:
+            peeled = change_basis(f, "affineSchur", n)
+            assert peeled.basis == f"affineSchur({n})"
+            assert peeled.coeffs == _change_basis_by_solve(f, "affineSchur", n).coeffs, f
+
+
+def test_affine_schur_peel_rejects_an_unbounded_leading_term():
+    f = SymFunc(4, "m", {(3, 1): 1, (2, 2): 4, (1, 1, 1, 1): 2})
+    with pytest.raises(ValueError, match=r"m_\(3, 1\) is not \(2\)-bounded"):
+        change_basis(f, "affineSchur", 3)
+    with pytest.raises(ValueError):
+        _change_basis_by_solve(f, "affineSchur", 3)
+    # s_3 leads with m_3, beyond every 2-bounded F~
+    with pytest.raises(ValueError, match=r"m_\(3,\)"):
+        change_basis(SymFunc.monomial("s", (3,)), "affineSchur", 3)
+
+
+def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
+    built = []
+    column = symfunc._kostka_column
+
+    def one_column(la):
+        built.append(la)
+        if len(built) > 1:
+            raise AssertionError(f"built a second s column, {la}")
+        return column(la)
+
+    def no_elimination(matrix):
+        raise AssertionError("the peel ran an elimination")
+
+    f = stanley_fn(Permutation.longest(7))
+    _expand_to_m.cache_clear()
+    monkeypatch.setattr(symfunc, "_kostka_column", one_column)
+    monkeypatch.setattr(symfunc, "_eliminate", no_elimination)
+    assert change_basis(f, "s") == SymFunc.monomial("s", (6, 5, 4, 3, 2, 1))
+    assert built == [(6, 5, 4, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("basis, n", [("h", None), ("e", None), ("kSchur", 3), ("kSchur", 4)])
+def test_solved_bases_equal_the_full_solve_and_replay_one_transition(basis, n, monkeypatch):
+    rng = random.Random(7)
+    for d in range(7):
+        bounded = bounded_partitions(n, d) if n else partitions_of(d)
+        for _ in range(3):
+            if n:  # h of bounded partitions lie in the span of the k-Schur functions
+                f = change_basis(_combination(rng, "h", bounded, d), "m")
+            else:
+                f = _combination(rng, "s", bounded, d)
+            assert change_basis(f, basis, n).coeffs == _change_basis_by_solve(f, basis, n).coeffs
+    # once the degree is factored, a change of basis neither checks nor eliminates a matrix
+    before = symfunc._eliminate.cache_info().misses
+
+    def unchecked(rows, rhs):
+        raise AssertionError("change_basis went through the checked solver")
+
+    monkeypatch.setattr(symfunc, "_solve_exact", unchecked)
+    for la in partitions_of(6) if n is None else bounded_partitions(n, 5):
+        f = SymFunc.monomial("h" if n else "s", la)
+        g = change_basis(f, basis, n)
+        assert g.basis != f.basis and change_basis(g, f.basis) == f
+    assert symfunc._eliminate.cache_info().misses == before
+
+
+def test_not_in_the_k_schur_span_names_an_m_term():
+    for f in (SymFunc.monomial("m", (3,)), SymFunc.monomial("s", (3, 1)), SymFunc.monomial("m", (4,))):
+        with pytest.raises(ValueError, match=r"not expressible in basis kSchur\(3\): obstructing coefficient on m_\("):
+            change_basis(f, "kSchur", 3)
+        with pytest.raises(ValueError):
+            _change_basis_by_solve(f, "kSchur", 3)
+
+
+def test_product_in_h_equals_m_product():
+    for d in range(9):
+        for a in range(d + 1):
+            for la in partitions_of(a):
+                for mu in partitions_of(d - a):
+                    got = SymFunc.monomial("m", la) * SymFunc.monomial("m", mu)
+                    assert got.basis == "m" and got.degree == d
+                    assert got.coeffs == _m_product(la, mu), (la, mu)
+
+
+def _product_by_m_product(f, g):
+    out = {}
+    for la, ca in f.to_m().coeffs.items():
+        for mu, cb in g.to_m().coeffs.items():
+            for nu, k in _m_product(la, mu).items():
+                out[nu] = out.get(nu, 0) + ca * cb * k
+    return SymFunc(f.degree + g.degree, "m", out)
+
+
+def test_product_of_mixed_bases_and_scalars():
+    s21, e2, k21 = SymFunc.monomial("s", (2, 1)), SymFunc.monomial("e", (2,)), SymFunc.monomial("kSchur(3)", (2, 1))
+    for f, g in ((s21, e2), (e2, s21), (s21, k21), (k21, k21)):
+        assert f * g == _product_by_m_product(f, g)
+    assert (s21 * 0).is_zero() and (0 * s21).is_zero()
+    assert SymFunc.one() * s21 == s21.to_m()
+
+
+def test_basis_change_caches_are_bounded():
+    for cached in (
+        symfunc._kostka, symfunc._margin_count, symfunc._row_fills,
+        symfunc._group_fills, symfunc._transition,
+    ):
+        assert cached.cache_info().maxsize is not None, cached

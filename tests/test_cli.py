@@ -149,6 +149,29 @@ def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     assert "FAIL [eg] transition-tree" in out and "FAIL [eg] sum of c_la" in out
 
 
+def test_verify_eg_cross_checks_the_tree_against_the_kostka_peel(capsys, monkeypatch):
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    code, out, _ = run(["verify", "eg"], capsys)
+    assert code == 0 and "PASS [eg] transition-tree Schur expansion = Kostka peel of F_w on S_4" in out
+    # double one coefficient of the peel: only this check can see it
+    from stansym import symfunc
+
+    right = symfunc.change_basis
+
+    def doubled(f, basis, n=None):
+        g = right(f, basis, n)
+        if basis == "s" and f.degree == 3:
+            return g * 2
+        return g
+
+    monkeypatch.setattr(symfunc, "change_basis", doubled)
+    code, out, _ = run(["verify", "eg"], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL [eg] transition-tree Schur expansion = Kostka peel of F_w on S_4"
+    ]
+
+
 def test_bad_input_exits_2(capsys):
     code, _, err = run(["stanley", "24x1"], capsys)
     assert code == 2

@@ -4,7 +4,10 @@ length and hash a group element keeps must be those computed afresh."""
 
 from stansym.affine import AffinePermutation, elements_of_length
 from stansym.nilhecke import NilHeckeElement, ScalarPoly, _level_zero_target
+from stansym.partition import bounded_partitions, partitions_of
 from stansym.permutation import Permutation, symmetric_group
+from stansym.stanley import affine_stanley
+from stansym.symfunc import SymFunc, change_basis, k_schur
 
 SIZES = ((3, 5), (4, 4))
 
@@ -70,3 +73,31 @@ def test_scalar_poly_results_rebuild_without_zeros():
             results += [p.divided_difference(i) for i in range(n)]
             for r in results:
                 _assert_rebuilds(r)
+
+
+def _assert_symfunc_rebuilds(f):
+    assert SymFunc(f.degree, f.basis, f.coeffs).coeffs == f.coeffs
+    assert all(type(c) is int and c for c in f.coeffs.values()), f.coeffs
+
+
+def test_symfunc_results_rebuild_without_zeros():
+    for d in range(7):
+        for la in partitions_of(d):
+            for basis in ("m", "h", "e", "s"):
+                f = SymFunc.monomial(basis, la)
+                g = SymFunc(d, basis, {la: 2, partitions_of(d)[-1]: -1})
+                results = [f.to_m(), f + g, f - f, f * 3, f * 0, 2 * g, g.to_m()]
+                results += [change_basis(g, target) for target in ("m", "h", "e", "s")]
+                if d <= 4:
+                    results += [f * g, g * SymFunc.monomial("s", (2, 1))]
+                for r in results:
+                    _assert_symfunc_rebuilds(r)
+    for n in (3, 4):
+        for d in range(6):
+            for la in bounded_partitions(n, d):
+                k = k_schur(n, la)
+                results = [k, k.to_m(), change_basis(k, "kSchur", n), change_basis(k, "e")]
+                for r in results:
+                    _assert_symfunc_rebuilds(r)
+    for w in _elements():
+        _assert_symfunc_rebuilds(change_basis(affine_stanley(w), "affineSchur", w.n))

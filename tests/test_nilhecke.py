@@ -228,6 +228,7 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
     for w in grassmannians:  # the k-Schur route runs its own solve; warm it first
         j_basis_element(n, w, cross_check=False)
     _phi0_x_table.cache_clear()
+    nilhecke._j_basis_system.cache_clear()
     symfunc._eliminate.cache_clear()
     calls = _count_transpositions(monkeypatch)
     for w in grassmannians:
@@ -237,8 +238,24 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
     assert symfunc._eliminate.cache_info().misses == 1
 
 
+def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
+    n, ell = 4, 4
+    grassmannians = [w for w in elements_of_length(n, ell) if w.is_grassmannian()]
+    nilhecke._j_basis_system.cache_clear()
+
+    def unchecked(rows, rhs):
+        raise AssertionError("the j-basis went through the checked solver")
+
+    monkeypatch.setattr(symfunc, "_solve_exact", unchecked)
+    table = _phi0_x_table(n, ell)
+    for w in grassmannians:
+        a = nilhecke._j_basis_by_solver(n, w, table)
+        assert a.coeffs[w] == 1 and all(a.coeffs.get(x, 0) == 0 for x in grassmannians if x != w)
+    assert nilhecke._j_basis_system.cache_info().misses == 1
+
+
 def test_solver_and_phi0_caches_are_bounded():
-    for cached in (_phi0_x_table, symfunc._eliminate):
+    for cached in (_phi0_x_table, nilhecke._j_basis_system, symfunc._eliminate):
         assert cached.cache_info().maxsize is not None
 
 

@@ -1,10 +1,13 @@
-"""Basis change among m, h, e and s enumerates no permutations.
+"""Basis change among m, h, e and s, and products, enumerate no permutations.
 
 The s, h and e columns are counted (Kostka numbers, matrices with given
-margins).  Jacobi-Trudi over all l! permutations and ``_m_product`` over
-``sparse_rearrangements`` are factorial in the length and stay only as
-oracles, so here both are made to raise.
+margins), and products are taken in h.  Jacobi-Trudi over all l!
+permutations and ``_m_product`` over ``sparse_rearrangements`` are
+factorial in the length and stay only as oracles, so here both are made to
+raise, with every basis-change memo cleared first.
 """
+
+from math import comb
 
 import pytest
 
@@ -23,7 +26,11 @@ def _enumeration(*args, **kwargs):
 def no_enumeration(monkeypatch):
     monkeypatch.setattr(symfunc, "_itperm", _enumeration)
     monkeypatch.setattr(symfunc, "sparse_rearrangements", _enumeration)
-    for cached in (symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product):
+    for cached in (
+        symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product,
+        symfunc._kostka, symfunc._margin_count, symfunc._row_fills,
+        symfunc._group_fills, symfunc._transition,
+    ):
         cached.cache_clear()
 
 
@@ -47,3 +54,16 @@ def test_degree_10_schur_round_trip(no_enumeration, la):
     back = change_basis(s.to_m(), "s")
     assert back.basis == "s" and back.coeffs == {la: 1}
     assert hall_inner_product(s, s) == 1
+
+
+def test_products_count(no_enumeration):
+    e6 = SymFunc.monomial("e", (6,))
+    # [m_{2^k 1^(12-2k)}] e_6^2: two 0/1 rows of sum 6 over those column sums
+    assert (e6 * e6).coeffs == {(2,) * k + (1,) * (12 - 2 * k): comb(12 - 2 * k, 6 - k) for k in range(7)}
+    for a in range(1, 9):
+        for la in partitions_of(a):
+            for mu in partitions_of(9 - a):
+                h = SymFunc.monomial("h", la) * SymFunc.monomial("h", mu)
+                assert h == SymFunc.monomial("h", tuple(sorted(la + mu, reverse=True)))
+                s, t = SymFunc.monomial("s", la), SymFunc.monomial("s", mu)
+                assert s * t == t * s
