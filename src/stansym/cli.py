@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .affine import AffinePermutation, CorootVector, elements_of_length
 from .partition import as_partition
@@ -450,9 +451,14 @@ def build_parser():
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built on first use and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
         return dispatch(args, fmt, load_caps())

@@ -1,38 +1,100 @@
 """Stanley symmetric functions, affine Stanley symmetric functions, and
 their Schur / affine Schur expansions.
 
-F_w is computed by three independent routes (compatible pairs on reduced
-words, decreasing factorizations, fundamental quasi-symmetric functions);
-the affine F~_w by dynamic programming over cyclically decreasing
-factorizations.  Monomial coefficients are extracted on partitions; the
-symmetry of the result is a theorem, and ``check_symmetry`` verifies it on
-arbitrary compositions.
+F_w is computed by three independent routes.  Compatible pairs on R(w) and
+fundamental quasi-symmetric functions on R(w^{-1}) each read a histogram of
+ascent or descent sets, counted letter by letter over the right weak order
+below w without listing a word; decreasing factorizations are counted by a
+dynamic program on descents of the inverse window.  The affine F~_w is counted by dynamic
+programming over cyclically decreasing factorizations.  Monomial
+coefficients are extracted on partitions; the symmetry of the result is a
+theorem, and ``check_symmetry`` verifies it on arbitrary compositions.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations
-from operator import gt, lt
+from itertools import combinations
 
 from .affine import cyclically_decreasing_word
-from .partition import as_partition, partitions_of, sort_composition
+from .partition import partitions_of
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
 from .tableaux import transition_sides
 
 
-def _position_sets(words, relation):
-    """How many words have each set {i : relation(word[i-1], word[i])}."""
-    return Counter(
-        frozenset(i for i in range(1, len(word)) if relation(word[i - 1], word[i]))
-        for word in words
-    )
+def _relation_histogram(window, ascents):
+    """{mask: number of reduced words} over R(w), for w the given window.
+
+    Bit i-1 of a word's mask is set iff letters i and i+1 form an ascent
+    (``ascents``) or a descent (otherwise).  A reduced word of w ends in a
+    right descent d of w, and the rest of it is a reduced word of w s_d.  So
+    the walk climbs the lower interval of w in the right weak order from the
+    identity, one length at a time, and each element v keeps, for each last
+    letter d, the masks of the words of R(v) that end in d.  An ascent d of
+    u leads to u s_d in the interval iff it adds an inversion of w: the
+    values u(d) < u(d+1) sit in w in the other order.  Appending d at
+    position k + 1 to a word ending in c sets bit k - 1 iff (c, d) is
+    related.  Only two lengths of histograms are held at once, and each one
+    is dropped as soon as it is read.
+    """
+    n = len(window)
+    position = [0] * (n + 1)
+    for i, x in enumerate(window, 1):
+        position[x] = i
+    # the identity's one word is empty; 0 stands for its absent last letter
+    layer = {tuple(range(1, n + 1)): {0: {0: 1}}}
+    bit = 0  # the bit of the position before the appended letter; none for the first
+    while window not in layer:
+        above = {}
+        while layer:
+            u, by_last = layer.popitem()
+            for d in range(1, n):
+                a, b = u[d - 1], u[d]
+                if a < b and position[a] > position[b]:
+                    masks_d = {}
+                    get = masks_d.get
+                    for c, masks in by_last.items():
+                        if bit and (c < d if ascents else c > d):
+                            for m, x in masks.items():
+                                m |= bit
+                                masks_d[m] = get(m, 0) + x
+                        elif masks_d:
+                            for m, x in masks.items():
+                                masks_d[m] = get(m, 0) + x
+                        else:
+                            masks_d.update(masks)
+                    v = u[:d - 1] + (b, a) + u[d + 1:]
+                    if v in above:
+                        above[v][d] = masks_d
+                    else:
+                        above[v] = {d: masks_d}
+        layer = above
+        bit = bit << 1 or 1
+    total = {}
+    by_last = layer.pop(window)
+    while by_last:
+        masks = by_last.popitem()[1]
+        get = total.get
+        for m, x in masks.items():
+            total[m] = get(m, 0) + x
+    return total
 
 
-def _count_within(histogram, alpha):
-    """How many words of the histogram have their set within the partial sums
-    of alpha (the sets lie in 1..l-1, so the total l may be among the sums)."""
-    sums = set(accumulate(alpha))
-    return sum(c for positions, c in histogram.items() if positions <= sums)
+def _coefficient(histogram, alpha):
+    """How many words of the histogram have their mask within the partial
+    sums of alpha: the histogram summed over the submasks of the partial-sum
+    mask, enumerated by sub = (sub - 1) & sums.  The total of alpha is no
+    position of a word, so it has no bit."""
+    sums = p = 0
+    for a in alpha[:-1]:
+        p += a
+        sums |= 1 << (p - 1)
+    get = histogram.get
+    total, sub = 0, sums
+    while True:
+        total += get(sub, 0)
+        if not sub:
+            return total
+        sub = (sub - 1) & sums
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +138,15 @@ def stanley_fn(w, method="decreasing"):
     """The Stanley symmetric function F_w in the m basis.
 
     ``method`` selects one of the three equivalent definitions: "original"
-    (compatible pairs), "decreasing" (decreasing factorizations), or
-    "quasisym" (fundamental quasi-symmetric functions on R(w^{-1})).
+    (compatible pairs on R(w)), "decreasing" (decreasing factorizations), or
+    "quasisym" (fundamental quasi-symmetric functions on R(w^{-1})).  The
+    first and third count words by ascent or descent set with
+    ``_relation_histogram``, which walks reduced words letter by letter and
+    lists none of them.
     """
     ell = w.length()
     if method == "decreasing":
-        return SymFunc(ell, "m", {
+        return SymFunc._from_valid(ell, "m", {
             la: _count_decreasing_factorizations(w.window, la)
             for la in partitions_of(ell)
         })
@@ -90,15 +155,15 @@ def stanley_fn(w, method="decreasing"):
         # strict at the ascents of a.  The b of content alpha is unique and
         # strict exactly at the partial sums of alpha, so x^alpha counts the
         # a whose ascent set lies within them.
-        histogram = _position_sets(w.reduced_words(), lt)
+        histogram = _relation_histogram(w.window, ascents=True)
     elif method == "quasisym":
         # M_alpha has coefficient 1 in L_D when D lies within the partial
         # sums of alpha and 0 otherwise, so the m-coefficient of the sum of
         # L_Des(a) counts the a whose descent set lies within them.
-        histogram = _position_sets(w.inverse().reduced_words(), gt)
+        histogram = _relation_histogram(w.inverse().window, ascents=False)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SymFunc(ell, "m", {la: _count_within(histogram, la) for la in partitions_of(ell)})
+    return SymFunc._from_valid(ell, "m", {la: _coefficient(histogram, la) for la in partitions_of(ell)})
 
 
 def stanley_quasisym(w):
@@ -115,11 +180,11 @@ def stanley_quasisym(w):
 
 def check_symmetry_finite(w):
     """Monomial coefficients agree across rearrangements of each partition."""
-    histogram = _position_sets(w.reduced_words(), lt)  # the "original" route's
+    histogram = _relation_histogram(w.window, ascents=True)  # the "original" route's
     for la in partitions_of(w.length()):
-        base = _count_within(histogram, la)
+        base = _coefficient(histogram, la)
         for alpha in _rearrangements(la):
-            if _count_within(histogram, alpha) != base:
+            if _coefficient(histogram, alpha) != base:
                 return False
     return True
 
@@ -163,7 +228,7 @@ def schur_expand(w):
         memo[key] = out
         return out
 
-    return SymFunc(w.length(), "s", expand(w))
+    return SymFunc._from_valid(w.length(), "s", expand(w))
 
 
 # -- affine -------------------------------------------------------------------
@@ -221,7 +286,7 @@ def affine_stanley(w):
         c = _count_cyclic_factorizations(n, w.window, la)
         if c:
             coeffs[la] = c
-    return SymFunc(ell, "m", coeffs)
+    return SymFunc._from_valid(ell, "m", coeffs)
 
 
 def affine_stanley_coefficient(w, alpha):

@@ -310,6 +310,14 @@ def little_move_backward(mw, max_steps=10000):
 # -- transition formula -------------------------------------------------------
 
 
+def _covers(w, i, j):
+    """True iff w t_{ij} covers w, for i < j: w(i) < w(j), and no value w(k)
+    with i < k < j lies between them.  An O(n) scan, where comparing lengths
+    would cost O(n^2)."""
+    a, b = w(i), w(j)
+    return a < b and not any(a < w(k) < b for k in range(i + 1, j))
+
+
 def transition_sides(w, r):
     """The three pieces of the transition identity at (w, r).
 
@@ -319,17 +327,8 @@ def transition_sides(w, r):
     """
     if not 1 <= r <= w.n:
         raise ValueError(f"position r={r} out of range for S_{w.n}")
-    ell = w.length()
-    left = []
-    for s in range(r + 1, w.n + 2):
-        u = w.transposition_right(r, s)
-        if u.length() == ell + 1:
-            left.append(u)
-    right = []
-    for s in range(1, r):
-        v = w.transposition_right(s, r)
-        if v.length() == ell + 1:
-            right.append(v)
-    shifted = w.one_times().transposition_right(1, r + 1)
-    extra = shifted if shifted.length() == ell + 1 else None
+    left = [w.transposition_right(r, s) for s in range(r + 1, w.n + 2) if _covers(w, r, s)]
+    right = [w.transposition_right(s, r) for s in range(1, r) if _covers(w, s, r)]
+    one = w.one_times()
+    extra = one.transposition_right(1, r + 1) if _covers(one, 1, r + 1) else None
     return left, right, extra

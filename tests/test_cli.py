@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stansym import cli
 from stansym.cli import (
     load_caps,
     main,
@@ -242,3 +243,43 @@ def test_valid_cap_takes_effect(monkeypatch, tmp_path):
     for key in ("STANSYM_MAX_RANK_FINITE", "STANSYM_MAX_RANK_AFFINE"):
         monkeypatch.delenv(key, raising=False)
     assert load_caps()["max_rank_finite"] == 4
+
+
+SEQUENCE = (
+    ["stanley", "2431"],
+    ["--format", "json", "schur-expand", "21543"],
+    ["reduced-words", "321", "--format", "json"],
+    ["stanley", "2431", "--method", "quasisym", "--format", "json"],
+    ["kschur", "-n", "3", "2,1"],
+    ["eg-insert", "2132"],
+    ["stanley", "24x1"],
+    ["verify", "examples"],
+)
+
+
+def test_consecutive_main_calls_build_one_parser_and_match_separate_calls(capsys, monkeypatch):
+    separate = []
+    for argv in SEQUENCE:
+        cli._parser.cache_clear()
+        separate.append(run(argv, capsys))
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        together = []
+        for argv in SEQUENCE:
+            together.append(run(argv, capsys))
+            with pytest.raises(SystemExit):  # a usage error leaves the kept parser usable
+                main(["stanley"])
+            capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert len(built) == 1

@@ -6,7 +6,7 @@ from stansym.affine import AffinePermutation, elements_of_length
 from stansym.nilhecke import NilHeckeElement, ScalarPoly, _level_zero_target
 from stansym.partition import bounded_partitions, partitions_of
 from stansym.permutation import Permutation, symmetric_group
-from stansym.stanley import affine_stanley
+from stansym.stanley import affine_stanley, schur_expand, stanley_fn
 from stansym.symfunc import SymFunc, change_basis, k_schur
 
 SIZES = ((3, 5), (4, 4))
@@ -101,3 +101,13 @@ def test_symfunc_results_rebuild_without_zeros():
                     _assert_symfunc_rebuilds(r)
     for w in _elements():
         _assert_symfunc_rebuilds(change_basis(affine_stanley(w), "affineSchur", w.n))
+
+
+def test_stanley_results_rebuild_without_zeros():
+    for n in range(1, 6):
+        for w in symmetric_group(n):
+            for method in ("original", "decreasing", "quasisym"):
+                _assert_symfunc_rebuilds(stanley_fn(w, method))
+            _assert_symfunc_rebuilds(schur_expand(w))
+    for w in _elements():
+        _assert_symfunc_rebuilds(affine_stanley(w))

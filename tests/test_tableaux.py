@@ -139,3 +139,22 @@ def test_transition_lengths():
             left, right, extra = transition_sides(w, r)
             for u in left + right + ([extra] if extra else []):
                 assert u.length() == w.length() + 1
+
+
+def _transition_sides_by_length(w, r):
+    """The definition: keep each transposition that raises the length by one."""
+    ell = w.length()
+    left = [u for s in range(r + 1, w.n + 2) if (u := w.transposition_right(r, s)).length() == ell + 1]
+    right = [v for s in range(1, r) if (v := w.transposition_right(s, r)).length() == ell + 1]
+    shifted = w.one_times().transposition_right(1, r + 1)
+    return left, right, shifted if shifted.length() == ell + 1 else None
+
+
+def test_transition_sides_scan_matches_the_length_definition_on_s6():
+    def windows(sides):
+        left, right, extra = sides
+        return [u.window for u in left], [v.window for v in right], extra and extra.window
+
+    for w in symmetric_group(6):
+        for r in range(1, 7):
+            assert windows(transition_sides(w, r)) == windows(_transition_sides_by_length(w, r)), (w, r)
