@@ -3,7 +3,8 @@
 Subcommands compute single objects (Stanley symmetric functions, expansions,
 EG insertion, Little moves, k-Schur and j-basis elements) or run the named
 verification suites.  Output is text or JSON; exit status is 0 on success,
-1 on a verification failure, 2 on usage errors.
+1 on a verification failure, 2 on usage errors, and 141 (128 + SIGPIPE, as a
+shell reports it) when the reader of stdout closes it before the output ends.
 """
 
 import argparse
@@ -461,13 +462,19 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        return dispatch(args, fmt, load_caps())
+        status = dispatch(args, fmt, load_caps())
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return status
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a cross-check between independent routes failed
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left early: the interpreter's flush at exit goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 def dispatch(args, fmt, caps):

@@ -481,36 +481,29 @@ def _j_basis_system(n, ell):
     for col, x in enumerate(index):
         for i, phi in enumerate(table[x]):
             for y, c in phi.coeffs.items():
-                entries.setdefault((i, y), []).append((col, c))
+                entries.setdefault((i, y), {})[col] = c
     support = sorted(entries, key=lambda t: (t[0], t[1].window))
-    rows = []
-    for key in support:
-        row = [0] * len(index)
-        for col, c in entries[key]:
-            row[col] = c
-        rows.append(row)
+    rows = [entries[key] for key in support]
     grassmannian = []
     for col, x in enumerate(index):
         if x.is_grassmannian():
             grassmannian.append(x)
-            rows.append([0] * len(index))
-            rows[-1][col] = 1
-    return index, tuple(support), tuple(grassmannian), _eliminate(tuple(map(tuple, rows)))
+            rows.append({col: 1})
+    return index, tuple(support), tuple(grassmannian), _eliminate(rows, len(index))
 
 
-def _j_basis_by_solver(n, w, table):
+def _j_basis_by_solver(n, w):
     """The unique integer combination of {A_x : l(x) = l(w)} whose
     Grassmannian part is A_w and which phi0-commutes with every x_i.
 
-    ``table`` is ``_phi0_x_table(n, l(w))``, the table the cached system
-    ``_j_basis_system(n, l(w))`` is built from; each call replays that
-    system on its normalization right-hand side only.
+    Each call replays the cached system ``_j_basis_system(n, l(w))`` on its
+    normalization right-hand side only.
     """
     from .symfunc import _replay
 
     index, support, grassmannian, system = _j_basis_system(n, w.length())
     rhs = [0] * len(support) + [1 if x == w else 0 for x in grassmannian]
-    sol, _, bad = _replay(system, len(index), rhs)
+    sol, _, bad = _replay(system, rhs)
     if bad is not None:
         if bad < len(support):
             i, y = support[bad]
@@ -542,7 +535,7 @@ def j_basis_element(n, w, cross_check=True):
         table = _phi0_x_table(n, w.length())
         if not table.keys() >= a.coeffs.keys():
             raise AssertionError(f"j-element for {w!r} is not of length {w.length()}")
-        solved = _j_basis_by_solver(n, w, table)
+        solved = _j_basis_by_solver(n, w)
         for x in table:
             c, d = a.coeffs.get(x, 0), solved.coeffs.get(x, 0)
             if c != d:

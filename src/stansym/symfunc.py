@@ -9,12 +9,12 @@ through m, degree by degree, and builds each column once:
   ``change_basis`` to them peels: it takes the lex-largest m-term, which is
   dominance-maximal, subtracts that coefficient times the term's column, and
   repeats.  It builds only the columns it meets.
-- h, e and k-Schur are solved for.  One fraction-free integer elimination,
-  ``_eliminate``, factors the transition of each (basis, rank, degree) once
-  (``_transition``), and every right-hand side replays it (``_replay``).
-  ``_solve_exact`` is the checked entry point for other callers; the
-  k-Schur table and the j-basis use the same elimination.  Results are
-  checked to be integral.
+- h, e and k-Schur are solved for.  Each system is built sparse and
+  factored once by ``_eliminate``, a fraction-free integer elimination, in
+  the cache of the function that builds it (``_transition`` for a (basis,
+  rank, degree), the k-Schur table, the j-basis); every right-hand side
+  replays it (``_replay``).  ``_solve_exact`` is the checked entry point
+  for dense callers.  Results are checked to be integral.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
@@ -427,7 +427,7 @@ def change_basis(f, basis, n=None):
         if mu not in row_of:  # no basis element has an m_mu term
             raise ValueError(f"not expressible in basis {target}: obstructing coefficient on m_{mu}")
         rhs[row_of[mu]] = c
-    sol, _, residual_row = _replay(system, len(index), rhs)
+    sol, _, residual_row = _replay(system, rhs)
     if residual_row is not None:
         raise ValueError(
             f"not expressible in basis {target}: obstructing coefficient on "
@@ -479,10 +479,13 @@ def _transition(name, rank, degree):
     cached and shared, so callers only read it.
     """
     index = _basis_partitions(name, rank, degree)
-    columns = [_expand_to_m(name, rank, la) for la in index]
-    support = sorted({mu for col in columns for mu in col}, reverse=True)
-    matrix = tuple(tuple(col.get(mu, 0) for col in columns) for mu in support)
-    return tuple(index), tuple(support), {mu: i for i, mu in enumerate(support)}, _eliminate(matrix)
+    rows = {}
+    for j, la in enumerate(index):
+        for mu, c in _expand_to_m(name, rank, la).items():
+            rows.setdefault(mu, {})[j] = c
+    support = tuple(sorted(rows, reverse=True))
+    system = _eliminate([rows[mu] for mu in support], len(index))
+    return tuple(index), support, {mu: i for i, mu in enumerate(support)}, system
 
 
 def _check_ints(line):
@@ -497,15 +500,12 @@ def _check_ints(line):
 def _solve_exact(rows, rhs):
     """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` exactly over the integers.
 
-    Each distinct matrix is eliminated once, fraction-free on sparse rows,
-    by the cached ``_eliminate``; ``_replay`` then runs its recorded steps
-    on ``rhs``, followed by the residual test and back substitution.
-    Entries must be ints; anything else raises TypeError rather than being
-    truncated, and every entry is checked on every call, before the cache is
-    consulted (``1.0 == 1`` and both hash alike).  Returns ``(solution,
-    rank, None)``, with the free unknowns set to 0 and the solution as
-    Fractions, or, for an inconsistent system, ``(None, rank, i)`` with
-    ``i`` the index of an input row that the others contradict.
+    The dense rows are made sparse and factored, uncached, by ``_eliminate``,
+    and ``_replay`` runs the result on ``rhs``.  Entries must be ints;
+    anything else raises TypeError rather than being truncated.  Returns
+    ``(solution, rank, None)``, with the free unknowns set to 0 and the
+    solution as Fractions, or, for an inconsistent system, ``(None, rank,
+    i)`` with ``i`` the index of an input row that the others contradict.
     """
     width = len(rows[0]) if rows else 0
     for row in rows:
@@ -515,15 +515,15 @@ def _solve_exact(rows, rhs):
     _check_ints(rhs)
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand side entries")
-    return _replay(_eliminate(tuple(map(tuple, rows))), width, rhs)
+    return _replay(_eliminate([{j: v for j, v in enumerate(row) if v} for row in rows], width), rhs)
 
 
-def _replay(system, width, rhs):
-    """Solve against a matrix of ``width`` columns that ``_eliminate``
-    factored into ``system``, for an int ``rhs`` with one entry per row;
-    returns what ``_solve_exact`` returns.  Internal callers whose matrix
-    and right-hand side are ints by construction call it directly."""
-    steps, pivots, order = system
+def _replay(system, rhs):
+    """Solve against a matrix that ``_eliminate`` factored into ``system``,
+    for an int ``rhs`` with one entry per row; returns what ``_solve_exact``
+    returns.  Internal callers whose matrix and right-hand side are ints by
+    construction call it directly."""
+    steps, pivots, order, width = system
     b = list(rhs)
     prev = 1
     for r, p, scale, piv, updates in steps:
@@ -545,10 +545,10 @@ def _replay(system, width, rhs):
     return [Fraction(x, prev) for x in scaled], rank, None
 
 
-@lru_cache(maxsize=32)
-def _eliminate(matrix):
-    """Fraction-free elimination of ``matrix`` (Bareiss, Math. Comp. 22,
-    1968) on sparse rows ``{column: int}``, recorded for ``_solve_exact``.
+def _eliminate(rows, width):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of a list of
+    sparse rows ``{column: nonzero int}`` with ``width`` columns, consumed and
+    recorded for ``_replay``; the function that builds the rows caches this.
 
     The pivots are those of dense elimination: columns left to right, and
     for each the first row, in the current order, with a nonzero entry.  In
@@ -559,28 +559,27 @@ def _eliminate(matrix):
     updates it, it divides by that level instead, exactly.  A pivot row is
     first brought to the current level, so the pivots stay Bareiss's.
 
-    Returns ``(steps, pivots, order)``.  ``steps`` holds one
+    Returns ``(steps, pivots, order, width)``.  ``steps`` holds one
     ``(r, p, scale, pivot, updates)`` per pivot: swap rows r and p, bring
     row r from level ``scale`` to the previous pivot, then for each
     ``(i, f, d)`` in ``updates`` set row i to (pivot * row i - f * row r) / d.
     ``pivots`` holds ``(column, pivot, other entries)`` of each pivot row
     and ``order`` the input index of each row in the final order.
     """
-    m, k = len(matrix), len(matrix[0]) if matrix else 0
-    work = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    m = len(rows)
     level = [1] * m
     order = list(range(m))
     steps, pivots = [], []
     prev = 1
-    for c in range(k):
+    for c in range(width):
         r = len(pivots)
-        hits = [i for i in range(r, m) if c in work[i]]
+        hits = [i for i in range(r, m) if c in rows[i]]
         if not hits:
             continue
         p = hits[0]
-        for seq in (work, level, order):
+        for seq in (rows, level, order):
             seq[r], seq[p] = seq[p], seq[r]
-        top, scale = work[r], level[r]
+        top, scale = rows[r], level[r]
         if scale != prev:
             top = {j: v * prev // scale for j, v in top.items()}
         piv = top.pop(c)
@@ -588,18 +587,18 @@ def _eliminate(matrix):
         # the rows between r and p have no entry in column c, and the row
         # swapped down to p had none either
         for i in hits[1:]:
-            row, d = work[i], level[i]
+            row, d = rows[i], level[i]
             f = row.pop(c)
             new = {j: piv * v for j, v in row.items()}
             for j, t in top.items():
                 new[j] = new.get(j, 0) - f * t
-            work[i] = {j: v // d for j, v in new.items() if v}
+            rows[i] = {j: v // d for j, v in new.items() if v}
             level[i] = piv
             updates.append((i, f, d))
         steps.append((r, p, scale, piv, tuple(updates)))
         pivots.append((c, piv, top))
         prev = piv
-    return tuple(steps), tuple(pivots), tuple(order)
+    return tuple(steps), tuple(pivots), tuple(order), width
 
 
 def hall_inner_product(f, g):
@@ -718,7 +717,7 @@ def affine_schur(n, la):
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _k_schur_h_table(n, degree):
     """h-expansions of all k-Schur functions of one degree, by duality.
 
@@ -734,10 +733,11 @@ def _k_schur_h_table(n, degree):
                 raise AssertionError(
                     f"F~_{la} (n={n}) has a term m_{mu} outside the dominance order below {la}"
                 )
-    system = _eliminate(tuple(tuple(A[nu].get(mu, 0) for mu in index) for nu in index))
+    position = {mu: j for j, mu in enumerate(index)}
+    system = _eliminate([{position[mu]: c for mu, c in A[nu].items()} for nu in index], len(index))
     table = {}
     for la in index:
-        sol, _, bad = _replay(system, len(index), [1 if nu == la else 0 for nu in index])
+        sol, _, bad = _replay(system, [1 if nu == la else 0 for nu in index])
         if bad is not None:
             raise AssertionError(f"k-Schur duality system for n={n}, la={la} is inconsistent")
         for mu, x in zip(index, sol):

@@ -98,7 +98,7 @@ def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
             raise AssertionError(f"built a second s column, {la}")
         return column(la)
 
-    def no_elimination(matrix):
+    def no_elimination(rows, width):
         raise AssertionError("the peel ran an elimination")
 
     f = stanley_fn(Permutation.longest(7))
@@ -121,17 +121,23 @@ def test_solved_bases_equal_the_full_solve_and_replay_one_transition(basis, n, m
                 f = _combination(rng, "s", bounded, d)
             assert change_basis(f, basis, n).coeffs == _change_basis_by_solve(f, basis, n).coeffs
     # once the degree is factored, a change of basis neither checks nor eliminates a matrix
-    before = symfunc._eliminate.cache_info().misses
+    eliminations = []
+    eliminate = symfunc._eliminate
+
+    def counted(rows, width):
+        eliminations.append(width)
+        return eliminate(rows, width)
 
     def unchecked(rows, rhs):
         raise AssertionError("change_basis went through the checked solver")
 
+    monkeypatch.setattr(symfunc, "_eliminate", counted)
     monkeypatch.setattr(symfunc, "_solve_exact", unchecked)
     for la in partitions_of(6) if n is None else bounded_partitions(n, 5):
         f = SymFunc.monomial("h" if n else "s", la)
         g = change_basis(f, basis, n)
         assert g.basis != f.basis and change_basis(g, f.basis) == f
-    assert symfunc._eliminate.cache_info().misses == before
+    assert eliminations == []
 
 
 def test_not_in_the_k_schur_span_names_an_m_term():

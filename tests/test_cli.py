@@ -1,6 +1,9 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -196,11 +199,29 @@ def test_non_integer_json_entry_exits_2(capsys):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_exits_141_without_a_traceback(fmt):
+    # about 350 kB of reduced words, more than a pipe holds, so the writer
+    # is still writing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stansym.cli", "reduced-words", "564312", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141 and err == b"", err.decode()
+
+
 def test_failed_cross_check_exits_1(capsys, monkeypatch):
     from stansym import nilhecke
 
     monkeypatch.setattr(
-        nilhecke, "_j_basis_by_solver", lambda n, w, table: NilCoxeterElement.zero(n, True)
+        nilhecke, "_j_basis_by_solver", lambda n, w: NilCoxeterElement.zero(n, True)
     )
     code, out, err = run(["jbasis", "-n", "3", "2,1"], capsys)
     assert code == 1 and out == ""

@@ -1,5 +1,7 @@
 """Affine nilHecke ring: commutation, coproduct, phi0, and the j-basis."""
 
+import tracemalloc
+
 import pytest
 
 from stansym import nilhecke, symfunc
@@ -229,13 +231,20 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
         j_basis_element(n, w, cross_check=False)
     _phi0_x_table.cache_clear()
     nilhecke._j_basis_system.cache_clear()
-    symfunc._eliminate.cache_clear()
+    eliminations = []
+    eliminate = symfunc._eliminate
+
+    def counted(rows, width):
+        eliminations.append(width)
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(symfunc, "_eliminate", counted)
     calls = _count_transpositions(monkeypatch)
     for w in grassmannians:
         j_basis_element(n, w)
     # each x of length ell has ell inversions, each tried once over all four
     assert len(calls) == ell * len(elements_of_length(n, ell))
-    assert symfunc._eliminate.cache_info().misses == 1
+    assert eliminations == [len(elements_of_length(n, ell))]
 
 
 def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
@@ -247,16 +256,61 @@ def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
         raise AssertionError("the j-basis went through the checked solver")
 
     monkeypatch.setattr(symfunc, "_solve_exact", unchecked)
-    table = _phi0_x_table(n, ell)
     for w in grassmannians:
-        a = nilhecke._j_basis_by_solver(n, w, table)
+        a = nilhecke._j_basis_by_solver(n, w)
         assert a.coeffs[w] == 1 and all(a.coeffs.get(x, 0) == 0 for x in grassmannians if x != w)
     assert nilhecke._j_basis_system.cache_info().misses == 1
 
 
 def test_solver_and_phi0_caches_are_bounded():
-    for cached in (_phi0_x_table, nilhecke._j_basis_system, symfunc._eliminate):
+    for cached in (_phi0_x_table, nilhecke._j_basis_system, symfunc._k_schur_h_table):
         assert cached.cache_info().maxsize is not None
+    # each factored system lives only in the cache of the function that builds it
+    assert not hasattr(symfunc._eliminate, "cache_info")
+
+
+def test_j_basis_system_holds_only_its_nonzeros():
+    # n=6 l=6 is 1522 x 461 with 4,728 nonzeros; a dense copy of it peaks near 15 MiB
+    _phi0_x_table(6, 6)
+    nilhecke._j_basis_system.cache_clear()
+    tracemalloc.start()
+    try:
+        nilhecke._j_basis_system(6, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_every_system_reaches_the_elimination_as_sparse_rows(monkeypatch):
+    from stansym.nilcoxeter import conjecture_52_report
+
+    seen = []
+    eliminate = symfunc._eliminate
+
+    def sparse_only(rows, *width):
+        bad = [row for row in rows if type(row) is not dict]
+        if bad:
+            raise AssertionError(f"a {type(bad[0]).__name__} row reached the elimination")
+        seen.append(len(rows))
+        return eliminate(rows, *width)
+
+    for cached in (symfunc._transition, symfunc._k_schur_h_table, nilhecke._j_basis_system):
+        cached.cache_clear()
+    monkeypatch.setattr(symfunc, "_eliminate", sparse_only)
+    s211 = symfunc.SymFunc.monomial("s", (2, 1, 1))
+    routes = (
+        lambda: symfunc.change_basis(s211, "h"),
+        lambda: symfunc.change_basis(s211, "e"),
+        lambda: symfunc.change_basis(symfunc.SymFunc.monomial("h", (2, 1, 1)), "kSchur", 3),
+        lambda: symfunc.k_schur(4, (3, 1)),
+        lambda: j_basis_element(4, grassmannian_from_partition(4, (2, 1)), cross_check=True),
+        lambda: conjecture_52_report(3),
+    )
+    for route in routes:
+        before = len(seen)
+        route()
+        assert len(seen) > before
 
 
 def test_j_basis_disagreement_names_the_witness(monkeypatch):

@@ -20,7 +20,6 @@ from stansym.symfunc import (
     _expand_to_m,
     _h_to_m,
     _jacobi_trudi_h,
-    _eliminate,
     _product_to_m,
     _solve_exact,
     affine_schur,
@@ -321,14 +320,10 @@ def systems_with_many_right_hand_sides(draw):
 
 @given(systems_with_many_right_hand_sides())
 @settings(max_examples=100, deadline=None)
-def test_solver_replays_one_elimination_on_each_right_hand_side(system):
+def test_solver_agrees_with_gauss_jordan_on_many_right_hand_sides(system):
     rows, many = system
-    before = _eliminate.cache_info()
     for rhs in many:
         assert _solve_exact(rows, rhs) == gauss_jordan(rows, rhs)
-    after = _eliminate.cache_info()
-    assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= len(many) - 1
 
 
 def test_solver_returns_fresh_lists():
@@ -369,7 +364,7 @@ def test_solver_rejects_mismatched_shapes(rows, rhs):
 @pytest.mark.parametrize("entry", [Fraction(1), 1.0])
 def test_solver_rejects_non_integers_equal_to_a_cached_matrix(entry):
     rows = [[1, 0], [0, 1]]
-    _solve_exact(rows, [0, 1])  # the int matrix is now cached
+    _solve_exact(rows, [0, 1])  # the int matrix solves; its equal twins must not
     assert ((entry, 0), (0, 1)) == tuple(map(tuple, rows))
     with pytest.raises(TypeError):
         _solve_exact([[entry, 0], [0, 1]], [0, 1])
