@@ -4,17 +4,19 @@ Elements are integer combinations of basis elements A_w indexed by group
 elements; products are length-additive (A_w A_v = A_{wv} when lengths add,
 zero otherwise).  On top of this sit the Fomin-Stanley elements h_k, their
 affine analogues, the noncommutative (k-)Schur functions, and the
-commutative-subalgebra experiments.
+commutative-subalgebra experiments.  The noncommutative (k-)Schur functions
+are read off the (affine) Schur expansions of F_w by the Cauchy identity.
 """
 
 from functools import lru_cache
 from itertools import combinations
 from operator import index
 
-from .affine import AffinePermutation, cyclically_decreasing
+from .affine import AffinePermutation, cyclically_decreasing, elements_of_length
 from .partition import as_partition, partitions_inside, staircase
 from .permutation import Permutation
-from .symfunc import _jacobi_trudi_h, _solve_exact, k_schur
+from .stanley import affine_schur_expand, schur_expand
+from .symfunc import _solve_exact
 
 
 class NilCoxeterElement:
@@ -151,24 +153,36 @@ def product_expansion_check(n):
     return poly[: len(expected)] == expected and all(p.is_zero() for p in poly[len(expected):])
 
 
+@lru_cache(maxsize=64)
+def _schur_table(n, degree, affine):
+    """{la: {w: [s_la] F_w}} over the w in S_n of length ``degree``, walked up
+    from the identity, or {la: {x: [F~_la] F~_x}} over those in S~_n.  The
+    table is cached and shared, so callers only read it."""
+    if affine:
+        layer, expand = elements_of_length(n, degree), affine_schur_expand
+    else:
+        layer, expand = {Permutation.identity(n)}, schur_expand
+        for _ in range(degree):
+            layer = {w.transposition_right(i, i + 1)
+                     for w in layer for i in range(1, n) if w(i) < w(i + 1)}
+    table = {}
+    for w in layer:
+        for la, c in expand(w).coeffs.items():
+            table.setdefault(la, {})[w] = c
+    return table
+
+
 def noncommutative_schur(n, la, affine=False):
-    """s_la (finite) or the noncommutative k-Schur s^(k)_la (affine):
-    the h-expansion of the symmetric function with h_k replaced by h-elements.
+    """s_la(u) or the noncommutative k-Schur s^(k)_la(u): h_k -> h-elements in
+    s_la or s^(k)_la.  Read off by the Cauchy identity: [A_w] s_la(u) =
+    [s_la] F_w (Fomin-Stanley 1994), [A_x] s^(k)_la(u) = [F~_la] F~_x (Lam 2006).
     """
     la = as_partition(la)
-    if affine:
-        expansion = k_schur(n, la).coeffs
-    else:
-        expansion = _jacobi_trudi_h(la)
-    out = NilCoxeterElement.zero(n, affine)
-    for mu, c in expansion.items():
-        if not affine and any(part >= n for part in mu):
-            continue  # h_k = 0 for k >= n in the finite algebra
-        term = c * NilCoxeterElement.one(n, affine)
-        for part in mu:
-            term = term * h_element(n, part, affine)
-        out = out + term
-    return out
+    if affine and la and la[0] > n - 1:
+        raise ValueError(f"partition {la} is not ({n-1})-bounded")
+    if not affine and sum(la) > n * (n - 1) // 2:
+        return NilCoxeterElement.zero(n)  # above the top degree of S_n
+    return NilCoxeterElement(n, affine, _schur_table(n, sum(la), affine).get(la, {}))
 
 
 def divided_difference_action(a, f):

@@ -13,7 +13,6 @@ from operator import index
 
 from .affine import AffinePermutation, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
-from .permutation import Permutation
 
 
 class ScalarPoly:
@@ -85,8 +84,8 @@ class ScalarPoly:
         return ScalarPoly._from_valid(self.n, {e: k * c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
+        if not isinstance(other, ScalarPoly):  # p * a falls to NilHeckeElement.__rmul__
+            return other * self if isinstance(other, int) else NotImplemented
         self._check_rank(other)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -232,9 +231,6 @@ class NilHeckeElement:
     def __rmul__(self, k):
         """Left multiplication by an integer or a scalar polynomial."""
         return NilHeckeElement(self.n, {w: k * p for w, p in self.coeffs.items()})
-
-    def scalar_left(self, p):
-        return NilHeckeElement(self.n, {w: p * q for w, q in self.coeffs.items()})
 
     def __eq__(self, other):
         return self.n == other.n and self.coeffs == other.coeffs
@@ -519,7 +515,8 @@ def _j_basis_by_solver(n, w):
 
 def j_basis_element(n, w, cross_check=True):
     """The j-basis element of the affine Fomin-Stanley subalgebra for a
-    Grassmannian w, via the noncommutative k-Schur substitution.
+    Grassmannian w: the noncommutative k-Schur function s^(k)_shape(w)(u),
+    read off the affine Schur expansions of F~_x (``noncommutative_schur``).
 
     With ``cross_check`` the independent linear-solver construction must
     agree, A_w must be the unique Grassmannian term, and phi0(a x_i) must
@@ -540,8 +537,8 @@ def j_basis_element(n, w, cross_check=True):
             c, d = a.coeffs.get(x, 0), solved.coeffs.get(x, 0)
             if c != d:
                 raise AssertionError(
-                    f"j-basis constructions disagree for {w!r}: at {x!r} the k-Schur "
-                    f"substitution gives {c} and the linear solve {d}"
+                    f"j-basis constructions disagree for {w!r}: at {x!r} the affine "
+                    f"Cauchy read-off gives {c} and the linear solve {d}"
                 )
         for i in range(n):
             ax = {}
@@ -575,6 +572,6 @@ def translation_centralizer_check(n, la):
     a = NilHeckeElement(n, {translation_element(CorootVector(mu)): 1 for mu in la.orbit()})
     for i in range(1, n + 1):
         xi = ScalarPoly.x(n, i)
-        if not (a * NilHeckeElement.from_scalar(xi) - a.scalar_left(xi)).is_zero():
+        if not (a * NilHeckeElement.from_scalar(xi) - xi * a).is_zero():
             return False
     return True

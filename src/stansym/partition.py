@@ -96,16 +96,16 @@ def count_standard_tableaux_brute(la):
 
 @lru_cache(maxsize=None)
 def partitions_of(d, max_part=None):
-    """All partitions of ``d`` with parts at most ``max_part``, reverse-lex."""
+    """All partitions of ``d`` with parts at most ``max_part``, reverse-lex (a shared tuple)."""
     if max_part is None or max_part > d:
         max_part = d
     if d == 0:
-        return [()]
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(d - first, first):
-            out.append((first,) + rest)
-    return out
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(max_part, 0, -1)
+        for rest in partitions_of(d - first, first)
+    )
 
 
 def bounded_partitions(n, d):

@@ -2,7 +2,6 @@
 and the transition-formula bookkeeping.
 """
 
-from functools import lru_cache
 from operator import index
 
 from .partition import as_partition
@@ -181,6 +180,8 @@ def coxeter_knuth_classes(w):
 
 # -- Little moves -------------------------------------------------------------
 
+_MAX_LITTLE_STEPS = 10000
+
 
 class MarkedWord:
     """A word with a marked index whose deletion leaves a reduced word."""
@@ -233,32 +234,27 @@ def little_step(mw):
     return MarkedWord(word, marks[0])
 
 
-def little_move(mw, max_steps=10000):
-    """The forward Little move: traverse the graph to the next marked reduced
-    word.  The iteration cap guards the well-definedness contract."""
+def _traverse(mw, step):
+    """The Little-graph path from ``mw``: ``step`` until the word is reduced
+    again.  The cap guards the well-definedness contract."""
+    chain = [mw, step(mw)]
+    while not chain[-1].is_reduced():
+        if len(chain) > _MAX_LITTLE_STEPS:
+            raise AssertionError(f"Little graph traversal from {mw!r} did not terminate")
+        chain.append(step(chain[-1]))
+    return chain
+
+
+def little_move(mw):
+    """The forward Little move: traverse the graph to the next marked reduced word."""
     if not mw.is_reduced():
         raise ValueError("forward Little move starts at a marked reduced word")
-    cur = little_step(mw)
-    steps = 1
-    while not cur.is_reduced():
-        cur = little_step(cur)
-        steps += 1
-        if steps > max_steps:
-            raise AssertionError("Little graph traversal did not terminate")
-    return cur
+    return _traverse(mw, little_step)[-1]
 
 
-def little_move_chain(mw, max_steps=10000):
+def little_move_chain(mw):
     """The full traversal, including intermediate nearly reduced words."""
-    chain = [mw]
-    cur = mw
-    while True:
-        cur = little_step(cur)
-        chain.append(cur)
-        if cur.is_reduced():
-            return chain
-        if len(chain) > max_steps:
-            raise AssertionError("Little graph traversal did not terminate")
+    return _traverse(mw, little_step)
 
 
 def little_step_backward(mw):
@@ -293,18 +289,11 @@ def little_step_backward(mw):
     return pred
 
 
-def little_move_backward(mw, max_steps=10000):
+def little_move_backward(mw):
     """Inverse of the forward Little move on marked reduced words."""
     if not mw.is_reduced():
         raise ValueError("backward Little move starts at a marked reduced word")
-    cur = little_step_backward(mw)
-    steps = 1
-    while not cur.is_reduced():
-        cur = little_step_backward(cur)
-        steps += 1
-        if steps > max_steps:
-            raise AssertionError("backward Little traversal did not terminate")
-    return cur
+    return _traverse(mw, little_step_backward)[-1]
 
 
 # -- transition formula -------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from stansym.affine import AffinePermutation
+from stansym import nilcoxeter
+from stansym.affine import AffinePermutation, elements_of_length
 from stansym.nilcoxeter import (
     NilCoxeterElement,
     conjecture_52_report,
@@ -12,10 +13,11 @@ from stansym.nilcoxeter import (
     noncommutative_schur,
     product_expansion_check,
 )
-from stansym.nilhecke import ScalarPoly
-from stansym.partition import partitions_inside, staircase
+from stansym.nilhecke import ScalarPoly, j_basis_element
+from stansym.partition import bounded_partitions, partitions_inside, partitions_of, staircase
 from stansym.permutation import Permutation, symmetric_group
 from stansym.stanley import stanley_fn
+from stansym.symfunc import _jacobi_trudi_h, k_schur
 
 
 def A(word, n):
@@ -153,3 +155,90 @@ def test_affine_noncommutative_schur_single_row():
     for n in (3, 4):
         for k in range(1, n):
             assert noncommutative_schur(n, (k,), affine=True) == h_element(n, k, affine=True)
+
+
+# -- the read-off against the substitution it replaces -------------------------
+
+
+def substitution(n, la, affine=False):
+    """The definition of s_la(u) (finite) or s^(k)_la(u) (affine): the
+    Jacobi-Trudi or k-Schur h-expansion, with each h_k replaced by the
+    h-element and the products taken in the nilCoxeter algebra."""
+    expansion = k_schur(n, la).coeffs if affine else _jacobi_trudi_h(la)
+    out = NilCoxeterElement.zero(n, affine)
+    for mu, c in expansion.items():
+        if mu and mu[0] >= n:
+            continue  # h_k = 0 for k >= n in the finite algebra
+        term = c * NilCoxeterElement.one(n, affine)
+        for part in mu:
+            term = term * h_element(n, part, affine)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_finite_read_off_equals_the_substitution_inside_the_staircase(n):
+    for la in partitions_inside(staircase(n - 1)):
+        assert noncommutative_schur(n, la) == substitution(n, la), la
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_finite_read_off_vanishes_with_the_substitution_outside_the_staircase(n):
+    # the determinant has len(la)! terms, so the oracle stops at six rows
+    inside = set(partitions_inside(staircase(n - 1)))
+    for d in range(n * (n - 1) // 2 + 2):
+        for la in partitions_of(d):
+            if la not in inside and len(la) <= 6:
+                got = noncommutative_schur(n, la)
+                assert got.is_zero() and got == substitution(n, la), la
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_affine_read_off_equals_the_k_schur_substitution(n):
+    for d in range(7):
+        for la in bounded_partitions(n, d):
+            assert noncommutative_schur(n, la, affine=True) == substitution(n, la, affine=True), la
+
+
+def test_no_nilcoxeter_product_builds_the_schur_elements_or_the_j_basis(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a nilCoxeter product on the computing path")
+
+    nilcoxeter._schur_table.cache_clear()
+    monkeypatch.setattr(NilCoxeterElement, "__mul__", refuse)
+    assert len(noncommutative_schur(4, (2, 1)).coeffs) == 4
+    assert len(noncommutative_schur(4, (2, 1), affine=True).coeffs) == 12
+    grassmannians = [
+        w for ell in range(5) for w in elements_of_length(4, ell) if w.is_grassmannian()
+    ]
+    for w in grassmannians:
+        assert j_basis_element(4, w, cross_check=True).coeffs[w] == 1
+
+
+def test_affine_read_off_rejects_an_unbounded_partition():
+    with pytest.raises(ValueError, match=r"not \(3\)-bounded"):
+        noncommutative_schur(4, (4, 1), affine=True)
+
+
+def test_over_degree_partition_is_zero_without_walking_the_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked S_5")
+
+    monkeypatch.setattr(nilcoxeter, "schur_expand", refuse)
+    monkeypatch.setattr(Permutation, "transposition_right", refuse)
+    for la in [(11,), (6, 5), (4, 4, 3), (1,) * 11]:
+        assert noncommutative_schur(5, la) == NilCoxeterElement.zero(5)
+
+
+def test_finite_table_walks_only_the_layer_it_needs(monkeypatch):
+    expanded = []
+    schur_expand = nilcoxeter.schur_expand
+
+    def counted(w):
+        expanded.append(w)
+        return schur_expand(w)
+
+    nilcoxeter._schur_table.cache_clear()
+    monkeypatch.setattr(nilcoxeter, "schur_expand", counted)
+    assert len(noncommutative_schur(8, (1,)).coeffs) == 7
+    assert sorted(w.length() for w in expanded) == [1] * 7

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from stansym import nilhecke, symfunc
+from stansym import nilcoxeter, nilhecke, symfunc
 from stansym.affine import (
     AffinePermutation,
     CorootVector,
@@ -44,6 +44,15 @@ def test_scalar_poly_arithmetic():
     assert ScalarPoly.alpha(3, 0) == ScalarPoly.x(3, 3) - x1
     assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     assert ScalarPoly.x(3, 4) == x1  # indices wrap mod n
+
+
+def test_scalar_poly_times_element_multiplies_on_the_left():
+    x1 = ScalarPoly.x(3, 1)
+    a = basis((1,)) + 2 * basis((0, 2))
+    assert x1 * a == NilHeckeElement.from_scalar(x1) * a
+    assert (x1 * a).coeffs == {w: x1 * p for w, p in a.coeffs.items()}
+    with pytest.raises(TypeError):
+        x1 * "x"
 
 
 def test_divided_difference_on_scalars():
@@ -227,7 +236,7 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
     n, ell = 4, 4
     grassmannians = [w for w in elements_of_length(n, ell) if w.is_grassmannian()]
     assert len(grassmannians) == 4
-    for w in grassmannians:  # the k-Schur route runs its own solve; warm it first
+    for w in grassmannians:  # the read-off route builds its own tables; warm them first
         j_basis_element(n, w, cross_check=False)
     _phi0_x_table.cache_clear()
     nilhecke._j_basis_system.cache_clear()
@@ -263,7 +272,12 @@ def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
 
 
 def test_solver_and_phi0_caches_are_bounded():
-    for cached in (_phi0_x_table, nilhecke._j_basis_system, symfunc._k_schur_h_table):
+    for cached in (
+        _phi0_x_table,
+        nilhecke._j_basis_system,
+        symfunc._k_schur_h_table,
+        nilcoxeter._schur_table,
+    ):
         assert cached.cache_info().maxsize is not None
     # each factored system lives only in the cache of the function that builds it
     assert not hasattr(symfunc._eliminate, "cache_info")

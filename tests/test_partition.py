@@ -69,6 +69,17 @@ def test_partitions_of_counts():
     assert [len(partitions_of(d)) for d in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
 
+def test_partitions_of_hands_out_a_tuple_no_caller_can_empty():
+    from stansym.permutation import Permutation
+    from stansym.stanley import stanley_fn
+    from stansym.symfunc import SymFunc
+
+    assert type(partitions_of(3)) is tuple
+    with pytest.raises(AttributeError):
+        partitions_of(3).clear()
+    assert stanley_fn(Permutation([1, 4, 3, 2])) == SymFunc(3, "m", {(2, 1): 1, (1, 1, 1): 2})
+
+
 def test_bounded_partitions_restrict_largest_part():
     for la in bounded_partitions(3, 6):
         assert not la or la[0] <= 2

@@ -1,7 +1,10 @@
 """EG insertion, Coxeter-Knuth classes, Little moves, transition sides."""
 
+import inspect
+
 import pytest
 
+from stansym import tableaux
 from stansym.partition import count_standard_tableaux
 from stansym.permutation import Permutation, is_reduced, symmetric_group
 from stansym.tableaux import (
@@ -94,6 +97,17 @@ def test_little_move_chain_example():
         (3, 2, 4, 5, 3, 2, 1),
     ]
     assert chain[-1].mark == 7
+
+
+def test_little_traversals_share_one_capped_walk(monkeypatch):
+    mw = MarkedWord((2, 1, 3, 4, 3, 2, 1), 5)  # three steps forward, as above
+    end = little_move(mw)
+    for move in (little_move, little_move_chain, little_move_backward):
+        assert list(inspect.signature(move).parameters) == ["mw"]
+    monkeypatch.setattr(tableaux, "_MAX_LITTLE_STEPS", 1)
+    for move, start in ((little_move, mw), (little_move_chain, mw), (little_move_backward, end)):
+        with pytest.raises(AssertionError, match="did not terminate"):
+            move(start)
 
 
 def test_little_step_shifts_at_one():
