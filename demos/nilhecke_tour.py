@@ -13,7 +13,7 @@ from stansym import (
     kappa,
     noncommutative_schur,
 )
-from stansym.affine import elements_of_length, grassmannian_from_partition
+from stansym.affine import elements_of_length
 from stansym.nilhecke import commute_past
 
 
@@ -48,7 +48,7 @@ def main():
             if w.is_grassmannian():
                 print(f"  shape {str(w.shape()):12s} j = {j_basis_element(n, w)}")
 
-    j = j_basis_element(4, grassmannian_from_partition(4, (2, 2, 1)), cross_check=False)
+    j = noncommutative_schur(4, (2, 2, 1), affine=True)
     print("\nkappa of the (2,2,1) element in rank 4:", kappa(j))
 
 

@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from functools import lru_cache
+from math import comb
 
 from .affine import AffinePermutation, CorootVector, elements_of_length
 from .partition import as_partition
@@ -67,7 +68,7 @@ def load_caps():
 def _json_integers(text):
     """A JSON array of integers; any other entry is a usage error."""
     items = json.loads(text)
-    bad = [x for x in items if not isinstance(x, int)]
+    bad = [x for x in items if type(x) is not int]  # a bool is an int too
     if bad:
         raise ValueError(f"not an integer: {bad[0]!r} in {text}")
     return items
@@ -351,13 +352,15 @@ def _suite_conjectures(suite, caps):
     from .nilcoxeter import conjecture_52_report
     from .nilhecke import j_basis_element, kappa, translation_centralizer_check
 
-    r = conjecture_52_report(4)
-    suite.check("h-elements generate a commutative algebra (n=4)", r["h_commutes"])
-    suite.check("B has dimension 14 with independent Schur basis (n=4)",
-                r["dimension"] == 14 and r["linearly_independent"])
-    suite.check("Hilbert series matches root-poset order ideals (n=4)", r["hilbert_matches"])
-    suite.check("Schur elements and structure constants nonnegative (n=4)",
-                r["nonnegative"] and r["structure_constants_nonnegative"])
+    for n in range(4, min(caps["max_rank_finite"], 7) + 1):
+        r = conjecture_52_report(n)
+        catalan = comb(2 * n, n) // (n + 1)
+        suite.check(f"h-elements generate a commutative algebra (n={n})", r["h_commutes"])
+        suite.check(f"B has dimension {catalan} with independent Schur basis (n={n})",
+                    r["dimension"] == catalan and r["linearly_independent"])
+        suite.check(f"Hilbert series matches root-poset order ideals (n={n})", r["hilbert_matches"])
+        suite.check(f"Schur elements and structure constants nonnegative (n={n})",
+                    r["nonnegative"] and r["structure_constants_nonnegative"])
     ok_pos = True
     ok_agree = True
     na = caps["max_rank_affine"]
@@ -502,7 +505,7 @@ def dispatch(args, fmt, caps):
         P, Q = eg_insert(parse_word(args.word))
         emit({"P": P.to_json(), "Q": Q.to_json()}, fmt, f"P:\n{P.render()}\nQ:\n{Q.render()}")
     elif cmd == "reduced-words":
-        if args.rank:
+        if args.rank is not None:
             w = parse_affine(args.perm, args.rank, args.input_mode)
         else:
             w = parse_permutation(args.perm)

@@ -513,43 +513,42 @@ def _j_basis_by_solver(n, w):
     return NilCoxeterElement(n, True, {x: c.numerator for x, c in zip(index, sol)})
 
 
-def j_basis_element(n, w, cross_check=True):
+def j_basis_element(n, w):
     """The j-basis element of the affine Fomin-Stanley subalgebra for a
     Grassmannian w: the noncommutative k-Schur function s^(k)_shape(w)(u),
     read off the affine Schur expansions of F~_x (``noncommutative_schur``).
 
-    With ``cross_check`` the independent linear-solver construction must
-    agree, A_w must be the unique Grassmannian term, and phi0(a x_i) must
-    vanish for every i.  A failure names w and its first witness.
+    The independent linear-solver construction must agree, A_w must be the
+    unique Grassmannian term, and phi0(a x_i) must vanish for every i.  A
+    failure names w and its first witness.
     """
     if not w.is_grassmannian():
         raise ValueError(f"{w!r} is not Grassmannian")
     a = noncommutative_schur(n, w.shape(), affine=True)
-    if cross_check:
-        grass = [x for x in a.coeffs if x.is_grassmannian()]
-        if grass != [w] or a.coeffs[w] != 1:
-            raise AssertionError(f"Grassmannian part of j-element for {w!r} is wrong")
-        table = _phi0_x_table(n, w.length())
-        if not table.keys() >= a.coeffs.keys():
-            raise AssertionError(f"j-element for {w!r} is not of length {w.length()}")
-        solved = _j_basis_by_solver(n, w)
-        for x in table:
-            c, d = a.coeffs.get(x, 0), solved.coeffs.get(x, 0)
-            if c != d:
-                raise AssertionError(
-                    f"j-basis constructions disagree for {w!r}: at {x!r} the affine "
-                    f"Cauchy read-off gives {c} and the linear solve {d}"
-                )
-        for i in range(n):
-            ax = {}
-            for x, c in a.coeffs.items():
-                for y, d in table[x][i].coeffs.items():
-                    ax[y] = ax.get(y, 0) + c * d
-            y = next((y for y, c in ax.items() if c), None)
-            if y is not None:
-                raise AssertionError(
-                    f"phi0(a x_{i + 1}) != 0 for {w!r}: {y!r} has coefficient {ax[y]}"
-                )
+    grass = [x for x in a.coeffs if x.is_grassmannian()]
+    if grass != [w] or a.coeffs[w] != 1:
+        raise AssertionError(f"Grassmannian part of j-element for {w!r} is wrong")
+    table = _phi0_x_table(n, w.length())
+    if not table.keys() >= a.coeffs.keys():
+        raise AssertionError(f"j-element for {w!r} is not of length {w.length()}")
+    solved = _j_basis_by_solver(n, w)
+    for x in table:
+        c, d = a.coeffs.get(x, 0), solved.coeffs.get(x, 0)
+        if c != d:
+            raise AssertionError(
+                f"j-basis constructions disagree for {w!r}: at {x!r} the affine "
+                f"Cauchy read-off gives {c} and the linear solve {d}"
+            )
+    for i in range(n):
+        ax = {}
+        for x, c in a.coeffs.items():
+            for y, d in table[x][i].coeffs.items():
+                ax[y] = ax.get(y, 0) + c * d
+        y = next((y for y, c in ax.items() if c), None)
+        if y is not None:
+            raise AssertionError(
+                f"phi0(a x_{i + 1}) != 0 for {w!r}: {y!r} has coefficient {ax[y]}"
+            )
     return a
 
 

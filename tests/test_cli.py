@@ -138,6 +138,18 @@ def test_verify_conjectures_runs_the_j_basis_up_to_the_affine_cap(cap, scope, ca
     assert all(line.endswith(f"({scope}, length <= 6)") for line in lines)
 
 
+def test_verify_conjectures_runs_the_report_up_to_the_finite_cap(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "6")
+    monkeypatch.setenv("STANSYM_MAX_RANK_AFFINE", "3")
+    code, out, _ = run(["verify", "conjectures"], capsys)
+    assert code == 0 and "FAIL" not in out
+    for n, dimension in ((4, 14), (5, 42), (6, 132)):
+        assert f"PASS [conjectures] B has dimension {dimension} with independent Schur basis (n={n})" in out
+        assert sum(line.endswith(f"(n={n})") for line in out.splitlines()) == 4
+    assert "(n=7)" not in out
+
+
 def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
     code, out, _ = run(["verify", "eg"], capsys)
@@ -197,6 +209,20 @@ def test_non_integer_json_entry_exits_2(capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+def test_json_boolean_entry_exits_2(capsys):
+    # a JSON true is a Python bool, which is an int
+    for argv in (["kschur", "-n", "3", "[true]"], ["eg-insert", "[true,2]"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: not an integer: True")
+
+
+def test_affine_rank_zero_exits_2(capsys):
+    code, out, err = run(["reduced-words", "321", "-n", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

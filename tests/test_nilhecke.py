@@ -11,7 +11,7 @@ from stansym.affine import (
     elements_of_length,
     grassmannian_from_partition,
 )
-from stansym.nilcoxeter import NilCoxeterElement, h_element
+from stansym.nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
 from stansym.nilhecke import (
     NilHeckeElement,
     ScalarPoly,
@@ -237,7 +237,7 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
     grassmannians = [w for w in elements_of_length(n, ell) if w.is_grassmannian()]
     assert len(grassmannians) == 4
     for w in grassmannians:  # the read-off route builds its own tables; warm them first
-        j_basis_element(n, w, cross_check=False)
+        noncommutative_schur(n, w.shape(), affine=True)
     _phi0_x_table.cache_clear()
     nilhecke._j_basis_system.cache_clear()
     eliminations = []
@@ -318,7 +318,7 @@ def test_every_system_reaches_the_elimination_as_sparse_rows(monkeypatch):
         lambda: symfunc.change_basis(s211, "e"),
         lambda: symfunc.change_basis(symfunc.SymFunc.monomial("h", (2, 1, 1)), "kSchur", 3),
         lambda: symfunc.k_schur(4, (3, 1)),
-        lambda: j_basis_element(4, grassmannian_from_partition(4, (2, 1)), cross_check=True),
+        lambda: j_basis_element(4, grassmannian_from_partition(4, (2, 1))),
         lambda: conjecture_52_report(3),
     )
     for route in routes:
@@ -352,7 +352,7 @@ def test_j_basis_elements_commute():
     for l in range(4):
         for w in elements_of_length(n, l):
             if w.is_grassmannian():
-                elems.append(j_basis_element(n, w, cross_check=False))
+                elems.append(noncommutative_schur(n, w.shape(), affine=True))
     for a in elems:
         for b in elems:
             assert a * b == b * a
@@ -362,7 +362,7 @@ def test_kappa_of_221_element_rank_4():
     from stansym.permutation import Permutation
 
     n = 4
-    j = j_basis_element(n, grassmannian_from_partition(n, (2, 2, 1)), cross_check=False)
+    j = noncommutative_schur(n, (2, 2, 1), affine=True)
     want = NilCoxeterElement(
         n, False,
         {
