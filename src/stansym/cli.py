@@ -135,9 +135,9 @@ class Suite:
 
 
 def _suite_examples(suite, caps):
-    from .partition import count_standard_tableaux
+    from .partition import count_standard_tableaux, partitions_of
     from .stanley import affine_schur_expand, affine_stanley, schur_expand, stanley_fn
-    from .symfunc import SymFunc
+    from .symfunc import SymFunc, change_basis
     from .tableaux import Tableau, eg_insert, little_move
 
     w0 = Permutation([4, 3, 2, 1])
@@ -172,6 +172,11 @@ def _suite_examples(suite, caps):
         "affine Schur expansion of 21202",
         affine_schur_expand(w).coeffs
         == {(2, 2, 1): 1, (2, 1, 1, 1): 1},
+    )
+    schurs = [SymFunc.monomial("s", la) for d in range(7) for la in partitions_of(d)]
+    suite.check(
+        "s -> h and s -> e by the Kostka peel expand back to m by margin counts (degree <= 6)",
+        all(change_basis(s, b).to_m().coeffs == s.to_m().coeffs for s in schurs for b in ("h", "e")),
     )
 
 

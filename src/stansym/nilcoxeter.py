@@ -155,17 +155,24 @@ def product_expansion_check(n):
 
 
 @lru_cache(maxsize=64)
+def _layer(n, degree):
+    """The permutations of S_n of length ``degree``, each layer built once
+    from the one below by the ascents of its elements."""
+    if degree == 0:
+        return frozenset({Permutation.identity(n)})
+    return frozenset(w.transposition_right(i, i + 1)
+                     for w in _layer(n, degree - 1) for i in range(1, n) if w(i) < w(i + 1))
+
+
+@lru_cache(maxsize=64)
 def _schur_table(n, degree, affine):
-    """{la: {w: [s_la] F_w}} over the w in S_n of length ``degree``, walked up
-    from the identity, or {la: {x: [F~_la] F~_x}} over those in S~_n.  The
-    table is cached and shared, so callers only read it."""
+    """{la: {w: [s_la] F_w}} over the w in S_n of length ``degree`` (``_layer``),
+    or {la: {x: [F~_la] F~_x}} over those in S~_n.  The table is cached and
+    shared, so callers only read it."""
     if affine:
         layer, expand = elements_of_length(n, degree), affine_schur_expand
     else:
-        layer, expand = {Permutation.identity(n)}, schur_expand
-        for _ in range(degree):
-            layer = {w.transposition_right(i, i + 1)
-                     for w in layer for i in range(1, n) if w(i) < w(i + 1)}
+        layer, expand = _layer(n, degree), schur_expand
     table = {}
     for w in layer:
         for la, c in expand(w).coeffs.items():

@@ -3,18 +3,23 @@
 A SymFunc is a homogeneous element of the ring of symmetric functions (or of
 the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
 of the bases m, h, e, s, affine Schur, or k-Schur.  Basis change goes
-through m, degree by degree, and builds each column once:
+through m or s, degree by degree, and builds each column once:
 
 - s and affine Schur are unitriangular over m in dominance order, so
   ``change_basis`` to them peels: it takes the lex-largest m-term, which is
   dominance-maximal, subtracts that coefficient times the term's column, and
   repeats.  It builds only the columns it meets.
-- h, e and k-Schur are solved for.  Each system is built sparse and
-  factored once by ``_eliminate``, a fraction-free integer elimination, in
-  the cache of the function that builds it (``_transition`` for a (basis,
-  rank, degree), the k-Schur table, the j-basis); every right-hand side
-  replays it (``_replay``).  ``_solve_exact`` is the checked entry point
-  for dense callers.  Results are checked to be integral.
+- h and e are peeled from s.  h_mu = sum over la dominating mu of
+  K(la, mu) s_la, so ``change_basis`` to h takes the lex-smallest s-term,
+  which is dominance-minimal, subtracts that coefficient times the Kostka
+  row of h_mu, and repeats; e_mu = omega(h_mu) is the same peel on the
+  conjugate shapes.  Every step is an integer step.
+- k-Schur alone is solved for.  Each system is built sparse and factored
+  once by ``_eliminate``, a fraction-free integer elimination, in the cache
+  of the function that builds it (``_transition`` for a (rank, degree), the
+  k-Schur table, the j-basis); every right-hand side replays it
+  (``_replay``).  ``_solve_exact`` is the checked entry point for dense
+  callers.  Results are checked to be integral.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
@@ -26,10 +31,12 @@ and Hall Polynomials, I.6):
   N or in {0, 1} (``_margin_count``).
 
 Both counts are bounded module-level memos, so subproblems are shared across
-columns and degrees.  Products are taken in h, where h_la h_mu = h_{la u mu}.
+columns and degrees.  Since h and e are reached from s by Kostka numbers and
+expanded into m by margin counts, a round trip through m checks one count
+against the other.  Products are taken in h, where h_la h_mu = h_{la u mu}.
 
 The two counting routes share no code.  Their oracles are the products they
-replaced, kept for the tests and nilCoxeter: the Jacobi-Trudi determinant
+replaced, kept for the tests: the Jacobi-Trudi determinant
 ``_jacobi_trudi_h`` pushed through ``_product_to_m(mu, _h_to_m)`` for s, and
 ``_product_to_m`` over one-part factors, multiplied by ``_m_product``, for h
 and e.
@@ -45,6 +52,7 @@ from operator import index
 from .partition import (
     as_partition,
     bounded_partitions,
+    conjugate,
     dominance_leq,
     partitions_of,
     sort_composition,
@@ -372,7 +380,7 @@ def _margin_column(la, cap):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _expand_to_m(name, n, la):
     """Basis element in the m basis, as a dict partition -> int.
 
@@ -396,32 +404,30 @@ def _expand_to_m(name, n, la):
     raise ValueError(f"unknown basis {name!r}")
 
 
-def _basis_partitions(name, n, degree):
-    if name in ("affineSchur", "kSchur"):
-        return bounded_partitions(n, degree)
-    return partitions_of(degree)
-
-
 def change_basis(f, basis, n=None):
     """Rewrite ``f`` in another basis; exact, with integrality enforced.
 
-    s and affineSchur are reached by peeling (``_peel``), which builds only
-    the columns it meets; h, e and kSchur by replaying the transition of the
-    degree, factored once (``_transition``).  Raises ValueError naming an
-    obstructing m-term when ``f`` does not lie in the span of the target
-    basis (e.g. a general symmetric function expressed in k-Schur or affine
-    Schur functions).
+    s and affineSchur are reached by peeling m-terms (``_peel``), h and e by
+    peeling s-terms with Kostka rows (``_peel_kostka``), and kSchur by
+    replaying the transition of the degree, factored once (``_transition``);
+    only the peels' own columns and rows are built.  Raises ValueError
+    naming an obstructing m-term when ``f`` does not lie in the span of the
+    target basis (e.g. a general symmetric function expressed in k-Schur or
+    affine Schur functions).
     """
     target = _basis_key(basis, n)
     if target == f.basis:
         return f
     name, rank = _parse_basis(target)
+    if name in ("h", "e"):
+        fs = f if f.basis == "s" else _peel(f.to_m(), "s", None, "s")
+        return _peel_kostka(fs, target)
     fm = f.to_m()
     if name == "m":
         return fm
     if name in ("s", "affineSchur"):
         return _peel(fm, name, rank, target)
-    index, support, row_of, system = _transition(name, rank, f.degree)
+    index, support, row_of, system = _transition(rank, f.degree)
     rhs = [0] * len(support)
     for mu, c in fm.coeffs.items():
         if mu not in row_of:  # no basis element has an m_mu term
@@ -459,29 +465,68 @@ def _peel(fm, name, rank, target):
         column = _expand_to_m(name, rank, la)
         if column.get(la) != 1 or max(column) != la:
             raise AssertionError(f"the {target} column of {la} does not lead with m_{la}")
-        c = out[la] = rest[la]
-        for mu, k in column.items():
-            v = rest.get(mu, 0) - c * k
-            if v:
-                rest[mu] = v
-            else:
-                rest.pop(mu, None)
+        out[la] = rest[la]
+        _subtract(rest, rest[la], column.items())
     return SymFunc._from_valid(fm.degree, target, out)
 
 
+def _subtract(rest, c, column):
+    """rest -= c * column, for (key, int) pairs, dropping what cancels."""
+    for mu, k in column:
+        v = rest.get(mu, 0) - c * k
+        if v:
+            rest[mu] = v
+        else:
+            rest.pop(mu, None)
+
+
+@lru_cache(maxsize=1 << 10)
+def _kostka_row(mu):
+    """[s_la] h_mu = K(la, mu) over the la dominating mu, lex-increasing, so
+    the row opens with (mu, 1) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6)."""
+    return tuple((la, _kostka(la, mu)) for la in reversed(partitions_of(sum(mu))) if dominance_leq(mu, la))
+
+
+def _peel_kostka(fs, target):
+    """``fs``, in the s basis, rewritten in h (target "h") or in e (target "e").
+
+    The lex-smallest s-term mu is dominance-minimal, so h_mu is the one h
+    with an s_mu term and every other h of the expansion is lex-larger:
+    its coefficient is that of s_mu, and subtracting it times the Kostka
+    row of h_mu leaves a lex-larger remainder.  For e, omega swaps h_mu
+    and e_mu and sends s_la to s_la', so the same peel runs on the
+    conjugate shapes.
+    """
+    if target == "e":
+        rest = {conjugate(la): c for la, c in fs.coeffs.items()}
+    else:
+        rest = dict(fs.coeffs)
+    out = {}
+    while rest:
+        mu = min(rest)
+        row = _kostka_row(mu)
+        if row[0] != (mu, 1):
+            raise AssertionError(f"the Kostka row of h_{mu} does not open with s_{mu}")
+        out[mu] = rest[mu]
+        _subtract(rest, rest[mu], row)
+    return SymFunc._from_valid(fs.degree, target, out)
+
+
 @lru_cache(maxsize=32)
-def _transition(name, rank, degree):
-    """The m-transition of basis ``name`` in one degree, factored once.
+def _transition(rank, degree):
+    """The m-transition of the k-Schur basis of a rank in one degree,
+    factored once; it is the one basis solved for, the others are peeled.
 
     Returns ``(index, support, row_of, system)``: the basis partitions (the
     unknowns), the m-terms their columns reach (the rows), each row's
     position, and the ``_eliminate`` result of the matrix.  The entry is
     cached and shared, so callers only read it.
     """
-    index = _basis_partitions(name, rank, degree)
+    index = bounded_partitions(rank, degree)
     rows = {}
     for j, la in enumerate(index):
-        for mu, c in _expand_to_m(name, rank, la).items():
+        for mu, c in _expand_to_m("kSchur", rank, la).items():
             rows.setdefault(mu, {})[j] = c
     support = tuple(sorted(rows, reverse=True))
     system = _eliminate([rows[mu] for mu in support], len(index))
@@ -699,7 +744,7 @@ def fundamental_quasisym(D, n):
 # -- affine Schur and k-Schur bases -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def affine_schur(n, la):
     """The affine Schur function indexed by an (n-1)-bounded partition, m basis."""
     from .affine import grassmannian_from_partition
@@ -766,41 +811,51 @@ def k_schur(n, la):
 # -- coproduct ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 10)
+def _h_coproduct(mu):
+    """Delta(h_mu) as ((left, right), coefficient) pairs in the h (x) h basis.
+
+    Delta(h_p) = sum over j of h_j (x) h_{p-j}, and the m factors of an
+    equal part p commute, so their product is a sum over the multisets of m
+    cut points j in 0..p, each taken in m! / prod(n_j!) ways, n_j being how
+    often it recurs: the fillings of m interchangeable columns with at most
+    p each, over every total t (``_group_fills``).  The splits of the
+    distinct parts multiply, and each key is sorted once.
+    """
+    splits = [((), (), 1)]
+    for p, same in groupby(mu):
+        m = len(list(same))
+        cuts = [
+            (tuple(j for j in js if j), tuple(p - j for j in js if j != p), ways)
+            for t in range(m * p + 1) for js, ways in _group_fills(m, p, t)
+        ]
+        splits = [(left + a, right + b, c * k) for left, right, c in splits for a, b, k in cuts]
+    out = {}
+    for left, right, c in splits:
+        key = tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True))
+        out[key] = out.get(key, 0) + c
+    return tuple(out.items())
+
+
 def coproduct(f):
     """Coproduct of a symmetric function, returned in the h (x) h basis.
 
-    The result maps pairs of partitions to integers; Delta(h_k) is the full
-    binomial-free splitting sum over j of h_j (x) h_{k-j}.
+    The result maps pairs of partitions to integers: the sum of c_mu
+    Delta(h_mu) over the h-expansion of ``f``, with Delta(h_mu) split once
+    per mu (``_h_coproduct``).
     """
-    fh = change_basis(f, "h")
     out = {}
-    for la, c in fh.coeffs.items():
-        terms = {((), ()): c}
-        for part in la:
-            nxt = {}
-            for (left, right), cc in terms.items():
-                for j in range(part + 1):
-                    key = (
-                        tuple(sorted(left + ((j,) if j else ()), reverse=True)),
-                        tuple(sorted(right + ((part - j,) if part - j else ()), reverse=True)),
-                    )
-                    nxt[key] = nxt.get(key, 0) + cc
-            terms = nxt
-        for key, cc in terms.items():
-            out[key] = out.get(key, 0) + cc
+    for mu, c in change_basis(f, "h").coeffs.items():
+        for key, k in _h_coproduct(mu):
+            out[key] = out.get(key, 0) + c * k
     return {key: c for key, c in out.items() if c}
 
 
 def tensor_inner_product(delta, g, h):
-    """Pair a coproduct (h (x) h coefficients) against g (x) h."""
-    total = 0
-    for (la, mu), c in delta.items():
-        if sum(la) != g.degree or sum(mu) != h.degree:
-            continue
-        left = hall_inner_product(SymFunc(sum(la), "h", {la: 1}), g)
-        right = hall_inner_product(SymFunc(sum(mu), "h", {mu: 1}), h)
-        total += c * left * right
-    return total
+    """Pair a coproduct (h (x) h coefficients) against g (x) h, by
+    <h_la, g> = [m_la] g."""
+    gm, hm = g.to_m().coeffs, h.to_m().coeffs
+    return sum(c * gm.get(la, 0) * hm.get(mu, 0) for (la, mu), c in delta.items())
 
 
 def reduce_to_bounded(f, n):

@@ -1,9 +1,11 @@
 """The basis-change paths against the full solve they replace.
 
-Change to s and affine Schur peels the leading m-term; change to h, e and
-k-Schur replays one factored transition per (basis, rank, degree); products
-are taken in h.  The oracle ``_change_basis_by_solve`` builds every column of
-the degree and solves the whole system with ``_solve_exact``.
+Change to s and affine Schur peels the leading m-term; change to h and e
+peels the least s-term by Kostka rows; change to k-Schur replays one
+factored transition per (rank, degree); products are taken in h.  The
+oracle ``_change_basis_by_solve`` builds every column of the degree and
+solves the whole system with ``_solve_exact``.  The coproduct, split once
+per h-term, is checked against the part-at-a-time split it replaced.
 """
 
 import random
@@ -12,19 +14,21 @@ import pytest
 
 from stansym import symfunc
 from stansym.affine import elements_of_length
-from stansym.partition import bounded_partitions, partitions_of
+from stansym.partition import bounded_partitions, conjugate, partitions_of
 from stansym.permutation import Permutation
 from stansym.stanley import affine_stanley, stanley_fn
 from stansym.symfunc import (
     SymFunc,
     _basis_key,
-    _basis_partitions,
     _expand_to_m,
     _m_product,
     _parse_basis,
     _solve_exact,
     change_basis,
+    coproduct,
 )
+
+BASES = ("m", "h", "e", "s")
 
 
 def _change_basis_by_solve(f, basis, n=None):
@@ -32,7 +36,7 @@ def _change_basis_by_solve(f, basis, n=None):
     target = _basis_key(basis, n)
     name, rank = _parse_basis(target)
     fm = f.to_m()
-    index = _basis_partitions(name, rank, f.degree)
+    index = bounded_partitions(rank, f.degree) if rank else partitions_of(f.degree)
     columns = {la: _expand_to_m(name, rank, la) for la in index}
     support = sorted({mu for col in columns.values() for mu in col} | set(fm.coeffs), reverse=True)
     rows = [[columns[la].get(mu, 0) for la in index] for mu in support]
@@ -55,7 +59,7 @@ def test_schur_peel_equals_the_full_solve():
         for la in partitions_of(d):
             m = SymFunc.monomial("s", la).to_m()
             assert change_basis(m, "s") == _change_basis_by_solve(m, "s") == SymFunc.monomial("s", la)
-        for basis in ("m", "h", "e", "s"):
+        for basis in BASES:
             for _ in range(3):
                 f = _combination(rng, basis, partitions_of(d), d)
                 peeled = change_basis(f, "s")
@@ -112,14 +116,14 @@ def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
 @pytest.mark.parametrize("basis, n", [("h", None), ("e", None), ("kSchur", 3), ("kSchur", 4)])
 def test_solved_bases_equal_the_full_solve_and_replay_one_transition(basis, n, monkeypatch):
     rng = random.Random(7)
-    for d in range(7):
+    for d in range(9):
         bounded = bounded_partitions(n, d) if n else partitions_of(d)
-        for _ in range(3):
-            if n:  # h of bounded partitions lie in the span of the k-Schur functions
-                f = change_basis(_combination(rng, "h", bounded, d), "m")
-            else:
-                f = _combination(rng, "s", bounded, d)
-            assert change_basis(f, basis, n).coeffs == _change_basis_by_solve(f, basis, n).coeffs
+        for source in ("h",) if n else BASES:
+            for _ in range(3):
+                f = _combination(rng, source, bounded, d)
+                if n:  # h of bounded partitions lie in the span of the k-Schur functions
+                    f = change_basis(f, "m")
+                assert change_basis(f, basis, n).coeffs == _change_basis_by_solve(f, basis, n).coeffs, f
     # once the degree is factored, a change of basis neither checks nor eliminates a matrix
     eliminations = []
     eliminate = symfunc._eliminate
@@ -138,6 +142,21 @@ def test_solved_bases_equal_the_full_solve_and_replay_one_transition(basis, n, m
         g = change_basis(f, basis, n)
         assert g.basis != f.basis and change_basis(g, f.basis) == f
     assert eliminations == []
+
+
+def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Kostka peel solved or counted margins")
+
+    for cached in (symfunc._expand_to_m, symfunc._kostka, symfunc._kostka_row, symfunc._margin_count):
+        cached.cache_clear()
+    for name in ("_eliminate", "_replay", "_margin_count"):
+        monkeypatch.setattr(symfunc, name, refuse)
+    for la in partitions_of(9):
+        s = SymFunc.monomial("s", la)
+        h, e = change_basis(s, "h"), change_basis(s, "e")
+        assert h.basis == "h" and min(h.coeffs) == la and h.coeffs[la] == 1
+        assert e.basis == "e" and min(e.coeffs) == conjugate(la) and e.coeffs[conjugate(la)] == 1
 
 
 def test_not_in_the_k_schur_span_names_an_m_term():
@@ -175,9 +194,42 @@ def test_product_of_mixed_bases_and_scalars():
     assert SymFunc.one() * s21 == s21.to_m()
 
 
+def _coproduct_by_parts(f):
+    """The coproduct split one part at a time into freshly sorted keys."""
+    out = {}
+    for la, c in change_basis(f, "h").coeffs.items():
+        terms = {((), ()): c}
+        for part in la:
+            nxt = {}
+            for (left, right), cc in terms.items():
+                for j in range(part + 1):
+                    key = (
+                        tuple(sorted(left + ((j,) if j else ()), reverse=True)),
+                        tuple(sorted(right + ((part - j,) if part - j else ()), reverse=True)),
+                    )
+                    nxt[key] = nxt.get(key, 0) + cc
+            terms = nxt
+        for key, cc in terms.items():
+            out[key] = out.get(key, 0) + cc
+    return {key: c for key, c in out.items() if c}
+
+
+def test_coproduct_equals_the_part_at_a_time_split():
+    rng = random.Random(15)
+    for d in range(9):
+        for la in partitions_of(d):  # h_la with repeated parts, such as (2, 2, 2, 1, 1), among them
+            for basis in ("h", "s"):
+                f = SymFunc.monomial(basis, la)
+                assert coproduct(f) == _coproduct_by_parts(f), f
+        for basis in BASES:
+            f = _combination(rng, basis, partitions_of(d), d)
+            assert coproduct(f) == _coproduct_by_parts(f), f
+
+
 def test_basis_change_caches_are_bounded():
     for cached in (
-        symfunc._kostka, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._transition,
+        symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
+        symfunc._group_fills, symfunc._transition, symfunc._expand_to_m,
+        symfunc.affine_schur, symfunc._h_coproduct,
     ):
         assert cached.cache_info().maxsize is not None, cached

@@ -343,3 +343,18 @@ def test_finite_table_walks_only_the_layer_it_needs(monkeypatch):
     monkeypatch.setattr(nilcoxeter, "schur_expand", counted)
     assert len(noncommutative_schur(8, (1,)).coeffs) == 7
     assert sorted(w.length() for w in expanded) == [1] * 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_layer_is_the_length_filter_of_the_group(n):
+    group = symmetric_group(n)
+    for d in range(n * (n - 1) // 2 + 2):
+        assert nilcoxeter._layer(n, d) == {w for w in group if w.length() == d}, d
+
+
+def test_the_report_builds_each_layer_once():
+    nilcoxeter._layer.cache_clear()
+    nilcoxeter._schur_table.cache_clear()
+    conjecture_52_report(5)
+    # degrees 0..10, each built from the one below: ten layer steps, not 55
+    assert nilcoxeter._layer.cache_info().misses == 11

@@ -28,8 +28,8 @@ def no_enumeration(monkeypatch):
     monkeypatch.setattr(symfunc, "sparse_rearrangements", _enumeration)
     for cached in (
         symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product,
-        symfunc._kostka, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._transition,
+        symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
+        symfunc._group_fills, symfunc._transition, symfunc._h_coproduct,
     ):
         cached.cache_clear()
 

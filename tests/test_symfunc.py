@@ -204,18 +204,19 @@ def test_k_schur_change_basis_obstruction():
 
 
 def test_coproduct_self_duality():
-    # <Delta f, g (x) h> = <f, g h> on small Schur functions
-    for la in partitions_of(4):
-        f = SymFunc.monomial("s", la)
-        delta = coproduct(f)
-        for d in range(5):
-            for mu in partitions_of(d):
-                for nu in partitions_of(4 - d):
-                    g = SymFunc.monomial("s", mu)
-                    h = SymFunc.monomial("s", nu)
-                    assert tensor_inner_product(delta, g, h) == hall_inner_product(
-                        f, g * h
-                    )
+    # <Delta f, g (x) h> = <f, g h> on the Schur functions of degree <= 6
+    for n in range(7):
+        for la in partitions_of(n):
+            f = SymFunc.monomial("s", la)
+            delta = coproduct(f)
+            for d in range(n + 1):
+                for mu in partitions_of(d):
+                    for nu in partitions_of(n - d):
+                        g = SymFunc.monomial("s", mu)
+                        h = SymFunc.monomial("s", nu)
+                        assert tensor_inner_product(delta, g, h) == hall_inner_product(
+                            f, g * h
+                        )
 
 
 def test_reduce_to_bounded():
