@@ -314,15 +314,28 @@ def elements_of_length(n, length):
 
 
 def grassmannian_from_partition(n, la):
-    """The unique affine Grassmannian element w with shape(w) = la."""
+    """The unique affine Grassmannian element w with shape(w) = la.
+
+    It is the product of the residues (j - i) mod n of the cells (i, j) of
+    ``la``, read rows bottom to top and each row right to left (Lapointe and
+    Morse, JCTA 112, 2005); ``_grassmannian_table`` is its oracle.
+    """
     la = as_partition(la)
     if la and la[0] > n - 1:
         raise ValueError(f"partition {la} is not ({n-1})-bounded")
-    return _grassmannian_table(n, sum(la))[la]
+    word = [(j - i) % n for i in reversed(range(len(la))) for j in reversed(range(la[i]))]
+    w = AffinePermutation.from_word(word, n)
+    if not w.is_grassmannian() or w.length() != len(word):
+        raise AssertionError(
+            f"the residue word of {la} (n={n}) gives {w!r}, not a Grassmannian element of length {len(word)}"
+        )
+    return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _grassmannian_table(n, degree):
+    """shape -> element over the Grassmannian elements of S~_n of one length,
+    by enumerating the group."""
     table = {}
     for w in elements_of_length(n, degree):
         if w.is_grassmannian():

@@ -6,9 +6,9 @@ contain internal zeros (codes of permutations do).
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import prod
-from operator import index
+from operator import index, le
 
 
 def as_partition(parts):
@@ -45,14 +45,16 @@ def dominance_leq(la, mu):
     la, mu = as_partition(la), as_partition(mu)
     if sum(la) != sum(mu):
         raise ValueError(f"dominance compares partitions of equal size: {la} vs {mu}")
-    k = max(len(la), len(mu))
-    sl = sm = 0
-    for j in range(k):
-        sl += la[j] if j < len(la) else 0
-        sm += mu[j] if j < len(mu) else 0
-        if sl > sm:
-            return False
-    return True
+    return _dominated(la, mu)
+
+
+def _dominated(la, mu):
+    """``dominance_leq`` for valid partitions of one size, unchecked.
+
+    Every partial sum of ``la`` is at most that of ``mu``; a shorter ``la``
+    reaches the full size first, so it is never below.
+    """
+    return len(la) >= len(mu) and all(map(le, accumulate(la), accumulate(mu)))
 
 
 def hooks(la):

@@ -3,7 +3,7 @@
 A SymFunc is a homogeneous element of the ring of symmetric functions (or of
 the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
 of the bases m, h, e, s, affine Schur, or k-Schur.  Basis change goes
-through m or s, degree by degree, and builds each column once:
+through m, s or h, degree by degree, and builds each column once:
 
 - s and affine Schur are unitriangular over m in dominance order, so
   ``change_basis`` to them peels: it takes the lex-largest m-term, which is
@@ -14,12 +14,15 @@ through m or s, degree by degree, and builds each column once:
   which is dominance-minimal, subtracts that coefficient times the Kostka
   row of h_mu, and repeats; e_mu = omega(h_mu) is the same peel on the
   conjugate shapes.  Every step is an integer step.
-- k-Schur alone is solved for.  Each system is built sparse and factored
-  once by ``_eliminate``, a fraction-free integer elimination, in the cache
-  of the function that builds it (``_transition`` for a (rank, degree), the
-  k-Schur table, the j-basis); every right-hand side replays it
-  (``_replay``).  ``_solve_exact`` is the checked entry point for dense
-  callers.  Results are checked to be integral.
+- k-Schur is reached from h.  The k-Schur functions are dual to the affine
+  Schur functions F~_la = m_la + (terms below la), so h_mu = sum over
+  bounded la dominating mu of [m_mu] F~_la s^(k)_la: ``change_basis`` to
+  k-Schur replaces each h-term by this k-Kostka row, a plain integer sum,
+  and ``k_schur``, the other way, is the Kostka peel with k-Kostka rows.
+
+No basis is solved for.  ``_eliminate``, a fraction-free integer
+elimination, and ``_replay`` serve the j-basis system and ``_solve_exact``,
+the checked entry point for dense callers.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
@@ -50,10 +53,10 @@ from math import factorial
 from operator import index
 
 from .partition import (
+    _dominated,
     as_partition,
     bounded_partitions,
     conjugate,
-    dominance_leq,
     partitions_of,
     sort_composition,
     sparse_rearrangements,
@@ -305,7 +308,7 @@ def _kostka(shape, content):
 
 def _kostka_column(la):
     """[m_mu] s_la = K(la, mu), nonzero exactly for mu below la in dominance order."""
-    return {mu: _kostka(la, mu) for mu in partitions_of(sum(la)) if dominance_leq(mu, la)}
+    return {mu: _kostka(la, mu) for mu in partitions_of(sum(la)) if _dominated(mu, la)}
 
 
 @lru_cache(maxsize=1 << 10)
@@ -409,11 +412,11 @@ def change_basis(f, basis, n=None):
 
     s and affineSchur are reached by peeling m-terms (``_peel``), h and e by
     peeling s-terms with Kostka rows (``_peel_kostka``), and kSchur by
-    replaying the transition of the degree, factored once (``_transition``);
-    only the peels' own columns and rows are built.  Raises ValueError
-    naming an obstructing m-term when ``f`` does not lie in the span of the
-    target basis (e.g. a general symmetric function expressed in k-Schur or
-    affine Schur functions).
+    summing the k-Kostka rows (``_k_kostka_row``) of the h-terms; only the
+    columns and rows met are built, and no system is solved.  Raises
+    ValueError naming an obstructing term when ``f`` does not lie in the
+    span of the target basis: an m-term for affine Schur, an h-term with a
+    part of at least n for k-Schur.
     """
     target = _basis_key(basis, n)
     if target == f.basis:
@@ -421,30 +424,21 @@ def change_basis(f, basis, n=None):
     name, rank = _parse_basis(target)
     if name in ("h", "e"):
         fs = f if f.basis == "s" else _peel(f.to_m(), "s", None, "s")
-        return _peel_kostka(fs, target)
+        # omega swaps h_mu and e_mu and sends s_la to s_la'
+        rest = {conjugate(la) if name == "e" else la: c for la, c in fs.coeffs.items()}
+        return SymFunc._from_valid(f.degree, target, _peel_kostka(rest, _kostka_row))
+    if name == "kSchur":
+        # the h_mu are a basis, and the k-Schur functions span those with mu_1 < n
+        out = {}
+        for mu, c in change_basis(f, "h").coeffs.items():
+            if mu and mu[0] >= rank:
+                raise ValueError(f"not expressible in basis {target}: obstructing coefficient on h_{mu}")
+            _subtract(out, -c, _k_kostka_row(rank, mu))
+        return SymFunc._from_valid(f.degree, target, out)
     fm = f.to_m()
     if name == "m":
         return fm
-    if name in ("s", "affineSchur"):
-        return _peel(fm, name, rank, target)
-    index, support, row_of, system = _transition(rank, f.degree)
-    rhs = [0] * len(support)
-    for mu, c in fm.coeffs.items():
-        if mu not in row_of:  # no basis element has an m_mu term
-            raise ValueError(f"not expressible in basis {target}: obstructing coefficient on m_{mu}")
-        rhs[row_of[mu]] = c
-    sol, _, residual_row = _replay(system, rhs)
-    if residual_row is not None:
-        raise ValueError(
-            f"not expressible in basis {target}: obstructing coefficient on "
-            f"m_{support[residual_row]}"
-        )
-    coeffs = {}
-    for la, x in zip(index, sol):
-        if x.denominator != 1:
-            raise ValueError(f"non-integer coefficient {x} on {la} in basis {target}")
-        coeffs[la] = x.numerator
-    return SymFunc._from_valid(f.degree, target, coeffs)
+    return _peel(fm, name, rank, target)
 
 
 def _peel(fm, name, rank, target):
@@ -485,52 +479,28 @@ def _kostka_row(mu):
     """[s_la] h_mu = K(la, mu) over the la dominating mu, lex-increasing, so
     the row opens with (mu, 1) (Macdonald, Symmetric Functions and Hall
     Polynomials, I.6)."""
-    return tuple((la, _kostka(la, mu)) for la in reversed(partitions_of(sum(mu))) if dominance_leq(mu, la))
+    return tuple((la, _kostka(la, mu)) for la in reversed(partitions_of(sum(mu))) if _dominated(mu, la))
 
 
-def _peel_kostka(fs, target):
-    """``fs``, in the s basis, rewritten in h (target "h") or in e (target "e").
+def _peel_kostka(rest, row):
+    """The h-coefficients of sum rest[la] b_la, where ``row(mu)`` is h_mu in
+    the basis b, lex-increasing and opening with (mu, 1): the Kostka rows
+    for b = s, the k-Kostka rows for b = k-Schur.  ``rest`` is consumed.
 
-    The lex-smallest s-term mu is dominance-minimal, so h_mu is the one h
-    with an s_mu term and every other h of the expansion is lex-larger:
-    its coefficient is that of s_mu, and subtracting it times the Kostka
-    row of h_mu leaves a lex-larger remainder.  For e, omega swaps h_mu
-    and e_mu and sends s_la to s_la', so the same peel runs on the
-    conjugate shapes.
+    The lex-smallest term mu is dominance-minimal, so h_mu is the one h with
+    a b_mu term and every other h of the expansion is lex-larger: its
+    coefficient is that of b_mu, and subtracting it times the row of h_mu
+    leaves a lex-larger remainder.
     """
-    if target == "e":
-        rest = {conjugate(la): c for la, c in fs.coeffs.items()}
-    else:
-        rest = dict(fs.coeffs)
     out = {}
     while rest:
         mu = min(rest)
-        row = _kostka_row(mu)
-        if row[0] != (mu, 1):
-            raise AssertionError(f"the Kostka row of h_{mu} does not open with s_{mu}")
+        line = row(mu)
+        if line[0] != (mu, 1):
+            raise AssertionError(f"the row of h_{mu} does not open with its own term")
         out[mu] = rest[mu]
-        _subtract(rest, rest[mu], row)
-    return SymFunc._from_valid(fs.degree, target, out)
-
-
-@lru_cache(maxsize=32)
-def _transition(rank, degree):
-    """The m-transition of the k-Schur basis of a rank in one degree,
-    factored once; it is the one basis solved for, the others are peeled.
-
-    Returns ``(index, support, row_of, system)``: the basis partitions (the
-    unknowns), the m-terms their columns reach (the rows), each row's
-    position, and the ``_eliminate`` result of the matrix.  The entry is
-    cached and shared, so callers only read it.
-    """
-    index = bounded_partitions(rank, degree)
-    rows = {}
-    for j, la in enumerate(index):
-        for mu, c in _expand_to_m("kSchur", rank, la).items():
-            rows.setdefault(mu, {})[j] = c
-    support = tuple(sorted(rows, reverse=True))
-    system = _eliminate([rows[mu] for mu in support], len(index))
-    return tuple(index), support, {mu: i for i, mu in enumerate(support)}, system
+        _subtract(rest, rest[mu], line)
+    return out
 
 
 def _check_ints(line):
@@ -746,7 +716,11 @@ def fundamental_quasisym(D, n):
 
 @lru_cache(maxsize=1 << 12)
 def affine_schur(n, la):
-    """The affine Schur function indexed by an (n-1)-bounded partition, m basis."""
+    """The affine Schur function indexed by an (n-1)-bounded partition, m basis.
+
+    It is checked to be unitriangular: m_la with coefficient 1, and every
+    other term (n-1)-bounded and below la in dominance order.
+    """
     from .affine import grassmannian_from_partition
     from .stanley import affine_stanley
 
@@ -759,45 +733,35 @@ def affine_schur(n, la):
             f"affine Schur leading coefficient for n={n}, la={la}: "
             f"expected 1, got {f.coeffs.get(la, 0)}"
         )
+    for mu in f.coeffs:
+        if (mu and mu[0] >= n) or not _dominated(mu, la):
+            raise AssertionError(
+                f"F~_{la} (n={n}) has a term m_{mu} outside the bounded partitions below {la}"
+            )
     return f
+
+
+@lru_cache(maxsize=1 << 10)
+def _k_kostka_row(n, mu):
+    """[s^(k)_la] h_mu = [m_mu] F~_la over the (n-1)-bounded la dominating
+    mu, lex-increasing, so the row opens with (mu, 1): the k-Schur functions
+    are the basis dual to the affine Schur functions, as the h are to the m
+    (Lam, affine Stanley symmetric functions)."""
+    return tuple(
+        (la, c)
+        for la in reversed(partitions_of(sum(mu), n - 1))
+        if _dominated(mu, la) and (c := affine_schur(n, la).coeffs.get(mu))
+    )
 
 
 @lru_cache(maxsize=64)
 def _k_schur_h_table(n, degree):
-    """h-expansions of all k-Schur functions of one degree, by duality.
-
-    With A[nu][mu] = [m_mu] F~_nu, the h-coefficients c of the k-Schur
-    function s^(k)_la solve sum_mu c[mu] * A[nu][mu] = delta(la, nu) for
-    every nu; each la is one exact solve, checked to be integral.
-    """
-    index = bounded_partitions(n, degree)
-    A = {la: affine_schur(n, la).coeffs for la in index}
-    for la in index:
-        for mu in A[la]:
-            if mu != la and not (mu in index and dominance_leq(mu, la)):
-                raise AssertionError(
-                    f"F~_{la} (n={n}) has a term m_{mu} outside the dominance order below {la}"
-                )
-    position = {mu: j for j, mu in enumerate(index)}
-    system = _eliminate([{position[mu]: c for mu, c in A[nu].items()} for nu in index], len(index))
-    table = {}
-    for la in index:
-        sol, _, bad = _replay(system, [1 if nu == la else 0 for nu in index])
-        if bad is not None:
-            raise AssertionError(f"k-Schur duality system for n={n}, la={la} is inconsistent")
-        for mu, x in zip(index, sol):
-            if x.denominator != 1:
-                raise AssertionError(f"k-Schur s^(k)_{la} (n={n}) has coefficient {x} on h_{mu}")
-        table[la] = SymFunc._from_valid(degree, "h", {mu: x.numerator for mu, x in zip(index, sol)})
-    # duality sanity: <s^(k)_la, F~_mu> = delta
-    for la in index:
-        for mu in index:
-            got = sum(table[la].coeffs.get(nu, 0) * A[mu].get(nu, 0) for nu in index)
-            if got != (1 if la == mu else 0):
-                raise AssertionError(
-                    f"<s^(k)_{la}, F~_{mu}> (n={n}): expected {int(la == mu)}, got {got}"
-                )
-    return table
+    """h-expansions of all k-Schur functions of one degree: the Kostka peel
+    of each s^(k)_la with k-Kostka rows."""
+    return {
+        la: SymFunc._from_valid(degree, "h", _peel_kostka({la: 1}, lambda mu: _k_kostka_row(n, mu)))
+        for la in bounded_partitions(n, degree)
+    }
 
 
 def k_schur(n, la):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stansym.affine import (
     AffinePermutation,
     CorootVector,
+    _grassmannian_table,
     cyclically_decreasing,
     cyclically_decreasing_word,
     elements_of_length,
@@ -15,6 +16,7 @@ from stansym.affine import (
     theta_coroot,
     translation_element,
 )
+from stansym.partition import bounded_partitions
 from stansym.permutation import Permutation, symmetric_group
 
 words_rank3 = st.lists(st.integers(0, 2), max_size=6).map(tuple)
@@ -144,6 +146,24 @@ def test_grassmannian_from_partition_round_trip():
         for w in elements_of_length(3, l):
             if w.is_grassmannian():
                 assert grassmannian_from_partition(3, w.shape()) == w
+
+
+@pytest.mark.parametrize("n, top", [(3, 11), (4, 9), (5, 8), (6, 7), (7, 6)])
+def test_grassmannian_from_its_residue_word_equals_the_enumerated_one(n, top):
+    for d in range(top + 1):
+        table = _grassmannian_table(n, d)
+        assert sorted(table) == sorted(bounded_partitions(n, d))
+        for la in bounded_partitions(n, d):
+            assert grassmannian_from_partition(n, la) == table[la], (n, la)
+    assert _grassmannian_table.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("wrong", [AffinePermutation.identity(3), AffinePermutation.simple(1, 3)])
+def test_grassmannian_from_a_wrong_word_product_raises(monkeypatch, wrong):
+    # the identity is too short for (1,); s_1 has length 1 but is not Grassmannian
+    monkeypatch.setattr(AffinePermutation, "from_word", staticmethod(lambda word, n: wrong))
+    with pytest.raises(AssertionError, match=r"the residue word of \(1,\) \(n=3\)"):
+        grassmannian_from_partition(3, (1,))
 
 
 def test_grassmannian_rejects_unbounded_shapes():

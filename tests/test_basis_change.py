@@ -1,14 +1,15 @@
 """The basis-change paths against the full solve they replace.
 
 Change to s and affine Schur peels the leading m-term; change to h and e
-peels the least s-term by Kostka rows; change to k-Schur replays one
-factored transition per (rank, degree); products are taken in h.  The
-oracle ``_change_basis_by_solve`` builds every column of the degree and
-solves the whole system with ``_solve_exact``.  The coproduct, split once
+peels the least s-term by Kostka rows; change to k-Schur sums the k-Kostka
+rows of the h-terms, and ``k_schur`` peels by them; products are taken in
+h.  The oracle ``_change_basis_by_solve`` builds every column of the degree
+and solves the whole system with ``_solve_exact``.  The coproduct, split once
 per h-term, is checked against the part-at-a-time split it replaced.
 """
 
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from stansym.symfunc import (
     _solve_exact,
     change_basis,
     coproduct,
+    k_schur,
 )
 
 BASES = ("m", "h", "e", "s")
@@ -113,7 +115,7 @@ def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
     assert built == [(6, 5, 4, 3, 2, 1)]
 
 
-@pytest.mark.parametrize("basis, n", [("h", None), ("e", None), ("kSchur", 3), ("kSchur", 4)])
+@pytest.mark.parametrize("basis, n", [("h", None), ("e", None), ("kSchur", 3), ("kSchur", 4), ("kSchur", 5)])
 def test_solved_bases_equal_the_full_solve_and_replay_one_transition(basis, n, monkeypatch):
     rng = random.Random(7)
     for d in range(9):
@@ -159,10 +161,31 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
         assert e.basis == "e" and min(e.coeffs) == conjugate(la) and e.coeffs[conjugate(la)] == 1
 
 
-def test_not_in_the_k_schur_span_names_an_m_term():
+def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the k-Kostka peel solved a system")
+
+    for cached in (symfunc._expand_to_m, symfunc._k_kostka_row, symfunc._k_schur_h_table):
+        cached.cache_clear()
+    for name in ("_eliminate", "_replay", "_solve_exact"):
+        monkeypatch.setattr(symfunc, name, refuse)
+    for n, d in ((3, 9), (4, 8), (5, 7)):
+        for la in bounded_partitions(n, d):
+            k = k_schur(n, la)
+            assert k.basis == "h" and min(k.coeffs) == la and k.coeffs[la] == 1
+            h = SymFunc.monomial("h", la)
+            g = change_basis(h, "kSchur", n)
+            assert g.basis == f"kSchur({n})" and min(g.coeffs) == la and g.coeffs[la] == 1
+            assert change_basis(g, "h") == h
+
+
+def test_not_in_the_k_schur_span_names_an_unbounded_h_term():
     for f in (SymFunc.monomial("m", (3,)), SymFunc.monomial("s", (3, 1)), SymFunc.monomial("m", (4,))):
-        with pytest.raises(ValueError, match=r"not expressible in basis kSchur\(3\): obstructing coefficient on m_\("):
+        with pytest.raises(ValueError, match=r"not expressible in basis kSchur\(3\): obstructing coefficient on h_\(") as err:
             change_basis(f, "kSchur", 3)
+        named = re.search(r"h_(\(.*\))", str(err.value))[1]
+        mu = tuple(int(p) for p in re.findall(r"\d+", named))
+        assert mu[0] >= 3 and change_basis(f, "h")[mu] != 0, named
         with pytest.raises(ValueError):
             _change_basis_by_solve(f, "kSchur", 3)
 
@@ -229,7 +252,7 @@ def test_coproduct_equals_the_part_at_a_time_split():
 def test_basis_change_caches_are_bounded():
     for cached in (
         symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._transition, symfunc._expand_to_m,
+        symfunc._group_fills, symfunc._k_kostka_row, symfunc._expand_to_m,
         symfunc.affine_schur, symfunc._h_coproduct,
     ):
         assert cached.cache_info().maxsize is not None, cached

@@ -29,7 +29,7 @@ def no_enumeration(monkeypatch):
     for cached in (
         symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product,
         symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._transition, symfunc._h_coproduct,
+        symfunc._group_fills, symfunc._k_kostka_row, symfunc._h_coproduct,
     ):
         cached.cache_clear()
 

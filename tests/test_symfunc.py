@@ -179,6 +179,16 @@ def test_k_schur_duality():
                 )
 
 
+@pytest.mark.parametrize("n, top", [(4, 8), (5, 7), (6, 6)])
+def test_k_schur_is_dual_to_the_affine_schur_basis(n, top):
+    for d in range(top + 1):
+        index = bounded_partitions(n, d)
+        for la in index:
+            k = k_schur(n, la)
+            for mu in index:
+                assert hall_inner_product(k, affine_schur(n, mu)) == (1 if la == mu else 0), (n, la, mu)
+
+
 def test_k_schur_closed_form_rank_3():
     # s^(2)_{2^a 1^b} = h_2^a e_2^floor(b/2) h_1^(b mod 2)
     h2 = SymFunc.monomial("h", (2,))
