@@ -17,7 +17,7 @@ from math import comb
 
 from .affine import AffinePermutation, CorootVector, elements_of_length
 from .partition import as_partition
-from .permutation import Permutation, symmetric_group
+from .permutation import Permutation, count_reduced_words, symmetric_group
 from .symfunc import change_basis, k_schur
 from .tableaux import MarkedWord, little_move_chain
 
@@ -203,7 +203,6 @@ def _suite_symmetry(suite, caps):
 
 def _suite_eg(suite, caps):
     from .partition import count_standard_tableaux
-    from .permutation import count_reduced_words
     from .stanley import schur_expand, stanley_fn
     from .symfunc import change_basis
     from .tableaux import coxeter_knuth_classes, eg_insert, eg_tableaux_by_shape, word_descents
@@ -222,22 +221,25 @@ def _suite_eg(suite, caps):
     suite.check("Des(i) = Des(Q(i)) on S4", ok_des)
     suite.check("Coxeter-Knuth classes are P-fibers on S4", ok_fiber)
 
-    # the transition tree against the EG-tableau count, against #R(w) (each
-    # reduced word inserts to one EG tableau P and one standard Q), and
-    # against F_w peeled into s by Kostka numbers
-    nf = min(5, caps["max_rank_finite"])
+    # the transition tree against #R(w) (each reduced word inserts to one EG
+    # tableau P and one standard Q), against F_w peeled into s by Kostka
+    # numbers, and, on the smaller group, against the EG-tableau count, which
+    # lists R(w^-1)
+    nf = min(7, caps["max_rank_finite"])
+    ne = min(5, nf)
     ok_eg = True
     ok_count = True
     ok_peel = True
+    for w in symmetric_group(ne):
+        by_shape = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
+        ok_eg = ok_eg and schur_expand(w).coeffs == by_shape
     for w in symmetric_group(nf):
         s = schur_expand(w)
-        by_shape = {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}
-        ok_eg = ok_eg and s.coeffs == by_shape
         total = sum(c * count_standard_tableaux(la) for la, c in s.coeffs.items())
         ok_count = ok_count and total == count_reduced_words(w)
         peeled = change_basis(stanley_fn(w), "s")
         ok_peel = ok_peel and peeled.basis == "s" and s.coeffs == peeled.coeffs
-    suite.check(f"transition-tree Schur expansion = EG-tableau count on S_{nf}", ok_eg)
+    suite.check(f"transition-tree Schur expansion = EG-tableau count on S_{ne}", ok_eg)
     suite.check(f"sum of c_la f^la = #R(w) on S_{nf}", ok_count)
     suite.check(f"transition-tree Schur expansion = Kostka peel of F_w on S_{nf}", ok_peel)
 
@@ -445,6 +447,7 @@ def build_parser():
     sp.add_argument("perm")
     sp.add_argument("-n", "--rank", type=int, help="affine rank; finite if omitted")
     sp.add_argument("--as", dest="input_mode", choices=("word", "window", "auto"), default="auto")
+    sp.add_argument("--count", action="store_true", help="print #R(w) and list no word (finite only)")
 
     sp = sub.add_parser("little-move")
     sp.add_argument("word")
@@ -509,6 +512,11 @@ def dispatch(args, fmt, caps):
 
         P, Q = eg_insert(parse_word(args.word))
         emit({"P": P.to_json(), "Q": Q.to_json()}, fmt, f"P:\n{P.render()}\nQ:\n{Q.render()}")
+    elif cmd == "reduced-words" and args.count:
+        if args.rank is not None:
+            raise ValueError("--count is finite-only: it takes no -n/--rank")
+        count = count_reduced_words(parse_permutation(args.perm))
+        emit(count, fmt, str(count))
     elif cmd == "reduced-words":
         if args.rank is not None:
             w = parse_affine(args.perm, args.rank, args.input_mode)

@@ -246,6 +246,9 @@ def conjecture_52_report(n):
     Returns a dict with: h-commutativity, the s_la basis and its linear
     independence, the Hilbert series against the root-poset order-ideal
     count, coefficient nonnegativity, and the s-basis structure constants.
+    Those are keyed on the sorted pair (min(la, mu), max(la, mu)), as
+    s_la(u) s_mu(u) = s_mu(u) s_la(u), and a pair whose product is 0 has no
+    entry.
     B is the image of la -> s_la(u), with basis the s_la(u) for la inside
     delta_{n-1}, so the structure constants are the Littlewood-Richardson
     numbers c^nu_{la mu} with nu inside delta_{n-1}: counts, and so
@@ -285,12 +288,15 @@ def conjecture_52_report(n):
         ideals.append(series)
 
     # c^nu_{la mu} = c^nu_{mu la}: count each unordered pair once, filling
-    # the shape of lower degree into the other
+    # the shape of lower degree into the other, and keep the pairs whose
+    # product is not 0
     structure = {}
     for i, la in enumerate(shapes):
         for mu in shapes[i:]:
-            entry = _littlewood_richardson(mu, la, top) if sum(la) + sum(mu) <= sum(top) else {}
-            structure[la, mu], structure[mu, la] = entry, dict(entry)
+            if sum(la) + sum(mu) <= sum(top):
+                entry = _littlewood_richardson(mu, la, top)
+                if entry:
+                    structure[min(la, mu), max(la, mu)] = entry
 
     return {
         "n": n,

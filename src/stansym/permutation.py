@@ -147,16 +147,21 @@ class Permutation:
         )
 
     def is_vexillary(self):
-        """True iff w avoids the pattern 2143."""
+        """True iff w avoids the pattern 2143: no positions a < b < c < d with
+        w(b) < w(a) < w(d) < w(c).  Walk c from the left, keeping the least
+        w(a) > w(b) over the pairs a < b < c; a 2143 ends at c iff some w(d)
+        right of c lies strictly between that value and w(c)."""
         w = self.window
-        n = self.n
-        return not any(
-            w[b] < w[a] < w[d] < w[c]
-            for a in range(n)
-            for b in range(a + 1, n)
-            for c in range(b + 1, n)
-            for d in range(c + 1, n)
-        )
+        least = self.n + 1
+        for c, y in enumerate(w):
+            if least < y:
+                for x in w[c + 1:]:
+                    if least < x < y:
+                        return False
+            for x in w[:c]:  # c becomes a b for the positions right of it
+                if y < x < least:
+                    least = x
+        return True
 
     def one_times(self):
         """The permutation 1 x w, shifting the one-line notation up by one."""
@@ -182,13 +187,22 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def _reduced_words(window):
+    """R(w) in lexicographic order.
+
+    A reduced word of w starts with a left descent i of w, where i + 1 stands
+    before i in the window, and the rest of it is a reduced word of s_i w,
+    which swaps those two values.  Taking i in increasing order lists the
+    words already sorted.
+    """
     words = []
+    position = {x: p for p, x in enumerate(window)}
     for i in range(1, len(window)):
-        if window[i - 1] > window[i]:  # a right descent: recurse on w s_i
-            shorter = window[:i - 1] + (window[i], window[i - 1]) + window[i + 1:]
-            words.extend(word + (i,) for word in _reduced_words(shorter))
-    # only the identity has no right descent
-    return tuple(sorted(words)) if words else ((),)
+        p, q = position[i + 1], position[i]
+        if p < q:
+            shorter = window[:p] + (i,) + window[p + 1:q] + (i + 1,) + window[q + 1:]
+            words.extend([(i,) + word for word in _reduced_words(shorter)])
+    # only the identity has no left descent
+    return tuple(words) if words else ((),)
 
 
 def count_reduced_words(w):

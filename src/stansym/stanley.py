@@ -4,19 +4,26 @@ their Schur / affine Schur expansions.
 F_w is computed by three independent routes.  Compatible pairs on R(w) and
 fundamental quasi-symmetric functions on R(w^{-1}) each read a histogram of
 ascent or descent sets, counted letter by letter over the right weak order
-below w without listing a word; decreasing factorizations are counted by a
-dynamic program on descents of the inverse window.  The affine F~_w is counted by dynamic
-programming over cyclically decreasing factorizations.  Monomial
-coefficients are extracted on partitions; the symmetry of the result is a
-theorem, and ``check_symmetry`` verifies it on arbitrary compositions.
+below w without listing a word, and sum it over the submasks of each
+partition's partial sums, from one table per length.  Decreasing
+factorizations are counted by a dynamic program on descents of the inverse
+window, which lists once per (window, k) the windows left when a decreasing
+element of length k splits off.  The Schur expansion walks the transition
+tree, whose expanded nodes every call in the process shares.  The affine
+F~_w is counted by dynamic programming over cyclically decreasing
+factorizations.  Monomial coefficients are extracted on partitions; the
+symmetry of the result is a theorem, and ``check_symmetry`` verifies it on
+arbitrary compositions.
 """
 
+from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .affine import cyclically_decreasing_word
 from .partition import partitions_of
+from .permutation import Permutation
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
 from .tableaux import transition_sides
 
@@ -79,15 +86,21 @@ def _relation_histogram(window, ascents):
     return total
 
 
-def _coefficient(histogram, alpha):
-    """How many words of the histogram have their mask within the partial
-    sums of alpha: the histogram summed over the submasks of the partial-sum
-    mask, enumerated by sub = (sub - 1) & sums.  The total of alpha is no
+def _partial_sum_mask(alpha):
+    """The bits of the partial sums of alpha; the total of alpha is no
     position of a word, so it has no bit."""
     sums = p = 0
     for a in alpha[:-1]:
         p += a
         sums |= 1 << (p - 1)
+    return sums
+
+
+def _coefficient(histogram, alpha):
+    """How many words of the histogram have their mask within the partial
+    sums of alpha: the histogram summed over the submasks of the partial-sum
+    mask, enumerated by sub = (sub - 1) & sums."""
+    sums = _partial_sum_mask(alpha)
     get = histogram.get
     total, sub = 0, sums
     while True:
@@ -97,29 +110,50 @@ def _coefficient(histogram, alpha):
         sub = (sub - 1) & sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
+def _submask_table(ell):
+    """((la, submasks), ...) over the partitions la of ell: the submasks of
+    la's partial-sum mask, enumerated once per ell and read by every
+    histogram of that length.  They are held in 4-byte arrays, as there are
+    nearly 2^(ell-1) of them (3.6 million at ell = 21)."""
+    table = []
+    for la in partitions_of(ell):
+        sums = _partial_sum_mask(la)
+        subs, sub = array("I", [sums]), sums
+        while sub:
+            sub = (sub - 1) & sums
+            subs.append(sub)
+        table.append((la, subs))
+    return tuple(table)
+
+
+def _m_coefficients(histogram, ell):
+    """{la: _coefficient(histogram, la)} over the partitions la of ell."""
+    get, zeros = histogram.get, repeat(0)
+    return {la: sum(map(get, subs, zeros)) for la, subs in _submask_table(ell)}
+
+
+@lru_cache(maxsize=256)
 def _decreasing_elements(n, k):
     """Decreasing words a_1 > ... > a_k over 1..n-1, one per k-subset."""
     return tuple(combinations(range(n - 1, 0, -1), k))
 
 
-@lru_cache(maxsize=None)
-def _count_decreasing_factorizations(window, alpha):
-    """Factorizations w = v_1 ... v_r with v_i decreasing of length alpha_i.
+@lru_cache(maxsize=4096)
+def _decreasing_splits(window, k):
+    """The windows of v^-1 w over the decreasing v of length k that split off
+    w = ``window`` length-additively.
 
-    v_1 = s_{a_1} ... s_{a_k} splits off w length-additively iff each a_j is
-    a left descent of s_{a_{j-1}} ... s_{a_1} w when it is reached.  On the
-    inverse window pos, a is a left descent of u iff pos[a] > pos[a+1], and
-    s_a u swaps those two entries.
+    v = s_{a_1} ... s_{a_k} splits off w iff each a_j is a left descent of
+    s_{a_{j-1}} ... s_{a_1} w when it is reached.  On the inverse window pos,
+    a is a left descent of u iff pos[a] > pos[a+1], and s_a u swaps those two
+    entries.
     """
     n = len(window)
-    if not alpha:
-        return 1 if window == tuple(range(1, n + 1)) else 0
-    k, rest = alpha[0], alpha[1:]
     inverse = [0] * (n + 1)
     for i, x in enumerate(window, 1):
         inverse[x] = i
-    total = 0
+    tails = []
     for word in _decreasing_elements(n, k):
         pos = inverse[:]
         for a in word:
@@ -130,7 +164,20 @@ def _count_decreasing_factorizations(window, alpha):
             tail = [0] * n
             for x in range(1, n + 1):
                 tail[pos[x] - 1] = x
-            total += _count_decreasing_factorizations(tuple(tail), rest)
+            tails.append(tuple(tail))
+    return tuple(tails)
+
+
+@lru_cache(maxsize=None)
+def _count_decreasing_factorizations(window, alpha):
+    """Factorizations w = v_1 ... v_r with v_i decreasing of length alpha_i:
+    for each split of a first factor of length alpha_1 off w, the
+    factorizations of what is left."""
+    if not alpha:
+        return 1 if window == tuple(range(1, len(window) + 1)) else 0
+    rest, total = alpha[1:], 0
+    for tail in _decreasing_splits(window, alpha[0]):
+        total += _count_decreasing_factorizations(tail, rest)
     return total
 
 
@@ -163,7 +210,7 @@ def stanley_fn(w, method="decreasing"):
         histogram = _relation_histogram(w.inverse().window, ascents=False)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SymFunc._from_valid(ell, "m", {la: _coefficient(histogram, la) for la in partitions_of(ell)})
+    return SymFunc._from_valid(ell, "m", _m_coefficients(histogram, ell))
 
 
 def stanley_quasisym(w):
@@ -181,8 +228,7 @@ def stanley_quasisym(w):
 def check_symmetry_finite(w):
     """Monomial coefficients agree across rearrangements of each partition."""
     histogram = _relation_histogram(w.window, ascents=True)  # the "original" route's
-    for la in partitions_of(w.length()):
-        base = _coefficient(histogram, la)
+    for la, base in _m_coefficients(histogram, w.length()).items():
         for alpha in _rearrangements(la):
             if _coefficient(histogram, alpha) != base:
                 return False
@@ -204,31 +250,32 @@ def schur_expand(w):
     or, when there are none, F_u for u = (1 x v) t_{1,r+1}.  The coefficients
     count Edelman-Greene tableaux for w^{-1}; ``eg_tableaux_by_shape`` counts
     them directly and is the cross-check in the tests and ``stansym verify``.
+    ``_transition_tree`` keeps the expanded nodes, up to 8192 of them, keyed
+    on the window without its trailing fixed points, and every call in the
+    process shares them.
     """
-    memo = {}
+    return SymFunc._from_valid(w.length(), "s", _transition_tree(w._stable_window()))
 
-    def expand(u):
-        key = u._stable_window()
-        if key in memo:
-            return memo[key]
-        if u.is_vexillary():
-            out = {u.shape(): 1}
-        else:
-            r = u.right_descents()[-1]
-            s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
-            v = u.transposition_right(r, s)
-            left, right, extra = transition_sides(v, r)
-            if left != [u]:
-                raise AssertionError(
-                    f"transition tree at {u}: the left side at (v, r) = ({v}, {r}) is {left}, not [{u}]"
-                )
-            out = Counter()
-            for child in right if extra is None else right + [extra]:
-                out.update(expand(child))
-        memo[key] = out
-        return out
 
-    return SymFunc._from_valid(w.length(), "s", expand(w))
+@lru_cache(maxsize=8192)
+def _transition_tree(key):
+    """{la: [s_la] F_u} for u the permutation whose stable window is ``key``;
+    the dict is shared, so callers only read it."""
+    u = Permutation(key)
+    if u.is_vexillary():
+        return {u.shape(): 1}
+    r = u.right_descents()[-1]
+    s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
+    v = u.transposition_right(r, s)
+    left, right, extra = transition_sides(v, r)
+    if left != [u]:
+        raise AssertionError(
+            f"transition tree at {u}: the left side at (v, r) = ({v}, {r}) is {left}, not [{u}]"
+        )
+    out = Counter()
+    for child in right if extra is None else right + [extra]:
+        out.update(_transition_tree(child._stable_window()))
+    return dict(out)
 
 
 # -- affine -------------------------------------------------------------------

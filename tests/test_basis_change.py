@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from stansym import symfunc
+from stansym import stanley, symfunc
 from stansym.affine import elements_of_length
 from stansym.partition import bounded_partitions, conjugate, partitions_of
 from stansym.permutation import Permutation
@@ -254,5 +254,9 @@ def test_basis_change_caches_are_bounded():
         symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_kostka_row, symfunc._expand_to_m,
         symfunc.affine_schur, symfunc._h_coproduct,
+        # and the finite F_w routes' element lists, split lists, submask
+        # tables and transition tree
+        stanley._decreasing_elements, stanley._decreasing_splits,
+        stanley._submask_table, stanley._transition_tree,
     ):
         assert cached.cache_info().maxsize is not None, cached

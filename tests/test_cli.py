@@ -101,6 +101,28 @@ def test_reduced_words_command(capsys):
     assert set(out.split()) == {"1210", "2120"}
 
 
+def test_reduced_words_count_lists_no_word(capsys, monkeypatch):
+    from stansym import permutation
+    from stansym.partition import count_standard_tableaux, staircase
+
+    def listed(window):
+        raise AssertionError("--count listed the reduced words")
+
+    monkeypatch.setattr(permutation, "_reduced_words", listed)
+    # R(w0) of S_8 is in bijection with the standard tableaux of the staircase
+    code, out, _ = run(["reduced-words", "87654321", "--count"], capsys)
+    assert code == 0
+    assert int(out) == count_standard_tableaux(staircase(7))
+    code, out, _ = run(["reduced-words", "2431", "--count", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == 3
+
+
+def test_reduced_words_count_is_finite_only(capsys):
+    code, out, err = run(["reduced-words", "-n", "3", "[-2, 2, 6]", "--count"], capsys)
+    assert code == 2 and not out
+    assert "finite-only" in err
+
+
 def test_little_move_command(capsys):
     code, out, _ = run(["little-move", "2134321", "5", "--format", "json"], capsys)
     assert code == 0
@@ -163,6 +185,15 @@ def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     code, out, _ = run(["verify", "eg"], capsys)
     assert code == 1
     assert "FAIL [eg] transition-tree" in out and "FAIL [eg] sum of c_la" in out
+
+
+def test_verify_eg_runs_the_tree_checks_on_a_larger_group_than_the_eg_count(capsys, monkeypatch):
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "6")
+    code, out, _ = run(["verify", "eg"], capsys)
+    assert code == 0 and "FAIL" not in out
+    assert "PASS [eg] transition-tree Schur expansion = EG-tableau count on S_5" in out
+    assert "PASS [eg] sum of c_la f^la = #R(w) on S_6" in out
+    assert "PASS [eg] transition-tree Schur expansion = Kostka peel of F_w on S_6" in out
 
 
 def test_verify_eg_cross_checks_the_tree_against_the_kostka_peel(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Finite symmetric group: codes, reduced words, pattern classes."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -165,6 +166,28 @@ def test_grassmannian_and_pattern_classes():
     assert not Permutation([3, 2, 1]).is_321_avoiding()
     assert Permutation([2, 4, 3, 1]).is_vexillary()
     assert not Permutation([2, 1, 4, 3]).is_vexillary()
+
+
+def _contains_2143_by_scan(w):
+    """The definition: some positions a < b < c < d with w(b) < w(a) < w(d) < w(c)."""
+    v = w.window
+    return any(v[b] < v[a] < v[d] < v[c] for a, b, c, d in combinations(range(w.n), 4))
+
+
+def test_vexillary_test_equals_the_2143_scan():
+    for n in range(8):
+        for w in symmetric_group(n):
+            assert w.is_vexillary() is not _contains_2143_by_scan(w), w
+
+
+def test_reduced_words_come_out_sorted_and_distinct():
+    s6 = random.Random(6).sample(symmetric_group(6), 60)
+    try:
+        for w in [w for n in range(1, 6) for w in symmetric_group(n)] + s6:
+            words = w.reduced_words()
+            assert list(words) == sorted(set(words)), w
+    finally:
+        _reduced_words.cache_clear()
 
 
 def test_one_times_shifts_letters():

@@ -95,6 +95,14 @@ def test_symmetry_check_on_the_walk_agrees_with_the_oracle_on_s5(monkeypatch):
         permutation._reduced_words.cache_clear()
 
 
+def test_submask_table_reads_the_coefficient_of_every_partition():
+    rng = random.Random(5)
+    for ell in range(1, 12):
+        histogram = {m: rng.randint(0, 9) for m in rng.sample(range(1 << (ell - 1)), min(40, 1 << (ell - 1)))}
+        want = {la: _coefficient(histogram, la) for la in partitions_of(ell)}
+        assert stanley._m_coefficients(histogram, ell) == want, ell
+
+
 def test_coefficient_sums_the_submasks_of_the_partial_sums():
     histogram = {0b000: 1, 0b001: 2, 0b100: 4, 0b101: 8, 0b010: 16}
     assert _coefficient(histogram, (4,)) == 1

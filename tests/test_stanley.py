@@ -2,6 +2,7 @@
 
 import random
 import sys
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -118,7 +119,61 @@ def test_schur_coefficients_count_reduced_words():
         assert sum(c * count_standard_tableaux(la) for la, c in coeffs.items()) == count_reduced_words(w), w
 
 
+def test_schur_expand_with_a_warm_memo_equals_a_cleared_one_on_s6():
+    s6 = symmetric_group(6)
+    stanley._transition_tree.cache_clear()
+    warm = [schur_expand(w) for w in s6]
+    assert stanley._transition_tree.cache_info().hits  # the trees share nodes
+    for w, got in zip(s6, warm):
+        stanley._transition_tree.cache_clear()
+        assert schur_expand(w) == got, w
+
+
+@lru_cache(maxsize=None)
+def _count_by_subsets(window, alpha):
+    """The decreasing-factorization count with no split list: every k-subset
+    is tested again at each (window, alpha)."""
+    n = len(window)
+    if not alpha:
+        return 1 if window == tuple(range(1, n + 1)) else 0
+    inverse = [0] * (n + 1)
+    for i, x in enumerate(window, 1):
+        inverse[x] = i
+    total = 0
+    for word in combinations(range(n - 1, 0, -1), alpha[0]):
+        pos = inverse[:]
+        for a in word:
+            if pos[a] < pos[a + 1]:
+                break
+            pos[a], pos[a + 1] = pos[a + 1], pos[a]
+        else:
+            tail = [0] * n
+            for x in range(1, n + 1):
+                tail[pos[x] - 1] = x
+            total += _count_by_subsets(tuple(tail), alpha[1:])
+    return total
+
+
+def _composition(rng, ell):
+    """A seeded composition of ell: cut 1..ell-1 at random."""
+    cuts = sorted(rng.sample(range(1, ell), rng.randint(0, ell - 1))) if ell > 1 else []
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [ell]) if b > a)
+
+
+def test_split_lists_count_as_the_subset_loop_on_s5_and_s6():
+    rng = random.Random(17)
+    try:
+        for w in symmetric_group(5) + symmetric_group(6):
+            ell = w.length()
+            for alpha in list(partitions_of(ell)) + [_composition(rng, ell) for _ in range(3)]:
+                got = stanley._count_decreasing_factorizations(w.window, alpha)
+                assert got == _count_by_subsets(w.window, alpha), (w, alpha)
+    finally:
+        _count_by_subsets.cache_clear()
+
+
 def test_transition_tree_names_w_when_its_left_side_is_wrong(monkeypatch):
+    stanley._transition_tree.cache_clear()  # a node expanded earlier would not be checked again
     monkeypatch.setattr(stanley, "transition_sides", lambda v, r: ([], [], None))
     with pytest.raises(AssertionError, match="2143"):
         schur_expand(Permutation([2, 1, 4, 3]))
