@@ -183,7 +183,7 @@ def _suite_examples(suite, caps):
 def _suite_symmetry(suite, caps):
     from .stanley import check_symmetry_affine, check_symmetry_finite, stanley_fn
 
-    nf = min(4, caps["max_rank_finite"])
+    nf = min(5, caps["max_rank_finite"])
     suite.check(
         f"F_w symmetric and definition-independent on S_{nf}",
         all(

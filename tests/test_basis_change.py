@@ -254,9 +254,9 @@ def test_basis_change_caches_are_bounded():
         symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_kostka_row, symfunc._expand_to_m,
         symfunc.affine_schur, symfunc._h_coproduct,
-        # and the finite F_w routes' element lists, split lists, submask
-        # tables and transition tree
+        # and the finite F_w routes' element lists, split lists, field widths
+        # and transition tree
         stanley._decreasing_elements, stanley._decreasing_splits,
-        stanley._submask_table, stanley._transition_tree,
+        stanley._field_width, stanley._transition_tree,
     ):
         assert cached.cache_info().maxsize is not None, cached
