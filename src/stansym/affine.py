@@ -8,6 +8,7 @@ is rejected).
 """
 
 from functools import lru_cache
+from itertools import combinations
 from operator import index
 
 from .partition import as_partition, conjugate, sort_composition
@@ -83,15 +84,20 @@ class AffinePermutation:
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return AffinePermutation._from_valid(self.n, tuple(map(self, other.window)))
+        n, w = self.n, self.window
+        out = []
+        for x in other.window:
+            q, r = divmod(x - 1, n)
+            out.append(w[r] + q * n)
+        return AffinePermutation._from_valid(n, tuple(out))
 
     def inverse(self):
-        out = [0] * self.n
-        for i in range(1, self.n + 1):
-            v = self(i)
-            r = (v - 1) % self.n
+        n = self.n
+        out = [0] * n
+        for i, v in enumerate(self.window, 1):
+            r = (v - 1) % n
             out[r] = i - (v - (r + 1))
-        return AffinePermutation._from_valid(self.n, tuple(out))
+        return AffinePermutation._from_valid(n, tuple(out))
 
     def __eq__(self, other):
         return self.n == other.n and self.window == other.window
@@ -135,8 +141,8 @@ class AffinePermutation:
     def length(self):
         """Shi's formula: the sum of |floor((w_j - w_i) / n)| over i < j <= n."""
         if self._length is None:
-            w, n = self.window, self.n
-            self._length = sum(abs((w[j] - w[i]) // n) for i in range(n) for j in range(i + 1, n))
+            n = self.n
+            self._length = sum([abs((b - a) // n) for a, b in combinations(self.window, 2)])
         return self._length
 
     def shape(self):
@@ -152,10 +158,7 @@ class AffinePermutation:
 
     def has_left_descent(self, i):
         """True iff l(s_i w) < l(w), that is w^-1(i) > w^-1(i + 1)."""
-        n = self.n
-        # w^-1(t) = t + p - w(p) for the position p with w(p) = t (mod n)
-        shift = {x % n: p - x for p, x in enumerate(self.window, 1)}
-        return shift[i % n] > 1 + shift[(i + 1) % n]
+        return _left_raise(i % self.n, self.window, self.n) is None
 
     def reduced_words(self):
         return _affine_reduced_words(self.n, self.window)
@@ -163,12 +166,26 @@ class AffinePermutation:
     def reduced_word(self):
         """The lexicographically least reduced word, ``reduced_words()[0]``:
         take the least left descent (the least right descent of the inverse,
-        which lists 0 first), multiply it off, and repeat."""
-        word, v = [], self.inverse()
-        while descents := v.right_descents():
-            word.append(descents[0])
-            v = v.right_mult_generator(descents[0])
-        return tuple(word)
+        with 0 least), multiply it off, and repeat, on a list copy of the
+        inverse's window."""
+        n = self.n
+        v = list(self.inverse().window)
+        word = []
+        start = 1  # v[0] < ... < v[start - 1]: no right descent below start
+        while True:
+            if v[-1] > v[0] + n:
+                v[0], v[-1] = v[-1] - n, v[0] + n
+                word.append(0)
+                start = 1
+                continue
+            for i in range(start, n):
+                if v[i - 1] > v[i]:
+                    v[i - 1], v[i] = v[i], v[i - 1]
+                    word.append(i)
+                    start = max(1, i - 1)
+                    break
+            else:
+                return tuple(word)
 
     def is_grassmannian(self):
         w = self.window
@@ -182,7 +199,28 @@ class AffinePermutation:
         return AffinePermutation(data["n"], data["window"])
 
 
-@lru_cache(maxsize=None)
+def _left_raise(i, window, n):
+    """The window of s_i w if s_i w > w, else None, for w the element with
+    this window and 0 <= i < n.
+
+    s_i w adds 1 to the value = i (mod n) and takes 1 from the value
+    = i + 1.  It is shorter exactly when w^-1(i) > w^-1(i + 1), where
+    w^-1(t) = t + p - w(p) for the position p with w(p) = t (mod n).
+    """
+    j = (i + 1) % n
+    up = list(window)
+    for p, x in enumerate(window):
+        r = x % n
+        if r == i:
+            shift_i = p - x
+            up[p] = x + 1
+        elif r == j:
+            shift_j = p - x
+            up[p] = x - 1
+    return None if shift_i > 1 + shift_j else tuple(up)
+
+
+@lru_cache(maxsize=4096)
 def _affine_reduced_words(n, window):
     w = AffinePermutation(n, window)
     if w.is_identity():
@@ -222,14 +260,6 @@ def cyclically_decreasing(n, subset):
     return AffinePermutation.from_word(cyclically_decreasing_word(n, subset), n)
 
 
-def is_cyclically_decreasing_word(word, n):
-    word = [i % n for i in word]
-    if len(set(word)) != len(word) or len(word) >= n:
-        return False
-    pos = {a: i for i, a in enumerate(word)}
-    return all((a + 1) % n not in pos or pos[(a + 1) % n] < pos[a] for a in word)
-
-
 class CorootVector:
     """An element of the coroot lattice: n integer coordinates summing to 0."""
 
@@ -260,22 +290,10 @@ class CorootVector:
     def __repr__(self):
         return f"CorootVector({list(self.coords)})"
 
-    def permuted(self, w):
-        """Action of a finite permutation: (w . la)_{w(i)} = la_i."""
-        out = [0] * self.n
-        for i in range(self.n):
-            out[w(i + 1) - 1] = self.coords[i]
-        return CorootVector(out)
-
     def orbit(self):
         """The S_n orbit, as a sorted list of distinct vectors."""
         from itertools import permutations as itp
         return sorted({tuple(p) for p in itp(self.coords)})
-
-
-def theta_coroot(n):
-    """The highest coroot (1, 0, ..., 0, -1)."""
-    return CorootVector((1,) + (0,) * (n - 2) + (-1,))
 
 
 def translation_element(la):
@@ -284,24 +302,7 @@ def translation_element(la):
     return AffinePermutation(n, (i + n * la.coords[i - 1] for i in range(1, n + 1)))
 
 
-def length_via_formula(w, la):
-    """Length of w * t_la from the root-pairing formula.
-
-    Sums |<la, a_{ij}> + chi(w . a_{ij})| over finite positive roots, where
-    chi is 0 on positive roots and 1 on negative ones.
-    """
-    n = la.n
-    w = w.embed(n)
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pairing = la.coords[i - 1] - la.coords[j - 1]
-            chi = 0 if w(i) < w(j) else 1
-            total += abs(pairing + chi)
-    return total
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def elements_of_length(n, length):
     """All elements of S~_n of the given length, sorted by window."""
     if length == 0:

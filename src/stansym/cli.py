@@ -112,11 +112,13 @@ def parse_partition(text):
     return as_partition([int(p) for p in text.split(",")])
 
 
-def emit(obj, fmt, text_render):
+def emit(as_json, fmt, as_text):
+    """Print one of the two forms; each is a callable, so only the printed
+    one is rendered."""
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(as_json(), sort_keys=True))
     else:
-        print(text_render)
+        print(as_text())
 
 
 # -- verification suites ------------------------------------------------------
@@ -495,53 +497,61 @@ def dispatch(args, fmt, caps):
     if cmd == "stanley":
         w = parse_permutation(args.perm)
         f = stanley_fn(w, args.method)
-        emit(f.to_json(), fmt, repr(f))
+        emit(f.to_json, fmt, lambda: repr(f))
     elif cmd == "schur-expand":
         f = schur_expand(parse_permutation(args.perm))
-        emit(f.to_json(), fmt, repr(f))
+        emit(f.to_json, fmt, lambda: repr(f))
     elif cmd == "affine-stanley":
         w = parse_affine(args.element, args.rank, args.input_mode)
         f = affine_stanley(w)
-        emit(f.to_json(), fmt, repr(f))
+        emit(f.to_json, fmt, lambda: repr(f))
     elif cmd == "affine-schur-expand":
         w = parse_affine(args.element, args.rank, args.input_mode)
         f = affine_schur_expand(w)
-        emit(f.to_json(), fmt, repr(f))
+        emit(f.to_json, fmt, lambda: repr(f))
     elif cmd == "eg-insert":
         from .tableaux import eg_insert
 
         P, Q = eg_insert(parse_word(args.word))
-        emit({"P": P.to_json(), "Q": Q.to_json()}, fmt, f"P:\n{P.render()}\nQ:\n{Q.render()}")
+        emit(
+            lambda: {"P": P.to_json(), "Q": Q.to_json()},
+            fmt,
+            lambda: f"P:\n{P.render()}\nQ:\n{Q.render()}",
+        )
     elif cmd == "reduced-words" and args.count:
         if args.rank is not None:
             raise ValueError("--count is finite-only: it takes no -n/--rank")
         count = count_reduced_words(parse_permutation(args.perm))
-        emit(count, fmt, str(count))
+        emit(lambda: count, fmt, lambda: str(count))
     elif cmd == "reduced-words":
         if args.rank is not None:
             w = parse_affine(args.perm, args.rank, args.input_mode)
         else:
             w = parse_permutation(args.perm)
         words = w.reduced_words()
-        emit([list(word) for word in words], fmt, "\n".join("".join(map(str, word)) for word in words))
+        emit(
+            lambda: [list(word) for word in words],
+            fmt,
+            lambda: "\n".join("".join(map(str, word)) for word in words),
+        )
     elif cmd == "little-move":
         mw = MarkedWord(parse_word(args.word), args.mark)
         chain = little_move_chain(mw)
         emit(
-            [{"word": list(c.word), "mark": c.mark} for c in chain],
+            lambda: [{"word": list(c.word), "mark": c.mark} for c in chain],
             fmt,
-            "\n".join(f"{''.join(map(str, c.word))} (mark {c.mark})" for c in chain),
+            lambda: "\n".join(f"{''.join(map(str, c.word))} (mark {c.mark})" for c in chain),
         )
     elif cmd == "kschur":
         f = k_schur(args.rank, parse_partition(args.partition))
-        emit(f.to_json(), fmt, repr(f))
+        emit(f.to_json, fmt, lambda: repr(f))
     elif cmd == "jbasis":
         from .affine import grassmannian_from_partition
         from .nilhecke import j_basis_element
 
         w = grassmannian_from_partition(args.rank, parse_partition(args.partition))
         a = j_basis_element(args.rank, w)
-        emit(a.to_json(), fmt, repr(a))
+        emit(a.to_json, fmt, lambda: repr(a))
     elif cmd == "verify":
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
         return run_verify(names, fmt, caps)

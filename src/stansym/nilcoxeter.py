@@ -40,6 +40,16 @@ class NilCoxeterElement:
             clean[w] = clean.get(w, 0) + c
         self.coeffs = {w: c for w, c in clean.items() if c}
 
+    @classmethod
+    def _from_valid(cls, n, affine, coeffs):
+        """An internal result, unchecked: ``coeffs`` maps elements of the
+        group of rank n to ints, and the zero ones are dropped here."""
+        self = object.__new__(cls)
+        self.n = n
+        self.affine = affine
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
+        return self
+
     def _check_key(self, w):
         if self.affine:
             if not isinstance(w, AffinePermutation) or w.n != self.n:

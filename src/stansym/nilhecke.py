@@ -6,12 +6,23 @@ d_i is the divided difference for alpha_i = x_i - x_{i+1} (indices mod n, so
 alpha_0 = x_n - x_1).  On top sit the group embedding s_i -> 1 - alpha_i A_i,
 the coproduct, the constant-term projection phi_0, the j-basis of the affine
 Fomin-Stanley subalgebra, and the kappa projection to the finite algebra.
+
+Inputs are validated once, by the public constructors.  Past them the
+products work on bare data: ``_letter`` applies one A_i to terms
+{window: {exponent tuple: int}} by the commutation rule, with s_i v a map on
+the window (``affine._left_raise``: values = i mod n go up by one, values
+= i + 1 down by one) and the swap and d_i acting on the exponent tuples.  The product,
+``commute_past``, ``embed_group`` and the coproduct's tensor action all walk
+their letters through it and wrap the result once, by the unchecked
+``NilHeckeElement._from_valid``.  The Chevalley formula reads the cover list
+of ``_chevalley_covers`` and never the product, so the two stay independent
+routes.
 """
 
 from functools import lru_cache
-from operator import index
+from operator import add, index
 
-from .affine import AffinePermutation, elements_of_length, translation_element
+from .affine import AffinePermutation, _left_raise, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
 
 
@@ -200,6 +211,24 @@ class NilHeckeElement:
                 clean[w] = clean[w] + p if w in clean else p
         self.coeffs = {w: p for w, p in clean.items() if not p.is_zero()}
 
+    @classmethod
+    def _from_valid(cls, n, terms):
+        """An internal result, unchecked: ``terms`` maps the windows of
+        elements of S~_n to exponent dicts {length-n tuple: int}, and the zero
+        coefficients and scalars are dropped here."""
+        self = object.__new__(cls)
+        self.n = n
+        self.coeffs = {}
+        for v, poly in terms.items():
+            p = ScalarPoly._from_valid(n, poly)
+            if p.coeffs:
+                self.coeffs[AffinePermutation._from_valid(n, v)] = p
+        return self
+
+    def _terms(self):
+        """The kernel's form of this element: {window: exponent dict}."""
+        return {w.window: p.coeffs for w, p in self.coeffs.items()}
+
     @staticmethod
     def zero(n):
         return NilHeckeElement(n, {})
@@ -241,17 +270,21 @@ class NilHeckeElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        terms = []
+        if not isinstance(other, NilHeckeElement):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError(f"rank mismatch: {self.n} and {other.n}")
+        n = self.n
+        right = other._terms()
+        out = {}
         for u, p in self.coeffs.items():
-            t = other
-            for i in reversed(u.reduced_word()):
-                t = _letter_times(i, t)
-            terms.extend((w, p * q) for w, q in t.coeffs.items())
-        return NilHeckeElement(self.n, terms)
+            for v, poly in _act(u.reduced_word(), right, n).items():
+                _add_product(out.setdefault(v, {}), p.coeffs, poly)
+        return NilHeckeElement._from_valid(n, out)
 
     def phi0(self):
         """Constant-term projection into the affine nilCoxeter algebra."""
-        return NilCoxeterElement(
+        return NilCoxeterElement._from_valid(
             self.n, True, {w: p.constant_term() for w, p in self.coeffs.items()}
         )
 
@@ -271,35 +304,104 @@ class NilHeckeElement:
         ]
 
 
-def _letter_times(i, elem):
-    """A_i times an element in normal form."""
-    n = elem.n
-    i = i % n
-    a, b = (i, i + 1) if i != 0 else (n, 1)
-    si = AffinePermutation.simple(i, n)
-    terms = []
-    for v, q in elem.coeffs.items():
-        if not v.has_left_descent(i):  # s_i v > v
-            terms.append((si * v, q.swap(a, b)))
-        terms.append((v, q.divided_difference(i)))
-    return NilHeckeElement(n, terms)
+# -- the letter kernel ---------------------------------------------------------
+#
+# Terms are {window: {exponent tuple: int}}, the windows those of elements of
+# S~_n and the tuples of length n; a result may hold zero coefficients, which
+# ``NilHeckeElement._from_valid`` drops.
+
+
+def _alpha_positions(i, n):
+    """The 0-based indices (a, b) of alpha_i = x_a - x_b, for 0 <= i < n."""
+    return (i - 1, i) if i else (n - 1, 0)
+
+
+def _letter(i, terms, n):
+    """A_i times terms, 0 <= i < n: A_i f A_v = (s_i.f) A_{s_i v} + (d_i f) A_v,
+    where A_{s_i v} = 0 if s_i v < v.
+
+    s_i.f swaps the exponents at a and b; d_i sends x_a^k x_b^l to
+    sum_{l <= t < k} x_a^t x_b^(k+l-1-t) for k > l, to minus that of its swap
+    for k < l, and to 0 for k = l.
+    """
+    a, b = _alpha_positions(i, n)
+    out = {}
+    for v, poly in terms.items():
+        up = _left_raise(i, v, n)
+        if up is not None:
+            acc = out.setdefault(up, {})
+            for e, c in poly.items():
+                k, l = e[a], e[b]
+                if k != l:
+                    e = list(e)
+                    e[a], e[b] = l, k
+                    e = tuple(e)
+                acc[e] = acc.get(e, 0) + c
+        acc = out.setdefault(v, {})
+        for e, c in poly.items():
+            k, l = e[a], e[b]
+            if k == l:
+                continue
+            if k < l:
+                k, l, c = l, k, -c
+            e = list(e)
+            for t in range(l, k):
+                e[a], e[b] = t, k + l - 1 - t
+                key = tuple(e)
+                acc[key] = acc.get(key, 0) + c
+    return out
+
+
+def _act(word, terms, n):
+    """A_{word[0]} ... A_{word[-1]} times terms, one letter at a time."""
+    for i in reversed(word):
+        terms = _letter(i % n, terms, n)
+    return terms
+
+
+def _add_product(acc, left, right):
+    """acc += left * right, all three exponent dicts."""
+    for e1, c1 in left.items():
+        if not any(e1):
+            for e2, c2 in right.items():
+                acc[e2] = acc.get(e2, 0) + c1 * c2
+            continue
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _subtract_alpha_times(acc, i, n, lowered):
+    """acc -= alpha_i * lowered, in place."""
+    a, b = _alpha_positions(i, n)
+    for v, poly in lowered.items():
+        into = acc.setdefault(v, {})
+        for e, c in poly.items():
+            e = list(e)
+            e[a] += 1
+            key = tuple(e)
+            into[key] = into.get(key, 0) - c
+            e[a] -= 1
+            e[b] += 1
+            key = tuple(e)
+            into[key] = into.get(key, 0) + c
 
 
 def commute_past(i, f):
     """A_i * f in normal form: (s_i.f) A_i + (d_i f)."""
-    return _letter_times(i, NilHeckeElement.from_scalar(f))
+    if not isinstance(f, ScalarPoly):
+        raise TypeError(f"expected a ScalarPoly: {f!r}")
+    n = f.n
+    return NilHeckeElement._from_valid(n, _act((index(i),), {tuple(range(1, n + 1)): f.coeffs}, n))
 
 
 def embed_group(w):
     """The image of an affine permutation under s_i -> 1 - alpha_i A_i."""
     n = w.n
-    out = NilHeckeElement.one(n)
-    for i in w.reduced_word():
-        si = NilHeckeElement.one(n) - NilHeckeElement.basis(
-            AffinePermutation.simple(i, n), ScalarPoly.alpha(n, i)
-        )
-        out = out * si
-    return out
+    terms = {tuple(range(1, n + 1)): {(0,) * n: 1}}
+    for i in reversed(w.reduced_word()):
+        _subtract_alpha_times(terms, i, n, _letter(i, terms, n))
+    return NilHeckeElement._from_valid(n, terms)
 
 
 def _affine_transposition(n, i, j):
@@ -312,7 +414,7 @@ def _affine_transposition(n, i, j):
             window[k - 1] = j + (k - i)
         elif (k - j) % n == 0:
             window[k - 1] = i + (k - j)
-    return AffinePermutation(n, window)
+    return AffinePermutation._from_valid(n, tuple(window))
 
 
 def _chevalley_covers(w):
@@ -344,58 +446,72 @@ def chevalley(w, f):
     the same cover list the j-basis builds its phi0(A_x x_i) table from.
     """
     n = w.n
+    if f.n != n:
+        raise ValueError(f"rank mismatch: {n} and {f.n} variables")
     if any(sum(e) != 1 for e in f.coeffs):
         raise ValueError("Chevalley formula needs a homogeneous linear scalar")
     coeff = [0] * n
     for e, c in f.coeffs.items():
         coeff[e.index(1)] = c
-    terms = {w: f.permute_variables(_level_zero_target(w))}
+    terms = {w.window: f.permute_variables(_level_zero_target(w)).coeffs}
     # distinct inversions are distinct reflections, so each cover is new
+    zero = (0,) * n
     for wt, a, b in _chevalley_covers(w):
-        terms[wt] = coeff[a] - coeff[b]
-    return NilHeckeElement(n, terms)
+        terms[wt.window] = {zero: coeff[a] - coeff[b]}
+    return NilHeckeElement._from_valid(n, terms)
 
 
 # -- coproduct ----------------------------------------------------------------
 
 
-def _tensor_clean(T):
-    return {w: L for w, L in T.items() if not L.is_zero()}
+def _merge(acc, terms):
+    """acc += terms, both kernel terms."""
+    for v, poly in terms.items():
+        into = acc.setdefault(v, {})
+        for e, c in poly.items():
+            into[e] = into.get(e, 0) + c
 
 
-def _tensor_letter_act(i, T):
-    """A_i acting on a tensor {right key w: left NilHeckeElement}:
+def _tensor_letter_act(i, T, n):
+    """A_i acting on a tensor {right window w: left terms}:
     A_i.(m (x) n) = A_i m (x) n + m (x) A_i n - alpha_i A_i m (x) A_i n.
 
     Scalars stay in the left factor, so this representation is canonical.
     """
-    if not T:
-        return {}
-    n = next(iter(T.values())).n
-    si = AffinePermutation.simple(i, n)
-    alpha = ScalarPoly.alpha(n, i)
+    i %= n
     out = {}
     for w, L in T.items():
-        aL = _letter_times(i, L)
-        out.setdefault(w, []).extend(aL.coeffs.items())
-        if not w.has_left_descent(i):  # s_i w > w
-            longer = out.setdefault(si * w, [])
-            longer.extend(L.coeffs.items())
-            longer.extend((v, -(alpha * p)) for v, p in aL.coeffs.items())
-    return _tensor_clean({w: NilHeckeElement(n, terms) for w, terms in out.items()})
+        aL = _letter(i, L, n)
+        _merge(out.setdefault(w, {}), aL)
+        up = _left_raise(i, w, n)
+        if up is not None:
+            longer = out.setdefault(up, {})
+            _merge(longer, L)
+            _subtract_alpha_times(longer, i, n, aL)
+    return out
 
 
 def tensor_act(a, T):
-    """Left action of a nilHecke element on a tensor, per the coproduct
-    module structure."""
+    """Left action of a nilHecke element on a tensor
+    {right AffinePermutation: left NilHeckeElement}, per the coproduct module
+    structure."""
+    n = a.n
+    start = {w.window: L._terms() for w, L in T.items()}
     out = {}
     for u, p in a.coeffs.items():
-        cur = T
+        cur = start
         for i in reversed(u.reduced_word()):
-            cur = _tensor_letter_act(i, cur)
+            cur = _tensor_letter_act(i, cur, n)
         for w, L in cur.items():
-            out.setdefault(w, []).extend((v, p * q) for v, q in L.coeffs.items())
-    return _tensor_clean({w: NilHeckeElement(a.n, terms) for w, terms in out.items()})
+            acc = out.setdefault(w, {})
+            for v, poly in L.items():
+                _add_product(acc.setdefault(v, {}), p.coeffs, poly)
+    result = {}
+    for w, L in out.items():
+        left = NilHeckeElement._from_valid(n, L)
+        if left.coeffs:
+            result[AffinePermutation._from_valid(n, w)] = left
+    return result
 
 
 def coproduct(a):
@@ -454,7 +570,7 @@ def _phi0_x_table(n, ell):
         for y, a, b in _chevalley_covers(x):
             rows[a][y] = 1
             rows[b][y] = -1
-        table[x] = [NilCoxeterElement(n, True, row) for row in rows]
+        table[x] = [NilCoxeterElement._from_valid(n, True, row) for row in rows]
     return table
 
 

@@ -365,9 +365,22 @@ def check_symmetry_finite(w):
     return True
 
 
-def _rearrangements(la):
-    from itertools import permutations as itp
-    return {tuple(p) for p in itp(la)}
+def _distinct_rearrangements(parts):
+    """Each distinct rearrangement of ``parts`` once, in lex order, by the
+    next-permutation step (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(parts)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = reversed(a[j + 1:])
 
 
 def schur_expand(w):
@@ -475,7 +488,7 @@ def affine_stanley_coefficient(w, alpha):
 def check_symmetry_affine(w):
     for la in partitions_of(w.length(), w.n - 1):
         base = _count_cyclic_factorizations(w.n, w.window, la)
-        for alpha in _rearrangements(la):
+        for alpha in _distinct_rearrangements(la):
             if affine_stanley_coefficient(w, alpha) != base:
                 return False
     return True

@@ -14,7 +14,6 @@ import stansym
 from stansym import stanley
 
 OPEN = {
-    "affine._affine_reduced_words", "affine.elements_of_length",
     "partition.partitions_of",
     "permutation._reduced_words",
     "stanley._cyclically_decreasing_elements", "stanley._count_cyclic_factorizations",

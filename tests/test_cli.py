@@ -141,6 +141,16 @@ def test_kschur_and_jbasis_commands(capsys):
     assert len(data) == 3 and all(t["coeff"] == 1 for t in data)
 
 
+def test_json_output_renders_no_text(capsys, monkeypatch):
+    def no_text(self):
+        raise AssertionError("the text form was rendered under --format json")
+
+    monkeypatch.setattr(NilCoxeterElement, "__repr__", no_text)
+    code, out, err = run(["jbasis", "-n", "4", "2,1", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
 def test_verify_examples_suite(capsys):
     code, out, _ = run(["verify", "examples"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 """Affine nilHecke ring: commutation, coproduct, phi0, and the j-basis."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -31,6 +32,131 @@ from stansym.nilhecke import (
 
 def aff(word, n=3):
     return AffinePermutation.from_word(word, n)
+
+
+# -- the validated letter-by-letter forms, kept as oracles of the kernel --------
+
+
+def _letter_times(i, elem):
+    """A_i times an element in normal form, through the checked constructors."""
+    n = elem.n
+    i = i % n
+    a, b = (i, i + 1) if i != 0 else (n, 1)
+    si = AffinePermutation.simple(i, n)
+    terms = []
+    for v, q in elem.coeffs.items():
+        if not v.has_left_descent(i):  # s_i v > v
+            terms.append((si * v, q.swap(a, b)))
+        terms.append((v, q.divided_difference(i)))
+    return NilHeckeElement(n, terms)
+
+
+def _product(x, y):
+    terms = []
+    for u, p in x.coeffs.items():
+        t = y
+        for i in reversed(u.reduced_word()):
+            t = _letter_times(i, t)
+        terms.extend((w, p * q) for w, q in t.coeffs.items())
+    return NilHeckeElement(x.n, terms)
+
+
+def _embed_group(w):
+    n = w.n
+    out = NilHeckeElement.one(n)
+    for i in w.reduced_word():
+        si = NilHeckeElement.one(n) - NilHeckeElement.basis(
+            AffinePermutation.simple(i, n), ScalarPoly.alpha(n, i)
+        )
+        out = _product(out, si)
+    return out
+
+
+def _tensor_letter_act(i, T):
+    """A_i.(m (x) n) = A_i m (x) n + m (x) A_i n - alpha_i A_i m (x) A_i n."""
+    if not T:
+        return {}
+    n = next(iter(T.values())).n
+    si = AffinePermutation.simple(i, n)
+    alpha = ScalarPoly.alpha(n, i)
+    out = {}
+    for w, L in T.items():
+        aL = _letter_times(i, L)
+        out.setdefault(w, []).extend(aL.coeffs.items())
+        if not w.has_left_descent(i):  # s_i w > w
+            longer = out.setdefault(si * w, [])
+            longer.extend(L.coeffs.items())
+            longer.extend((v, -(alpha * p)) for v, p in aL.coeffs.items())
+    out = {w: NilHeckeElement(n, terms) for w, terms in out.items()}
+    return {w: L for w, L in out.items() if not L.is_zero()}
+
+
+def _coproduct(a):
+    out = {}
+    for u, p in a.coeffs.items():
+        cur = {AffinePermutation.identity(a.n): NilHeckeElement.one(a.n)}
+        for i in reversed(u.reduced_word()):
+            cur = _tensor_letter_act(i, cur)
+        for w, L in cur.items():
+            for v, q in L.coeffs.items():
+                out[(v, w)] = out.get((v, w), ScalarPoly.zero(a.n)) + p * q
+    return {k: q for k, q in out.items() if not q.is_zero()}
+
+
+ELEMENTS = [
+    w for n, top in ((3, 6), (4, 5), (5, 4)) for l in range(top + 1) for w in elements_of_length(n, l)
+]
+
+
+def _scalar(rng, n):
+    """A seeded scalar of degree <= 2 with up to three terms."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            exp[rng.randrange(n)] += 1
+        coeffs[tuple(exp)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return ScalarPoly(n, coeffs)
+
+
+def test_product_equals_the_validated_letter_product():
+    rng = random.Random(19)
+    for w in ELEMENTS:
+        n = w.n
+        left = NilHeckeElement.basis(w, _scalar(rng, n)) + NilHeckeElement.basis(
+            AffinePermutation.simple(rng.randrange(n), n), _scalar(rng, n)
+        )
+        v = rng.choice(elements_of_length(n, 2))
+        right = NilHeckeElement.from_scalar(_scalar(rng, n)) + NilHeckeElement.basis(v, _scalar(rng, n))
+        assert left * right == _product(left, right), w
+
+
+def test_commute_past_equals_the_validated_letter():
+    rng = random.Random(19)
+    for n in (3, 4, 5):
+        for i in range(n):
+            for _ in range(8):
+                f = _scalar(rng, n)
+                assert commute_past(i, f) == _letter_times(i, NilHeckeElement.from_scalar(f))
+
+
+def test_embed_group_and_coproduct_equal_their_validated_forms():
+    rng = random.Random(19)
+    for w in ELEMENTS:
+        if w.length() <= 4:
+            assert embed_group(w) == _embed_group(w), w
+        if w.length() <= 3:
+            a = NilHeckeElement.basis(w, _scalar(rng, w.n))
+            assert coproduct(a) == _coproduct(a), w
+
+
+def test_products_check_their_operands():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        NilHeckeElement.one(3) * NilHeckeElement.one(4)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        chevalley(AffinePermutation.simple(1, 3), ScalarPoly.x(4, 1))
+    with pytest.raises(TypeError):
+        commute_past(1, 2)
 
 
 def basis(word, n=3):

@@ -153,10 +153,22 @@ def test_packed_polynomials_read_field_by_field_are_the_dict_histogram():
                 assert count == sum(want.values()) < 1 << width, (v, ascents)
 
 
+def _rearrangements(la):
+    """The distinct rearrangements of ``la``, from all len(la)! orderings."""
+    from itertools import permutations as itp
+    return {tuple(p) for p in itp(la)}
+
+
+def test_distinct_rearrangements_are_the_set_of_all_orderings_in_lex_order():
+    for d in range(9):
+        for la in partitions_of(d):
+            assert list(stanley._distinct_rearrangements(la)) == sorted(_rearrangements(la)), la
+
+
 def _oracle_symmetric(histogram, ell):
     for la in partitions_of(ell):
         base = _count_within(histogram, la)
-        if any(_count_within(histogram, alpha) != base for alpha in stanley._rearrangements(la)):
+        if any(_count_within(histogram, alpha) != base for alpha in _rearrangements(la)):
             return False
     return True
 
