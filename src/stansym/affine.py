@@ -59,13 +59,6 @@ class AffinePermutation:
             w = w.right_mult_generator(i)
         return w
 
-    @staticmethod
-    def from_finite(w, n=None):
-        """Image of a finite permutation under S_n -> S~_n."""
-        if n is None:
-            n = max(w.n, 3)
-        return AffinePermutation(n, w.embed(n).window)
-
     def __call__(self, i):
         """Value at any integer, via w(i + n) = w(i) + n."""
         q, r = divmod(i - 1, self.n)
@@ -100,6 +93,8 @@ class AffinePermutation:
         return AffinePermutation._from_valid(n, tuple(out))
 
     def __eq__(self, other):
+        if not isinstance(other, AffinePermutation):
+            return NotImplemented
         return self.n == other.n and self.window == other.window
 
     def __hash__(self):
@@ -155,10 +150,6 @@ class AffinePermutation:
         if w[self.n - 1] > w[0] + self.n:
             out.append(0)
         return sorted(out)
-
-    def has_left_descent(self, i):
-        """True iff l(s_i w) < l(w), that is w^-1(i) > w^-1(i + 1)."""
-        return _left_raise(i % self.n, self.window, self.n) is None
 
     def reduced_words(self):
         return _affine_reduced_words(self.n, self.window)
@@ -282,6 +273,8 @@ class CorootVector:
         return CorootVector(-a for a in self.coords)
 
     def __eq__(self, other):
+        if not isinstance(other, CorootVector):
+            return NotImplemented
         return self.coords == other.coords
 
     def __hash__(self):

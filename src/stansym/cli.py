@@ -68,6 +68,8 @@ def load_caps():
 def _json_integers(text):
     """A JSON array of integers; any other entry is a usage error."""
     items = json.loads(text)
+    if not isinstance(items, list):
+        raise ValueError(f"not a JSON array: {text}")
     bad = [x for x in items if type(x) is not int]  # a bool is an int too
     if bad:
         raise ValueError(f"not an integer: {bad[0]!r} in {text}")
@@ -140,7 +142,7 @@ def _suite_examples(suite, caps):
     from .partition import count_standard_tableaux, partitions_of
     from .stanley import affine_schur_expand, affine_stanley, schur_expand, stanley_fn
     from .symfunc import SymFunc, change_basis
-    from .tableaux import Tableau, eg_insert, little_move
+    from .tableaux import Tableau, eg_insert
 
     w0 = Permutation([4, 3, 2, 1])
     suite.check(

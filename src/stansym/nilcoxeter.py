@@ -105,6 +105,8 @@ class NilCoxeterElement:
         return NilCoxeterElement(self.n, self.affine, out)
 
     def __eq__(self, other):
+        if not isinstance(other, NilCoxeterElement):
+            return NotImplemented
         return (self.n, self.affine, self.coeffs) == (other.n, other.affine, other.coeffs)
 
     def is_zero(self):

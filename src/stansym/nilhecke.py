@@ -106,6 +106,8 @@ class ScalarPoly:
         return ScalarPoly._from_valid(self.n, out)
 
     def __eq__(self, other):
+        if not isinstance(other, ScalarPoly):
+            return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -262,6 +264,8 @@ class NilHeckeElement:
         return NilHeckeElement(self.n, {w: k * p for w, p in self.coeffs.items()})
 
     def __eq__(self, other):
+        if not isinstance(other, NilHeckeElement):
+            return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
     def is_zero(self):

@@ -76,26 +76,6 @@ def count_standard_tableaux(la):
     return q
 
 
-def count_standard_tableaux_brute(la):
-    """Standard-tableau count by direct enumeration of growth chains."""
-    la = as_partition(la)
-
-    @lru_cache(maxsize=None)
-    def chains(shape):
-        if not shape:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
-                smaller = shape[:i] + (shape[i] - 1,) + shape[i + 1:]
-                while smaller and smaller[-1] == 0:
-                    smaller = smaller[:-1]
-                total += chains(smaller)
-        return total
-
-    return chains(la)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(d, max_part=None):
     """All partitions of ``d`` with parts at most ``max_part``, reverse-lex (a shared tuple)."""

@@ -84,6 +84,8 @@ class Permutation:
         return w
 
     def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self._stable_window() == other._stable_window()
 
     def __hash__(self):
@@ -137,14 +139,6 @@ class Permutation:
 
     def is_grassmannian(self):
         return len(self.right_descents()) <= 1
-
-    def is_321_avoiding(self):
-        w = self.window
-        n = self.n
-        return not any(
-            w[a] > w[b] > w[c]
-            for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
-        )
 
     def is_vexillary(self):
         """True iff w avoids the pattern 2143: no positions a < b < c < d with

@@ -499,30 +499,6 @@ def affine_schur_expand(w):
     return change_basis(affine_stanley(w), "affineSchur", w.n)
 
 
-def coproduct_check(w):
-    """True iff Delta F~_w equals the sum of F~_u (x) F~_v over length-additive
-    factorizations w = u v."""
-    from .symfunc import coproduct
-
-    lhs = coproduct(affine_stanley(w))
-    # enumerate u by length; v = u^{-1} w
-    from .affine import elements_of_length
-
-    rhs = {}
-    for lu in range(w.length() + 1):
-        for u in elements_of_length(w.n, lu):
-            v = u.inverse() * w
-            if v.length() != w.length() - lu:
-                continue
-            fu = change_basis(affine_stanley(u), "h")
-            fv = change_basis(affine_stanley(v), "h")
-            for la, ca in fu.coeffs.items():
-                for mu, cb in fv.coeffs.items():
-                    rhs[(la, mu)] = rhs.get((la, mu), 0) + ca * cb
-    rhs = {k: c for k, c in rhs.items() if c}
-    return lhs == rhs
-
-
 def transition_check(w, r):
     """Verify the transition identity at (w, r) via Stanley symmetric functions."""
     left, right, extra = transition_sides(w, r)

@@ -132,12 +132,15 @@ class SymFunc:
         return SymFunc(degree, basis, {})
 
     def __eq__(self, other):
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         if self.basis != other.basis or self.degree != other.degree:
             return self.to_m().coeffs == other.to_m().coeffs and self.degree == other.degree
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.degree, self.basis, tuple(sorted(self.coeffs.items()))))
+        # equal across bases, so hash the m-expansion that __eq__ compares
+        return hash((self.degree, tuple(sorted(self.to_m().coeffs.items()))))
 
     def __add__(self, other):
         if self.basis != other.basis or self.degree != other.degree:
@@ -655,6 +658,8 @@ class QuasiSymFunc:
         return QuasiSymFunc(self.degree, out)
 
     def __eq__(self, other):
+        if not isinstance(other, QuasiSymFunc):
+            return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __repr__(self):
@@ -813,19 +818,3 @@ def coproduct(f):
         for key, k in _h_coproduct(mu):
             out[key] = out.get(key, 0) + c * k
     return {key: c for key, c in out.items() if c}
-
-
-def tensor_inner_product(delta, g, h):
-    """Pair a coproduct (h (x) h coefficients) against g (x) h, by
-    <h_la, g> = [m_la] g."""
-    gm, hm = g.to_m().coeffs, h.to_m().coeffs
-    return sum(c * gm.get(la, 0) * hm.get(mu, 0) for (la, mu), c in delta.items())
-
-
-def reduce_to_bounded(f, n):
-    """Image in the quotient by the ideal of m_mu with mu_1 >= n (m basis)."""
-    fm = f.to_m()
-    return SymFunc(
-        f.degree, "m",
-        {la: c for la, c in fm.coeffs.items() if not la or la[0] <= n - 1},
-    )

@@ -5,7 +5,7 @@ and the transition-formula bookkeeping.
 from operator import index
 
 from .partition import as_partition
-from .permutation import Permutation, is_reduced
+from .permutation import is_reduced
 
 
 class Tableau:
@@ -26,6 +26,8 @@ class Tableau:
         return tuple(len(row) for row in self.rows)
 
     def __eq__(self, other):
+        if not isinstance(other, Tableau):
+            return NotImplemented
         return self.rows == other.rows
 
     def __hash__(self):
@@ -37,24 +39,6 @@ class Tableau:
     def render(self):
         return "\n".join(" ".join(map(str, row)) for row in self.rows)
 
-    def is_row_strict(self):
-        return all(row[j] < row[j + 1] for row in self.rows for j in range(len(row) - 1))
-
-    def is_column_strict(self):
-        return all(
-            self.rows[i][j] < self.rows[i + 1][j]
-            for i in range(len(self.rows) - 1)
-            for j in range(len(self.rows[i + 1]))
-        )
-
-    def is_standard(self):
-        entries = sorted(x for row in self.rows for x in row)
-        return (
-            self.is_row_strict()
-            and self.is_column_strict()
-            and entries == list(range(1, len(entries) + 1))
-        )
-
     def descent_set(self):
         """Entries i with i+1 strictly lower (standard tableaux)."""
         row_of = {}
@@ -62,13 +46,6 @@ class Tableau:
             for x in row:
                 row_of[x] = i
         return {i for i in row_of if i + 1 in row_of and row_of[i + 1] > row_of[i]}
-
-    def reading_word(self):
-        """Rows read left to right, bottom row first."""
-        out = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
 
     def to_json(self):
         return [list(row) for row in self.rows]
@@ -109,15 +86,6 @@ def eg_insert(word, n=None):
             a = bumped
             r += 1
     return Tableau(rows), Tableau(qrows)
-
-
-def is_eg_tableau(T, w):
-    """True iff T is row- and column-strict and reads to a reduced word for w."""
-    if not (T.is_row_strict() and T.is_column_strict()):
-        return False
-    word = T.reading_word()
-    n = max(w.n, max(word, default=0) + 1)
-    return len(word) == w.length() and Permutation.from_word(word, n) == w
 
 
 def eg_tableaux_by_shape(w):
@@ -203,6 +171,8 @@ class MarkedWord:
         return is_reduced(self.word)
 
     def __eq__(self, other):
+        if not isinstance(other, MarkedWord):
+            return NotImplemented
         return self.word == other.word and self.mark == other.mark
 
     def __hash__(self):

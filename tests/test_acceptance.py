@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from oracles import count_standard_tableaux_brute
 from stansym.affine import (
     AffinePermutation,
     CorootVector,
@@ -34,7 +35,7 @@ from stansym.nilhecke import (
     kappa,
     phi0,
 )
-from stansym.partition import count_standard_tableaux, count_standard_tableaux_brute
+from stansym.partition import count_standard_tableaux
 from stansym.permutation import Permutation, is_reduced, symmetric_group
 from stansym.stanley import (
     affine_schur_expand,

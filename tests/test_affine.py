@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import from_finite
 from stansym.affine import (
     AffinePermutation,
     CorootVector,
     _grassmannian_table,
+    _left_raise,
     cyclically_decreasing,
     cyclically_decreasing_word,
     elements_of_length,
@@ -133,7 +135,7 @@ def test_reduced_words_example():
 
 def test_finite_subgroup_embedding():
     for v in symmetric_group(3):
-        w = AffinePermutation.from_finite(v)
+        w = from_finite(v)
         assert w.is_finite()
         assert w.to_finite() == v
         assert w.length() == v.length()
@@ -143,7 +145,7 @@ def test_finite_subgroup_embedding():
 def test_s0_is_theta_reflection_times_translation():
     n = 3
     s0 = AffinePermutation.simple(0, n)
-    r_theta = AffinePermutation.from_finite(Permutation([3, 2, 1]), n)
+    r_theta = from_finite(Permutation([3, 2, 1]), n)
     t = translation_element(-theta_coroot(n))
     assert s0 == r_theta * t
 
@@ -156,7 +158,7 @@ def test_translations_add(la, mu):
 @given(coroots, st.sampled_from(list(symmetric_group(3))))
 @settings(max_examples=40)
 def test_translation_conjugation(la, v):
-    w = AffinePermutation.from_finite(v, 3)
+    w = from_finite(v, 3)
     assert w * translation_element(la) * w.inverse() == translation_element(permuted(la, v))
 
 
@@ -164,7 +166,7 @@ def test_length_formula_matches_code_length():
     for v in symmetric_group(3):
         for coords in [(0, 0, 0), (1, 0, -1), (1, -1, 0), (2, -1, -1), (-1, -1, 2)]:
             la = CorootVector(coords)
-            w = AffinePermutation.from_finite(v, 3) * translation_element(la)
+            w = from_finite(v, 3) * translation_element(la)
             assert w.length() == length_via_formula(v, la)
 
 
@@ -221,13 +223,13 @@ def test_elements_of_length_matches_a_length_filter():
             }
 
 
-def test_has_left_descent_matches_the_length_drop():
+def test_left_raise_is_none_exactly_at_the_length_drop():
     for n, top in ((3, 6), (4, 5), (5, 5)):
         for l in range(top + 1):
             for w in elements_of_length(n, l):
                 for i in range(n):
-                    shorter = (AffinePermutation.simple(i, n) * w).length() < l
-                    assert w.has_left_descent(i) == shorter
+                    v = AffinePermutation.simple(i, n) * w
+                    assert _left_raise(i, w.window, n) == (None if v.length() < l else v.window)
 
 
 def test_reduced_word_is_the_least_of_the_reduced_words():

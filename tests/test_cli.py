@@ -246,6 +246,8 @@ def test_non_integer_json_entry_exits_2(capsys):
         ["affine-stanley", "-n", "3", "[1.5, 2, 2.5]"],
         ["eg-insert", "[1, 2.0]"],
         ["kschur", "-n", "3", "[2, 0.5]"],
+        ["affine-stanley", "-n", "3", "12", "--as", "window"],
+        ["reduced-words", "-n", "3", "null", "--as", "window"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == ""

@@ -38,15 +38,18 @@ def aff(word, n=3):
 
 
 def _letter_times(i, elem):
-    """A_i times an element in normal form, through the checked constructors."""
+    """A_i times an element in normal form, through the checked constructors;
+    whether s_i v > v is read off Shi's length, not off the kernel's
+    ``_left_raise``."""
     n = elem.n
     i = i % n
     a, b = (i, i + 1) if i != 0 else (n, 1)
     si = AffinePermutation.simple(i, n)
     terms = []
     for v, q in elem.coeffs.items():
-        if not v.has_left_descent(i):  # s_i v > v
-            terms.append((si * v, q.swap(a, b)))
+        up = si * v
+        if up.length() > v.length():
+            terms.append((up, q.swap(a, b)))
         terms.append((v, q.divided_difference(i)))
     return NilHeckeElement(n, terms)
 
@@ -83,8 +86,9 @@ def _tensor_letter_act(i, T):
     for w, L in T.items():
         aL = _letter_times(i, L)
         out.setdefault(w, []).extend(aL.coeffs.items())
-        if not w.has_left_descent(i):  # s_i w > w
-            longer = out.setdefault(si * w, [])
+        up = si * w
+        if up.length() > w.length():
+            longer = out.setdefault(up, [])
             longer.extend(L.coeffs.items())
             longer.extend((v, -(alpha * p)) for v, p in aL.coeffs.items())
     out = {w: NilHeckeElement(n, terms) for w, terms in out.items()}

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import count_standard_tableaux_brute
 from stansym.partition import (
     as_partition,
     bounded_partitions,
     conjugate,
     contains,
     count_standard_tableaux,
-    count_standard_tableaux_brute,
     dominance_leq,
     partitions_inside,
     partitions_of,

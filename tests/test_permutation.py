@@ -162,8 +162,6 @@ def test_grassmannian_and_pattern_classes():
     assert Permutation([1, 3, 2]).is_grassmannian()
     assert Permutation([3, 1, 2]).is_grassmannian()
     assert not Permutation([2, 1, 4, 3]).is_grassmannian()
-    assert Permutation([2, 1, 4, 3]).is_321_avoiding()
-    assert not Permutation([3, 2, 1]).is_321_avoiding()
     assert Permutation([2, 4, 3, 1]).is_vexillary()
     assert not Permutation([2, 1, 4, 3]).is_vexillary()
 

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import from_finite
 from stansym import stanley
 from stansym.affine import AffinePermutation, cyclically_decreasing, elements_of_length
 from stansym.partition import count_standard_tableaux, partitions_of, staircase
@@ -17,13 +18,12 @@ from stansym.stanley import (
     affine_stanley_coefficient,
     check_symmetry_affine,
     check_symmetry_finite,
-    coproduct_check,
     schur_expand,
     stanley_fn,
     stanley_quasisym,
     transition_check,
 )
-from stansym.symfunc import SymFunc, change_basis
+from stansym.symfunc import SymFunc, change_basis, coproduct
 from stansym.tableaux import eg_tableaux_by_shape
 
 
@@ -207,7 +207,7 @@ def test_affine_stanley_example():
 
 def test_affine_restricts_to_finite():
     for v in symmetric_group(3):
-        w = AffinePermutation.from_finite(v)
+        w = from_finite(v)
         assert affine_stanley(w) == stanley_fn(v)
 
 
@@ -293,6 +293,26 @@ def test_affine_schur_expansion_nonnegative_rank_3():
             assert all(c > 0 for c in f.coeffs.values())
             if w.is_grassmannian():
                 assert f.coeffs == {w.shape(): 1}
+
+
+def coproduct_check(w):
+    """True iff Delta F~_w equals the sum of F~_u (x) F~_v over length-additive
+    factorizations w = u v."""
+    lhs = coproduct(affine_stanley(w))
+    # enumerate u by length; v = u^{-1} w
+    rhs = {}
+    for lu in range(w.length() + 1):
+        for u in elements_of_length(w.n, lu):
+            v = u.inverse() * w
+            if v.length() != w.length() - lu:
+                continue
+            fu = change_basis(affine_stanley(u), "h")
+            fv = change_basis(affine_stanley(v), "h")
+            for la, ca in fu.coeffs.items():
+                for mu, cb in fv.coeffs.items():
+                    rhs[(la, mu)] = rhs.get((la, mu), 0) + ca * cb
+    rhs = {k: c for k, c in rhs.items() if c}
+    return lhs == rhs
 
 
 def test_coproduct_check():

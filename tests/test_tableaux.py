@@ -13,7 +13,6 @@ from stansym.tableaux import (
     coxeter_knuth_classes,
     eg_insert,
     eg_tableaux_by_shape,
-    is_eg_tableau,
     little_move,
     little_move_backward,
     little_move_chain,
@@ -21,6 +20,37 @@ from stansym.tableaux import (
     transition_sides,
     word_descents,
 )
+
+
+def is_row_strict(T):
+    return all(row[j] < row[j + 1] for row in T.rows for j in range(len(row) - 1))
+
+
+def is_column_strict(T):
+    return all(
+        T.rows[i][j] < T.rows[i + 1][j]
+        for i in range(len(T.rows) - 1)
+        for j in range(len(T.rows[i + 1]))
+    )
+
+
+def is_standard(T):
+    entries = sorted(x for row in T.rows for x in row)
+    return is_row_strict(T) and is_column_strict(T) and entries == list(range(1, len(entries) + 1))
+
+
+def reading_word(T):
+    """Rows read left to right, bottom row first."""
+    return tuple(x for row in reversed(T.rows) for x in row)
+
+
+def is_eg_tableau(T, w):
+    """True iff T is row- and column-strict and reads to a reduced word for w."""
+    if not (is_row_strict(T) and is_column_strict(T)):
+        return False
+    word = reading_word(T)
+    n = max(w.n, max(word, default=0) + 1)
+    return len(word) == w.length() and Permutation.from_word(word, n) == w
 
 
 def marked_reduced_words(n):
@@ -35,8 +65,8 @@ def test_eg_insert_example():
     P, Q = eg_insert((2, 1, 2, 3, 2))
     assert P == Tableau([[1, 2, 3], [2, 3]])
     assert Q == Tableau([[1, 3, 4], [2, 5]])
-    assert P.is_row_strict() and P.is_column_strict()
-    assert Q.is_standard()
+    assert is_row_strict(P) and is_column_strict(P)
+    assert is_standard(Q)
 
 
 def test_eg_insert_rejects_non_reduced():
