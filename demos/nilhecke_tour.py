@@ -35,7 +35,10 @@ def main():
     print("  dimension:", r["dimension"])
     print("  Hilbert series:", r["hilbert_series"])
     print("  matches root-poset order ideals:", r["hilbert_matches"])
-    print("  structure constants nonnegative:", r["structure_constants_nonnegative"])
+    print(
+        f"  LR constants equal products in the algebra on {r['structure_pairs_compared']} pairs:",
+        r["structure_mismatch"] is None,
+    )
 
     n = 3
     print("\nnilHecke commutation, A_1 x_i for rank 3:")

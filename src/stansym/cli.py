@@ -130,8 +130,12 @@ class Suite:
     def __init__(self):
         self.checks = []
 
-    def check(self, name, ok):
-        self.checks.append({"name": name, "ok": bool(ok)})
+    def check(self, name, ok, witness=None):
+        """Record a check; a failing one keeps ``witness``, what it failed on."""
+        entry = {"name": name, "ok": bool(ok)}
+        if not ok and witness is not None:
+            entry["witness"] = witness
+        self.checks.append(entry)
 
     @property
     def ok(self):
@@ -370,10 +374,14 @@ def _suite_conjectures(suite, caps):
         suite.check(f"B has dimension {catalan} with independent Schur basis (n={n})",
                     r["dimension"] == catalan and r["linearly_independent"])
         suite.check(f"Hilbert series matches root-poset order ideals (n={n})", r["hilbert_matches"])
-        suite.check(f"Schur elements and structure constants nonnegative (n={n})",
-                    r["nonnegative"] and r["structure_constants_nonnegative"])
+        suite.check(
+            f"Schur elements nonnegative; LR constants equal direct products on "
+            f"{r['structure_pairs_compared']} pairs (n={n})",
+            r["nonnegative"] and r["structure_mismatch"] is None,
+            r["structure_mismatch"],
+        )
     ok_pos = True
-    ok_agree = True
+    disagreement = None
     na = caps["max_rank_affine"]
     for n in range(3, na + 1):
         for l in range(7):
@@ -382,13 +390,14 @@ def _suite_conjectures(suite, caps):
                     continue
                 try:
                     jw = j_basis_element(n, w)
-                except AssertionError:
-                    ok_agree = False
+                except AssertionError as exc:
+                    if disagreement is None:
+                        disagreement = str(exc) or f"AssertionError at {w!r}"
                     continue
                 if any(c < 0 for c in kappa(jw).coeffs.values()):
                     ok_pos = False
     ranks = f"ranks 3..{na}" if na > 3 else "rank 3"
-    suite.check(f"j-basis algorithms agree ({ranks}, length <= 6)", ok_agree)
+    suite.check(f"j-basis algorithms agree ({ranks}, length <= 6)", disagreement is None, disagreement)
     suite.check(f"kappa of j-basis elements observed nonnegative ({ranks}, length <= 6)", ok_pos)
     suite.check(
         "translation orbit sums centralize the scalars (rank 3)",
@@ -414,11 +423,12 @@ def run_verify(names, fmt, caps):
         SUITES[name](suite, caps)
         results.append({"suite": name, "ok": suite.ok, "checks": suite.checks})
     if fmt == "json":
-        print(json.dumps(results, sort_keys=True))
+        print(json.dumps(results, sort_keys=True, default=str))
     else:
         for r in results:
             for c in r["checks"]:
-                print(f"{'PASS' if c['ok'] else 'FAIL'} [{r['suite']}] {c['name']}")
+                witness = f"; witness {c['witness']}" if "witness" in c else ""
+                print(f"{'PASS' if c['ok'] else 'FAIL'} [{r['suite']}] {c['name']}{witness}")
     return 0 if all(r["ok"] for r in results) else 1
 
 

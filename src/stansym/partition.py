@@ -76,7 +76,7 @@ def count_standard_tableaux(la):
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def partitions_of(d, max_part=None):
     """All partitions of ``d`` with parts at most ``max_part``, reverse-lex (a shared tuple)."""
     if max_part is None or max_part > d:

@@ -179,7 +179,7 @@ class Permutation:
         return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _reduced_words(window):
     """R(w) in lexicographic order.
 

@@ -22,7 +22,9 @@ through m, s or h, degree by degree, and builds each column once:
 
 No basis is solved for.  ``_eliminate``, a fraction-free integer
 elimination, and ``_replay`` serve the j-basis system and ``_solve_exact``,
-the checked entry point for dense callers.
+the checked entry point for dense callers.  No module of the package calls
+``_solve_exact``: it stays for the tests' oracles and the benchmark's
+tracer, which times it.
 
 Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions

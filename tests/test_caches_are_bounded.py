@@ -14,8 +14,6 @@ import stansym
 from stansym import stanley
 
 OPEN = {
-    "partition.partitions_of",
-    "permutation._reduced_words",
     "stanley._cyclically_decreasing_elements", "stanley._count_cyclic_factorizations",
     "symfunc._m_product", "symfunc._h_to_m", "symfunc._product_to_m",
 }

@@ -182,6 +182,54 @@ def test_verify_conjectures_runs_the_report_up_to_the_finite_cap(capsys, monkeyp
     assert "(n=7)" not in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_conjectures_names_a_wrong_littlewood_richardson_count(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import nilcoxeter
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    monkeypatch.setenv("STANSYM_MAX_RANK_AFFINE", "3")
+    right = nilcoxeter._littlewood_richardson
+
+    def off_by_one(la, mu, top):
+        counts = right(la, mu, top)
+        return {**counts, (2, 1): counts[(2, 1)] + 1} if (2, 1) in counts else counts
+
+    monkeypatch.setattr(nilcoxeter, "_littlewood_richardson", off_by_one)
+    code, out, _ = run(["verify", "conjectures", "--format", fmt], capsys)
+    assert code == 1
+    # the sixth pair compared, ((), (2, 1)), is the first with an s_21 term
+    name = "Schur elements nonnegative; LR constants equal direct products on 6 pairs (n=4)"
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [conjectures] {name}; witness ((), (2, 1), (2, 1), 2, 1)"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": [[], [2, 1], [2, 1], 2, 1]}]
+        assert all("witness" not in c for c in suite["checks"] if c["ok"])
+
+
+def test_verify_conjectures_names_the_j_basis_error(capsys, monkeypatch, tmp_path):
+    from stansym import nilhecke
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    monkeypatch.setenv("STANSYM_MAX_RANK_AFFINE", "3")
+
+    def disagree(n, w):
+        raise AssertionError(f"j-basis constructions disagree at {list(w.window)}")
+
+    monkeypatch.setattr(nilhecke, "j_basis_element", disagree)
+    code, out, _ = run(["verify", "conjectures"], capsys)
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL [conjectures] j-basis algorithms agree (rank 3, length <= 6); "
+        "witness j-basis constructions disagree at [1, 2, 3]"
+    ]
+
+
 def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
     code, out, _ = run(["verify", "eg"], capsys)

@@ -16,8 +16,8 @@ from stansym.nilcoxeter import (
 )
 from stansym.nilhecke import ScalarPoly, j_basis_element
 from stansym.partition import bounded_partitions, partitions_inside, partitions_of, staircase
-from stansym.permutation import Permutation, symmetric_group
-from stansym.stanley import stanley_fn
+from stansym.permutation import Permutation, from_code, symmetric_group
+from stansym.stanley import schur_expand, stanley_fn
 from stansym.symfunc import _jacobi_trudi_h, _solve_exact, k_schur
 
 
@@ -96,8 +96,6 @@ def test_noncommutative_schur_s4_table():
 
 
 def test_schur_coefficients_match_schur_expansion():
-    from stansym.stanley import schur_expand
-
     for w in symmetric_group(4):
         s = schur_expand(w)
         for la, c in s.coeffs.items():
@@ -178,35 +176,50 @@ def test_expand_in_span():
     assert expand_in_span(basis, A((1, 2), 3)) is None
 
 
-def _structure_constant(report, la, mu):
-    """The report's entry for s_la(u) s_mu(u), read through the sorted pair;
-    a pair with no entry multiplies to 0."""
-    return report["structure_constants"].get((min(la, mu), max(la, mu)), {})
+def littlewood_richardson(n, la, mu):
+    """The report's count of c^nu_{la mu} over the nu inside delta_{n-1}."""
+    return nilcoxeter._littlewood_richardson(mu, la, staircase(n - 1))
+
+
+def schur_elements(n):
+    return {la: noncommutative_schur(n, la) for la in partitions_inside(staircase(n - 1))}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_structure_constants_equal_the_direct_products_on_every_pair(n):
-    r = conjecture_52_report(n)
-    elements = r["schur_elements"]
-    # one entry per unordered pair, and none for a product that is 0
-    assert all(la <= mu and entry for (la, mu), entry in r["structure_constants"].items())
+    elements = schur_elements(n)
     for la in elements:
         for mu in elements:
-            assert _structure_constant(r, la, mu) == structure_by_products(elements, la, mu), (la, mu)
+            assert littlewood_richardson(n, la, mu) == structure_by_products(elements, la, mu), (la, mu)
 
 
 def test_structure_constants_equal_the_direct_products_on_a_sample_at_n6():
-    r = conjecture_52_report(6)
-    elements = r["schur_elements"]
-    assert all(la <= mu and entry for (la, mu), entry in r["structure_constants"].items())
+    elements = schur_elements(6)
     # pairs above the top degree multiply to 0; sample those that need not
     pairs = [(la, mu) for la in elements for mu in elements if sum(la) + sum(mu) <= 15]
     for la, mu in random.Random(52).sample(pairs, 40):
-        assert _structure_constant(r, la, mu) == structure_by_products(elements, la, mu), (la, mu)
+        assert littlewood_richardson(6, la, mu) == structure_by_products(elements, la, mu), (la, mu)
     assert all(
-        not _structure_constant(r, la, mu)
+        not littlewood_richardson(6, la, mu)
         for la in elements for mu in elements if sum(la) + sum(mu) > 15
     )
+
+
+def test_structure_constants_equal_the_direct_products_on_a_sample_at_n7():
+    elements = schur_elements(7)
+    pairs = [(la, mu) for la in elements for mu in elements if sum(la) + sum(mu) <= 21]
+    for la, mu in random.Random(7).sample(pairs, 10):
+        assert littlewood_richardson(7, la, mu) == structure_by_products(elements, la, mu), (la, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_the_permutation_with_code_nu_has_schur_expansion_s_nu(n):
+    # w_nu is dominant, so [A_{w_nu}] s_la(u) = [s_la] F_{w_nu} = delta_{la nu}:
+    # the fact the report reads its coordinates by
+    shapes = partitions_inside(staircase(n - 1))
+    assert len(shapes) == [2, 5, 14, 42, 132, 429][n - 2]
+    for nu in shapes:
+        assert schur_expand(from_code(nu)).coeffs == {nu: 1}, nu
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -224,8 +237,10 @@ def test_report_multiplies_only_to_check_that_the_h_elements_commute(n, monkeypa
         return mul(self, other)
 
     monkeypatch.setattr(NilCoxeterElement, "__mul__", counted)
-    assert conjecture_52_report(n)["h_commutes"]
-    assert len(calls) <= n * (n - 1)
+    r = conjecture_52_report(n)
+    assert r["h_commutes"]
+    # and once for each pair whose structure constants it compares
+    assert len(calls) <= n * (n - 1) + r["structure_pairs_compared"]
 
 
 def test_report_sees_a_dependent_schur_basis(monkeypatch):
@@ -240,6 +255,42 @@ def test_report_sees_a_dependent_schur_basis(monkeypatch):
     assert r["hilbert_matches"]
 
 
+def test_report_names_a_wrong_littlewood_richardson_count(monkeypatch):
+    right = nilcoxeter._littlewood_richardson
+
+    def off_by_one(la, mu, top):
+        counts = right(la, mu, top)
+        return {**counts, (2, 1): counts[(2, 1)] + 1} if (2, 1) in counts else counts
+
+    monkeypatch.setattr(nilcoxeter, "_littlewood_richardson", off_by_one)
+    r = conjecture_52_report(4)
+    # the first pair in the list whose product has an s_21 term
+    assert r["structure_mismatch"] == ((), (2, 1), (2, 1), 2, 1)
+    assert r["linearly_independent"] and r["nonnegative"]
+
+
+def test_report_compares_the_product_on_every_coordinate(monkeypatch):
+    # a wrong coefficient of s_2(u) at a permutation that is not dominant
+    # leaves the dominant columns, and so the LR reading, as they were
+    right = nilcoxeter.noncommutative_schur
+    w = Permutation.from_word((1, 3), 4)
+
+    def perturbed(n, la, affine=False):
+        a = right(n, la, affine)
+        return a + A((1, 3), 4) if la == (2,) else a
+
+    monkeypatch.setattr(nilcoxeter, "noncommutative_schur", perturbed)
+    r = conjecture_52_report(4)
+    assert r["linearly_independent"]
+    assert r["structure_mismatch"] == ((1,), (1,), w, 3, 2)
+
+
+@pytest.mark.parametrize("n, pairs", [(5, 319), (6, 8), (7, 8)])
+def test_report_compares_every_pair_to_n5_and_a_fixed_sample_above(n, pairs):
+    r = conjecture_52_report(n)
+    assert (r["structure_pairs_compared"], r["structure_mismatch"]) == (pairs, None)
+
+
 def test_conjecture_report_n3():
     r = conjecture_52_report(3)
     assert r["h_commutes"]
@@ -247,8 +298,7 @@ def test_conjecture_report_n3():
     assert r["linearly_independent"]
     assert r["hilbert_matches"]
     assert r["nonnegative"]
-    assert r["structure_constants_integral"]
-    assert r["structure_constants_nonnegative"]
+    assert r["structure_pairs_compared"] == 8 and r["structure_mismatch"] is None
 
 
 def test_conjecture_report_n4():
@@ -256,7 +306,8 @@ def test_conjecture_report_n4():
     assert r["dimension"] == 14
     assert r["hilbert_series"] == r["root_poset_ideal_series"] == [1, 1, 2, 3, 3, 3, 1]
     assert r["h_commutes"] and r["linearly_independent"]
-    assert r["nonnegative"] and r["structure_constants_nonnegative"]
+    assert r["nonnegative"]
+    assert r["structure_pairs_compared"] == 47 and r["structure_mismatch"] is None
 
 
 def test_affine_noncommutative_schur_single_row():
