@@ -9,16 +9,23 @@ through m, s or h, degree by degree, and builds each column once:
   ``change_basis`` to them peels: it takes the lex-largest m-term, which is
   dominance-maximal, subtracts that coefficient times the term's column, and
   repeats.  It builds only the columns it meets.
-- h and e are peeled from s.  h_mu = sum over la dominating mu of
-  K(la, mu) s_la, so ``change_basis`` to h takes the lex-smallest s-term,
+- h and e are reached from s.  h_mu = sum over la dominating mu of
+  K(la, mu) s_la, so the Kostka peel takes the lex-smallest s-term of s_la,
   which is dominance-minimal, subtracts that coefficient times the Kostka
-  row of h_mu, and repeats; e_mu = omega(h_mu) is the same peel on the
-  conjugate shapes.  Every step is an integer step.
+  row of h_mu, and repeats.  It runs once per la: the h-column of s_la is
+  kept in a bounded memo, and ``change_basis`` to h sums c_la times the
+  column of la; e_mu = omega(h_mu), so to e it sums the column of the
+  conjugate la'.  The Hall product and the coproduct read the same columns.
+  Every step is an integer step.
 - k-Schur is reached from h.  The k-Schur functions are dual to the affine
   Schur functions F~_la = m_la + (terms below la), so h_mu = sum over
-  bounded la dominating mu of [m_mu] F~_la s^(k)_la: ``change_basis`` to
-  k-Schur replaces each h-term by this k-Kostka row, a plain integer sum,
-  and ``k_schur``, the other way, is the Kostka peel with k-Kostka rows.
+  bounded la dominating mu of [m_mu] F~_la s^(k)_la.  These k-Kostka rows
+  are read off the F~_la of one (n, degree) in one pass, each term
+  [m_mu] F~_la going into row mu.  ``change_basis`` to k-Schur replaces
+  each h-term by its row, a plain integer sum.  ``k_schur``, the other
+  way, builds the k-Schur functions of the degree from the lex-largest mu
+  down: s^(k)_mu is h_mu minus the rest of its row, whose functions are
+  built already.
 
 No basis is solved for.  ``_eliminate``, a fraction-free integer
 elimination, and ``_replay`` serve the j-basis system and ``_solve_exact``,
@@ -415,30 +422,35 @@ def _expand_to_m(name, n, la):
 def change_basis(f, basis, n=None):
     """Rewrite ``f`` in another basis; exact, with integrality enforced.
 
-    s and affineSchur are reached by peeling m-terms (``_peel``), h and e by
-    peeling s-terms with Kostka rows (``_peel_kostka``), and kSchur by
-    summing the k-Kostka rows (``_k_kostka_row``) of the h-terms; only the
-    columns and rows met are built, and no system is solved.  Raises
-    ValueError naming an obstructing term when ``f`` does not lie in the
-    span of the target basis: an m-term for affine Schur, an h-term with a
-    part of at least n for k-Schur.
+    s and affineSchur are reached by peeling m-terms (``_peel``).  h and e
+    sum the cached h-column of each s-term (``_schur_h_column``, s_la' for
+    e), which the Kostka peel builds once per la in the process.  kSchur
+    sums the k-Kostka rows of the h-terms, all rows of one (n, degree) read
+    off the F~_la in one pass (``_k_kostka_rows``).  No system is solved.
+    Raises ValueError naming an obstructing term when ``f`` does not lie in
+    the span of the target basis: an m-term for affine Schur, the
+    lex-least h-term with a part of at least n for k-Schur.
     """
     target = _basis_key(basis, n)
     if target == f.basis:
         return f
     name, rank = _parse_basis(target)
+    out = {}
     if name in ("h", "e"):
         fs = f if f.basis == "s" else _peel(f.to_m(), "s", None, "s")
         # omega swaps h_mu and e_mu and sends s_la to s_la'
-        rest = {conjugate(la) if name == "e" else la: c for la, c in fs.coeffs.items()}
-        return SymFunc._from_valid(f.degree, target, _peel_kostka(rest, _kostka_row))
+        for la, c in fs.coeffs.items():
+            _subtract(out, -c, _schur_h_column(conjugate(la) if name == "e" else la))
+        return SymFunc._from_valid(f.degree, target, out)
     if name == "kSchur":
         # the h_mu are a basis, and the k-Schur functions span those with mu_1 < n
-        out = {}
-        for mu, c in change_basis(f, "h").coeffs.items():
-            if mu and mu[0] >= rank:
-                raise ValueError(f"not expressible in basis {target}: obstructing coefficient on h_{mu}")
-            _subtract(out, -c, _k_kostka_row(rank, mu))
+        fh = change_basis(f, "h").coeffs
+        unbounded = [mu for mu in fh if mu and mu[0] >= rank]
+        if unbounded:
+            raise ValueError(f"not expressible in basis {target}: obstructing coefficient on h_{min(unbounded)}")
+        rows = _k_kostka_rows(rank, f.degree)
+        for mu, c in fh.items():
+            _subtract(out, -c, rows[mu])
         return SymFunc._from_valid(f.degree, target, out)
     fm = f.to_m()
     if name == "m":
@@ -487,24 +499,31 @@ def _kostka_row(mu):
     return tuple((la, _kostka(la, mu)) for la in reversed(partitions_of(sum(mu))) if _dominated(mu, la))
 
 
-def _peel_kostka(rest, row):
-    """The h-coefficients of sum rest[la] b_la, where ``row(mu)`` is h_mu in
-    the basis b, lex-increasing and opening with (mu, 1): the Kostka rows
-    for b = s, the k-Kostka rows for b = k-Schur.  ``rest`` is consumed.
+@lru_cache(maxsize=1 << 12)
+def _schur_h_column(la):
+    """s_la in the h basis, as (mu, c) pairs: ``_peel_kostka`` runs once per
+    la, and the changes to h and e, the Hall product and the coproduct share
+    the column."""
+    return tuple(_peel_kostka(la).items())
 
-    The lex-smallest term mu is dominance-minimal, so h_mu is the one h with
-    a b_mu term and every other h of the expansion is lex-larger: its
-    coefficient is that of b_mu, and subtracting it times the row of h_mu
-    leaves a lex-larger remainder.
+
+def _peel_kostka(la):
+    """The h-coefficients of s_la, by the Kostka peel.
+
+    The remainder starts as s_la.  Its lex-smallest term mu is
+    dominance-minimal, so h_mu is the one h with an s_mu term and every
+    other h of the expansion is lex-larger: its coefficient is that of s_mu,
+    and subtracting it times the Kostka row of h_mu leaves a lex-larger
+    remainder.
     """
-    out = {}
+    rest, out = {la: 1}, {}
     while rest:
         mu = min(rest)
-        line = row(mu)
-        if line[0] != (mu, 1):
-            raise AssertionError(f"the row of h_{mu} does not open with its own term")
+        row = _kostka_row(mu)
+        if row[0] != (mu, 1):
+            raise AssertionError(f"the Kostka row of h_{mu} does not open with its own term")
         out[mu] = rest[mu]
-        _subtract(rest, rest[mu], line)
+        _subtract(rest, rest[mu], row)
     return out
 
 
@@ -748,27 +767,44 @@ def affine_schur(n, la):
     return f
 
 
-@lru_cache(maxsize=1 << 10)
-def _k_kostka_row(n, mu):
-    """[s^(k)_la] h_mu = [m_mu] F~_la over the (n-1)-bounded la dominating
-    mu, lex-increasing, so the row opens with (mu, 1): the k-Schur functions
-    are the basis dual to the affine Schur functions, as the h are to the m
-    (Lam, affine Stanley symmetric functions)."""
-    return tuple(
-        (la, c)
-        for la in reversed(partitions_of(sum(mu), n - 1))
-        if _dominated(mu, la) and (c := affine_schur(n, la).coeffs.get(mu))
-    )
+@lru_cache(maxsize=64)
+def _k_kostka_rows(n, degree):
+    """{mu: row} over the (n-1)-bounded mu of ``degree``, with row the pairs
+    (la, [s^(k)_la] h_mu) = (la, [m_mu] F~_la) over the la dominating mu,
+    lex-increasing, so it opens with (mu, 1): the k-Schur functions are the
+    basis dual to the affine Schur functions, as the h are to the m (Lam,
+    affine Stanley symmetric functions).
+
+    The rows are read off in one pass over the terms of each F~_la, taken
+    in lex-increasing la; ``affine_schur`` checks that every term is
+    bounded and below la."""
+    rows = {}
+    for la in reversed(partitions_of(degree, n - 1)):
+        for mu, c in affine_schur(n, la).coeffs.items():
+            rows.setdefault(mu, []).append((la, c))
+    return {mu: tuple(row) for mu, row in rows.items()}
 
 
 @lru_cache(maxsize=64)
 def _k_schur_h_table(n, degree):
-    """h-expansions of all k-Schur functions of one degree: the Kostka peel
-    of each s^(k)_la with k-Kostka rows."""
-    return {
-        la: SymFunc._from_valid(degree, "h", _peel_kostka({la: 1}, lambda mu: _k_kostka_row(n, mu)))
-        for la in bounded_partitions(n, degree)
-    }
+    """h-expansions of all k-Schur functions of one degree.
+
+    The k-Kostka row of mu says h_mu = s^(k)_mu + sum over la > mu of
+    [m_mu] F~_la s^(k)_la, so s^(k)_mu is h_mu minus that sum.  Taken from
+    the lex-largest mu down, every s^(k)_la of the sum is built already, and
+    each function is one integer sum of them.
+    """
+    rows = _k_kostka_rows(n, degree)
+    table = {}
+    for mu in bounded_partitions(n, degree):
+        row = rows[mu]
+        if row[0] != (mu, 1):
+            raise AssertionError(f"the k-Kostka row of h_{mu} (n={n}) does not open with its own term")
+        out = {mu: 1}
+        for la, c in row[1:]:
+            _subtract(out, c, table[la].coeffs.items())
+        table[mu] = SymFunc._from_valid(degree, "h", out)
+    return table
 
 
 def k_schur(n, la):

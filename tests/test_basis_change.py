@@ -22,11 +22,15 @@ from stansym.symfunc import (
     SymFunc,
     _basis_key,
     _expand_to_m,
+    _h_to_m,
+    _jacobi_trudi_h,
     _m_product,
     _parse_basis,
+    _product_to_m,
     _solve_exact,
     change_basis,
     coproduct,
+    hall_inner_product,
     k_schur,
 )
 
@@ -150,7 +154,10 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
     def refuse(*args):
         raise AssertionError("the Kostka peel solved or counted margins")
 
-    for cached in (symfunc._expand_to_m, symfunc._kostka, symfunc._kostka_row, symfunc._margin_count):
+    for cached in (
+        symfunc._expand_to_m, symfunc._kostka, symfunc._kostka_row, symfunc._margin_count,
+        symfunc._schur_h_column,
+    ):
         cached.cache_clear()
     for name in ("_eliminate", "_replay", "_margin_count"):
         monkeypatch.setattr(symfunc, name, refuse)
@@ -161,11 +168,63 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
         assert e.basis == "e" and min(e.coeffs) == conjugate(la) and e.coeffs[conjugate(la)] == 1
 
 
+def _e_to_m(k):
+    """e_k = m_{1^k}."""
+    return {(1,) * k: 1}
+
+
+def _products_to_m(coeffs, factor_to_m):
+    """sum of c * (the product of the one-part factors of mu), in m."""
+    out = {}
+    for mu, c in coeffs.items():
+        for nu, k in _product_to_m(mu, factor_to_m).items():
+            out[nu] = out.get(nu, 0) + c * k
+    return {nu: c for nu, c in out.items() if c}
+
+
+def test_h_and_e_columns_equal_jacobi_trudi_through_products_in_m():
+    # s_la = det(h_{la_i + j - i}) = det(e_{la'_i + j - i}); the cached
+    # columns come from Kostka rows, the oracle from permutations and m products
+    symfunc._schur_h_column.cache_clear()
+    for d in range(9):
+        for la in partitions_of(d):
+            s = SymFunc.monomial("s", la)
+            h, e = change_basis(s, "h"), change_basis(s, "e")
+            jacobi_trudi = _jacobi_trudi_h(la)
+            assert h.coeffs == jacobi_trudi, la
+            assert e.coeffs == _jacobi_trudi_h(conjugate(la)), la
+            in_m = _products_to_m(jacobi_trudi, _h_to_m)
+            assert in_m == s.to_m().coeffs, la
+            assert _products_to_m(h.coeffs, _h_to_m) == in_m == _products_to_m(e.coeffs, _e_to_m), la
+
+
+@pytest.mark.parametrize("la", [(4, 2, 1), (3, 3), (2, 2)])
+def test_a_schur_function_builds_its_h_column_and_its_conjugates_once(la, monkeypatch):
+    built = []
+    peel = symfunc._peel_kostka
+
+    def counted(la):
+        built.append(la)
+        return peel(la)
+
+    monkeypatch.setattr(symfunc, "_peel_kostka", counted)
+    symfunc._schur_h_column.cache_clear()
+    s = SymFunc.monomial("s", la)
+    h, e = change_basis(s, "h"), change_basis(s, "e")
+    assert hall_inner_product(s, s) == 1
+    assert {mu: c for (left, mu), c in coproduct(s).items() if left == ()} == h.coeffs
+    assert change_basis(h, "s") == change_basis(e, "s") == s
+    # (2, 2) is its own conjugate, so its column serves both
+    assert built == ([la] if la == conjugate(la) else [la, conjugate(la)])
+
+
 def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("the k-Kostka peel solved a system")
 
-    for cached in (symfunc._expand_to_m, symfunc._k_kostka_row, symfunc._k_schur_h_table):
+    for cached in (
+        symfunc._expand_to_m, symfunc._k_kostka_rows, symfunc._k_schur_h_table, symfunc._schur_h_column,
+    ):
         cached.cache_clear()
     for name in ("_eliminate", "_replay", "_solve_exact"):
         monkeypatch.setattr(symfunc, name, refuse)
@@ -252,11 +311,13 @@ def test_coproduct_equals_the_part_at_a_time_split():
 def test_basis_change_caches_are_bounded():
     for cached in (
         symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._k_kostka_row, symfunc._expand_to_m,
-        symfunc.affine_schur, symfunc._h_coproduct,
-        # and the finite F_w routes' element lists, split lists, field widths
-        # and transition tree
+        symfunc._group_fills, symfunc._k_kostka_rows, symfunc._expand_to_m,
+        symfunc.affine_schur, symfunc._h_coproduct, symfunc._schur_h_column,
+        # and the F_w and F~_w routes' element lists, split lists, counts,
+        # field widths and transition tree
         stanley._decreasing_elements, stanley._decreasing_splits,
         stanley._field_width, stanley._transition_tree,
+        stanley._cyclically_decreasing_elements, stanley._cyclic_splits,
+        stanley._count_cyclic_factorizations,
     ):
         assert cached.cache_info().maxsize is not None, cached

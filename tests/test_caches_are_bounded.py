@@ -13,10 +13,7 @@ import pkgutil
 import stansym
 from stansym import stanley
 
-OPEN = {
-    "stanley._cyclically_decreasing_elements", "stanley._count_cyclic_factorizations",
-    "symfunc._m_product", "symfunc._h_to_m", "symfunc._product_to_m",
-}
+OPEN = {"symfunc._m_product", "symfunc._h_to_m", "symfunc._product_to_m"}
 
 
 def _unbounded_caches():

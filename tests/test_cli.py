@@ -210,6 +210,60 @@ def test_verify_conjectures_names_a_wrong_littlewood_richardson_count(fmt, capsy
         assert all("witness" not in c for c in suite["checks"] if c["ok"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_examples_names_a_wrong_h_column(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import symfunc
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    right = symfunc._schur_h_column
+
+    def wrong(la):  # s_21 = h_21 - h_3, and h_111 too many
+        return right(la) + (((1, 1, 1), 1),) if la == (2, 1) else right(la)
+
+    monkeypatch.setattr(symfunc, "_schur_h_column", wrong)
+    code, out, _ = run(["verify", "examples", "--format", fmt], capsys)
+    assert code == 1
+    name = "s -> h and s -> e by the Kostka peel expand back to m by margin counts (degree <= 6)"
+    # s_21 = m_21 + 2 m_111, and h_111 = m_3 + 3 m_21 + 6 m_111
+    expected, got = (((2, 1), 1), ((1, 1, 1), 2)), (((3,), 1), ((2, 1), 4), ((1, 1, 1), 8))
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [examples] {name}; witness {((2, 1), 'h', expected, got)}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps([(2, 1), "h", expected, got]))}]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_symmetry_names_an_asymmetric_affine_coefficient(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import stanley
+    from stansym.affine import elements_of_length
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "3")
+    right = stanley.affine_stanley_coefficient
+
+    def off_by_one(w, alpha):
+        return right(w, alpha) + (alpha == (1, 2))
+
+    monkeypatch.setattr(stanley, "affine_stanley_coefficient", off_by_one)
+    code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
+    assert code == 1
+    # (1, 2) first comes up at length 3, as the first rearrangement of (2, 1)
+    w = elements_of_length(3, 3)[0]
+    base = stanley.affine_stanley(w)[(2, 1)]
+    witness = (w.window, (2, 1), (1, 2), base, base + 1)
+    name = "affine F~ symmetric on rank-3 elements of length <= 5"
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [symmetry] {name}; witness {witness}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
+
+
 def test_verify_conjectures_names_the_j_basis_error(capsys, monkeypatch, tmp_path):
     from stansym import nilhecke
 

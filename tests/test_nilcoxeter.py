@@ -212,6 +212,32 @@ def test_structure_constants_equal_the_direct_products_on_a_sample_at_n7():
         assert littlewood_richardson(7, la, mu) == structure_by_products(elements, la, mu), (la, mu)
 
 
+def littlewood_richardson_by_transition(n, la, mu):
+    """c^nu_{la mu} over the nu inside delta_{n-1}, from the transition tree:
+    the shifted direct product u x v of the dominant permutations with codes
+    la and mu has F_{u x v} = F_u F_v = s_la s_mu."""
+    u, v = from_code(la), from_code(mu)
+    product = Permutation(u.window + tuple(u.n + x for x in v.window))
+    inside = set(partitions_inside(staircase(n - 1)))
+    return {nu: c for nu, c in schur_expand(product).coeffs.items() if nu in inside}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_littlewood_richardson_count_equals_the_transition_tree_on_every_pair(n):
+    shapes = partitions_inside(staircase(n - 1))
+    for la in shapes:
+        for mu in shapes:
+            if sum(la) + sum(mu) <= sum(staircase(n - 1)):
+                assert littlewood_richardson(n, la, mu) == littlewood_richardson_by_transition(n, la, mu), (la, mu)
+
+
+def test_littlewood_richardson_count_equals_the_transition_tree_on_a_sample_at_n6():
+    shapes = partitions_inside(staircase(5))
+    pairs = [(la, mu) for la in shapes for mu in shapes if sum(la) + sum(mu) <= 15]
+    for la, mu in random.Random(22).sample(pairs, 10):
+        assert littlewood_richardson(6, la, mu) == littlewood_richardson_by_transition(6, la, mu), (la, mu)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_the_permutation_with_code_nu_has_schur_expansion_s_nu(n):
     # w_nu is dominant, so [A_{w_nu}] s_la(u) = [s_la] F_{w_nu} = delta_{la nu}:

@@ -256,6 +256,21 @@ def test_cyclic_descent_walk_matches_the_length_count():
                         assert got == _cyclic_count_by_length(w, alpha, memo), (w, alpha)
 
 
+def test_split_list_count_matches_the_length_count_from_cold_caches():
+    # every element of length <= 6 at n = 3, 4, 5, on every composition
+    for cached in (
+        stanley._cyclically_decreasing_elements, stanley._cyclic_splits, stanley._count_cyclic_factorizations,
+    ):
+        cached.cache_clear()
+    memo = {}
+    for n in (3, 4, 5):
+        for l in range(7):
+            for w in elements_of_length(n, l):
+                for alpha in _compositions(l):
+                    got = affine_stanley_coefficient(w, alpha)
+                    assert got == _cyclic_count_by_length(w, alpha, memo), (w, alpha)
+
+
 def test_affine_stanley_calls_no_length_or_inverse_in_the_factorization_count(monkeypatch):
     callers = []
     for name in ("length", "inverse"):
@@ -267,11 +282,12 @@ def test_affine_stanley_calls_no_length_or_inverse_in_the_factorization_count(mo
 
         monkeypatch.setattr(AffinePermutation, name, traced)
     stanley._count_cyclic_factorizations.cache_clear()
+    stanley._cyclic_splits.cache_clear()
     w = AffinePermutation.from_word((1, 0, 2, 3, 1, 0), 4)
     assert w.length() == 6
     callers.clear()
     assert affine_stanley(w)[(1,) * 6] == len(w.reduced_words())
-    assert "_count_cyclic_factorizations" not in callers
+    assert "_count_cyclic_factorizations" not in callers and "_cyclic_splits" not in callers
 
 
 def test_affine_schur_expansion_example():
