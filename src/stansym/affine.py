@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import index
 
-from .partition import as_partition, conjugate, sort_composition
+from .partition import _conjugate, as_partition, sort_composition
 from .permutation import Permutation
 
 
@@ -142,7 +142,7 @@ class AffinePermutation:
 
     def shape(self):
         """The partition conjugate to the sorted code of the inverse."""
-        return conjugate(sort_composition(self.inverse().code()))
+        return _conjugate(sort_composition(self.inverse().code()))
 
     def right_descents(self):
         w = self.window

@@ -30,10 +30,20 @@ def sort_composition(alpha):
 
 def conjugate(la):
     """Column lengths of the Young diagram of ``la``."""
-    la = as_partition(la)
-    if not la:
-        return ()
-    return tuple(sum(1 for p in la if p > j) for j in range(la[0]))
+    return _conjugate(as_partition(la))
+
+
+def _conjugate(la):
+    """``conjugate`` for a valid partition, unchecked.
+
+    The columns j with la[i] <= j < la[i - 1] are the ones of length i.
+    """
+    out = []
+    prev = 0
+    for i in range(len(la), 0, -1):
+        out += [i] * (la[i - 1] - prev)
+        prev = la[i - 1]
+    return tuple(out)
 
 
 def dominance_leq(la, mu):
@@ -60,7 +70,7 @@ def _dominated(la, mu):
 def hooks(la):
     """Hook lengths of every cell of ``la``, row by row."""
     la = as_partition(la)
-    conj = conjugate(la)
+    conj = _conjugate(la)
     return [[la[i] - j + conj[j] - i - 1 for j in range(la[i])] for i in range(len(la))]
 
 

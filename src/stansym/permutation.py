@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import permutations as _itpermutations
 from operator import index
 
-from .partition import conjugate, sort_composition
+from .partition import _conjugate, sort_composition
 
 
 class Permutation:
@@ -121,7 +121,7 @@ class Permutation:
 
     def shape(self):
         """The partition conjugate to the sorted code of the inverse."""
-        return conjugate(sort_composition(self.inverse().code()))
+        return _conjugate(sort_composition(self.inverse().code()))
 
     def reduced_words(self):
         """All reduced words, lexicographically sorted."""

@@ -12,11 +12,13 @@ through m, s or h, degree by degree, and builds each column once:
 - h and e are reached from s.  h_mu = sum over la dominating mu of
   K(la, mu) s_la, so the Kostka peel takes the lex-smallest s-term of s_la,
   which is dominance-minimal, subtracts that coefficient times the Kostka
-  row of h_mu, and repeats.  It runs once per la: the h-column of s_la is
-  kept in a bounded memo, and ``change_basis`` to h sums c_la times the
-  column of la; e_mu = omega(h_mu), so to e it sums the column of the
-  conjugate la'.  The Hall product and the coproduct read the same columns.
-  Every step is an integer step.
+  row of h_mu, and repeats; the remainder is a list over the partitions of
+  the degree in lex order (``_lex_index``), read once upward.  It runs once
+  per la: the h-column of s_la is kept in a bounded memo, and
+  ``change_basis`` to h sums c_la times the column of la; e_mu =
+  omega(h_mu), so to e it sums the column of the conjugate la'.  The Hall
+  product and the coproduct read the same columns.  Every step is an
+  integer step.
 - k-Schur is reached from h.  The k-Schur functions are dual to the affine
   Schur functions F~_la = m_la + (terms below la), so h_mu = sum over
   bounded la dominating mu of [m_mu] F~_la s^(k)_la.  These k-Kostka rows
@@ -38,14 +40,21 @@ counted there rather than multiplied out (Macdonald, Symmetric Functions
 and Hall Polynomials, I.6):
 
 - s by Kostka numbers, K(la, mu) = [m_mu] s_la, counting semistandard
-  tableaux one horizontal strip at a time (``_kostka``);
+  tableaux one horizontal strip at a time (``_kostka``), over the list of
+  the strips of k cells of each shape, built once per (shape, k) and kept
+  (``_strips``);
 - h and e by matrices with row sums la and column sums mu, with entries in
   N or in {0, 1} (``_margin_count``).
 
-Both counts are bounded module-level memos, so subproblems are shared across
-columns and degrees.  Since h and e are reached from s by Kostka numbers and
-expanded into m by margin counts, a round trip through m checks one count
-against the other.  Products are taken in h, where h_la h_mu = h_{la u mu}.
+The counts and the strip lists are bounded module-level memos, so
+subproblems are shared across columns and degrees.  Since h and e are
+reached from s by Kostka numbers and expanded into m by margin counts, a
+round trip through m checks one count against the other.  Products are
+taken in h, where h_la h_mu = h_{la u mu}.  The coproduct sums
+Delta(h_mu) over the h-column: each degree d keeps an index of the pairs
+(alpha, beta) with |alpha| + |beta| = d (``_pair_index``), Delta(h_mu) is
+split once into (position, coefficient) pairs (``_h_coproduct``), and the
+sum is taken in a list of ints, with one dict built at the end.
 
 The two counting routes share no code.  Their oracles are the products they
 replaced, kept for the tests: the Jacobi-Trudi determinant
@@ -57,15 +66,15 @@ and e.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, permutations as _itperm
+from itertools import compress, groupby, permutations as _itperm
 from math import factorial
 from operator import index
 
 from .partition import (
+    _conjugate,
     _dominated,
     as_partition,
     bounded_partitions,
-    conjugate,
     partitions_of,
     sort_composition,
     sparse_rearrangements,
@@ -152,6 +161,8 @@ class SymFunc:
         return hash((self.degree, tuple(sorted(self.to_m().coeffs.items()))))
 
     def __add__(self, other):
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         if self.basis != other.basis or self.degree != other.degree:
             raise ValueError("can only add in matching basis and degree")
         out = dict(self.coeffs)
@@ -160,12 +171,17 @@ class SymFunc:
         return SymFunc._from_valid(self.degree, self.basis, out)
 
     def __sub__(self, other):
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         return self + (other * -1)
 
     def __mul__(self, other):
-        """The product, in m; two SymFuncs multiply in h, h_la h_mu = h_{la u mu}."""
+        """The product, in m; two SymFuncs multiply in h, h_la h_mu = h_{la u mu}.
+        An int scales in place; any other operand is NotImplemented."""
         if isinstance(other, int):
             return SymFunc._from_valid(self.degree, self.basis, {la: c * other for la, c in self.coeffs.items()})
+        if not isinstance(other, SymFunc):
+            return NotImplemented
         a, b = change_basis(self, "h"), change_basis(other, "h")
         out = {}
         for la, ca in a.coeffs.items():
@@ -285,21 +301,27 @@ def _jacobi_trudi_h(la):
     return {mu: c for mu, c in out.items() if c}
 
 
-def _horizontal_strips(la, k):
-    """Partitions nu inside ``la`` such that la/nu is a horizontal strip of k cells.
+@lru_cache(maxsize=1 << 14)
+def _strips(la, k):
+    """The partitions nu inside ``la`` with la/nu a horizontal strip of k
+    cells, as a tuple.
 
     Row i may lose at most la[i] - la[i+1] cells, so no two removed cells
-    share a column.
+    share a column.  The rows are taken from the last up, and a partial
+    removal is kept only while the rows above, which can lose la[0] - la[i]
+    cells in all, can still bring it to k; the first row takes what is left.
     """
-    if not la:
-        if k == 0:
-            yield ()
-        return
-    nxt = la[1] if len(la) > 1 else 0
-    for r in range(min(k, la[0] - nxt) + 1):
-        row = la[0] - r  # 0 only in the last row, where the tail is ()
-        for tail in _horizontal_strips(la[1:], k - r):
-            yield ((row,) + tail) if row else ()
+    states = [((), 0)]  # (rows i.. of nu, cells removed from them)
+    below = 0
+    for p in reversed(la):
+        above = la[0] - p
+        states = [
+            (((p - r,) + tail) if r < p else tail, used + r)  # only the last row can empty
+            for tail, used in states
+            for r in range(max(0, k - used - above), min(k - used, p - below) + 1)
+        ]
+        below = p
+    return tuple(tail for tail, used in states if used == k)  # for la = (), k > 0
 
 
 @lru_cache(maxsize=1 << 16)
@@ -308,14 +330,15 @@ def _kostka(shape, content):
 
     The cells holding the largest entry, len(content), form a horizontal
     strip of content[-1] cells; peeling it leaves a tableau of content
-    content[:-1].  One memo serves every column and degree.
+    content[:-1].  The strips come from a bounded list per (shape, k)
+    (``_strips``), and one memo serves every column and degree.
     """
     if not content:
         return 1
     if len(shape) > len(content):
         return 0  # the first column needs len(shape) distinct entries
     rest = content[:-1]
-    return sum(_kostka(inner, rest) for inner in _horizontal_strips(shape, content[-1]))
+    return sum(_kostka(inner, rest) for inner in _strips(shape, content[-1]))
 
 
 def _kostka_column(la):
@@ -440,7 +463,7 @@ def change_basis(f, basis, n=None):
         fs = f if f.basis == "s" else _peel(f.to_m(), "s", None, "s")
         # omega swaps h_mu and e_mu and sends s_la to s_la'
         for la, c in fs.coeffs.items():
-            _subtract(out, -c, _schur_h_column(conjugate(la) if name == "e" else la))
+            _subtract(out, -c, _schur_h_column(_conjugate(la) if name == "e" else la))
         return SymFunc._from_valid(f.degree, target, out)
     if name == "kSchur":
         # the h_mu are a basis, and the k-Schur functions span those with mu_1 < n
@@ -491,12 +514,24 @@ def _subtract(rest, c, column):
             rest.pop(mu, None)
 
 
+@lru_cache(maxsize=64)
+def _lex_index(d):
+    """The partitions of d, lex-increasing, and the position of each."""
+    order = partitions_of(d)[::-1]
+    return order, {la: i for i, la in enumerate(order)}
+
+
 @lru_cache(maxsize=1 << 10)
 def _kostka_row(mu):
-    """[s_la] h_mu = K(la, mu) over the la dominating mu, lex-increasing, so
-    the row opens with (mu, 1) (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.6)."""
-    return tuple((la, _kostka(la, mu)) for la in reversed(partitions_of(sum(mu))) if _dominated(mu, la))
+    """[s_la] h_mu = K(la, mu) over the la dominating mu, lex-increasing, as
+    a tuple of positions in ``_lex_index(|mu|)`` and a tuple of the numbers,
+    so the row opens with mu's position and 1 (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.6).  A la dominating mu is lex-larger,
+    so only those are tried."""
+    order, position = _lex_index(sum(mu))
+    start = position[mu]
+    spots = [start + i for i, la in enumerate(order[start:]) if _dominated(mu, la)]
+    return tuple(spots), tuple(_kostka(order[i], mu) for i in spots)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -514,16 +549,24 @@ def _peel_kostka(la):
     dominance-minimal, so h_mu is the one h with an s_mu term and every
     other h of the expansion is lex-larger: its coefficient is that of s_mu,
     and subtracting it times the Kostka row of h_mu leaves a lex-larger
-    remainder.
+    remainder.  So the remainder is a list over ``_lex_index(|la|)``, read
+    once from la's position up.
     """
-    rest, out = {la: 1}, {}
-    while rest:
-        mu = min(rest)
-        row = _kostka_row(mu)
-        if row[0] != (mu, 1):
-            raise AssertionError(f"the Kostka row of h_{mu} does not open with its own term")
-        out[mu] = rest[mu]
-        _subtract(rest, rest[mu], row)
+    order, position = _lex_index(sum(la))
+    start = position[la]
+    rest = [0] * len(order)
+    rest[start] = 1
+    out = {}
+    for i in range(start, len(order)):
+        c = rest[i]
+        if not c:
+            continue
+        spots, ks = _kostka_row(order[i])
+        if spots[0] != i or ks[0] != 1:
+            raise AssertionError(f"the Kostka row of h_{order[i]} does not open with its own term")
+        out[order[i]] = c
+        for j, k in zip(spots, ks):
+            rest[j] -= c * k
     return out
 
 
@@ -671,6 +714,8 @@ class QuasiSymFunc:
         self.coeffs = {a: c for a, c in self.coeffs.items() if c}
 
     def __add__(self, other):
+        if not isinstance(other, QuasiSymFunc):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         out = dict(self.coeffs)
@@ -818,41 +863,64 @@ def k_schur(n, la):
 # -- coproduct ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _pair_index(d):
+    """The pairs (alpha, beta) of partitions with |alpha| + |beta| = d, in a
+    fixed order; the code of each part; and the position of each pair,
+    keyed by the codes of alpha and beta.
+
+    A partition of at most d is coded by the sum of (d + 1)^(j - 1) over its
+    parts j; no part recurs more than d times, so the code is one-to-one,
+    and joining two partitions adds their codes.
+    """
+    pairs = tuple((a, b) for j in range(d + 1) for a in partitions_of(j) for b in partitions_of(d - j))
+    code = [(d + 1) ** j for j in range(d)]  # code[j - 1] of the part j
+    position = {(sum(code[j - 1] for j in a), sum(code[j - 1] for j in b)): i for i, (a, b) in enumerate(pairs)}
+    return pairs, code, position
+
+
 @lru_cache(maxsize=1 << 10)
 def _h_coproduct(mu):
-    """Delta(h_mu) as ((left, right), coefficient) pairs in the h (x) h basis.
+    """Delta(h_mu) in the h (x) h basis, as a tuple of positions in the
+    pairs of ``_pair_index(|mu|)`` and a tuple of their coefficients.
 
     Delta(h_p) = sum over j of h_j (x) h_{p-j}, and the m factors of an
     equal part p commute, so their product is a sum over the multisets of m
     cut points j in 0..p, each taken in m! / prod(n_j!) ways, n_j being how
     often it recurs: the fillings of m interchangeable columns with at most
     p each, over every total t (``_group_fills``).  The splits of the
-    distinct parts multiply, and each key is sorted once.
+    distinct parts multiply; each side is carried as its code, so the parts
+    of a side join by an addition, and each split is looked up once.
     """
-    splits = [((), (), 1)]
+    _, code, position = _pair_index(sum(mu))
+    splits = [(0, 0, 1)]
     for p, same in groupby(mu):
         m = len(list(same))
         cuts = [
-            (tuple(j for j in js if j), tuple(p - j for j in js if j != p), ways)
+            (sum(code[j - 1] for j in js if j), sum(code[p - j - 1] for j in js if j != p), ways)
             for t in range(m * p + 1) for js, ways in _group_fills(m, p, t)
         ]
         splits = [(left + a, right + b, c * k) for left, right, c in splits for a, b, k in cuts]
     out = {}
     for left, right, c in splits:
-        key = tuple(sorted(left, reverse=True)), tuple(sorted(right, reverse=True))
-        out[key] = out.get(key, 0) + c
-    return tuple(out.items())
+        i = position[left, right]
+        out[i] = out.get(i, 0) + c
+    return tuple(out), tuple(out.values())
 
 
 def coproduct(f):
     """Coproduct of a symmetric function, returned in the h (x) h basis.
 
     The result maps pairs of partitions to integers: the sum of c_mu
-    Delta(h_mu) over the h-expansion of ``f``, with Delta(h_mu) split once
-    per mu (``_h_coproduct``).
+    Delta(h_mu) over the h-expansion of ``f``.  Each Delta(h_mu) is split
+    once (``_h_coproduct``) into positions of the pairs of the degree
+    (``_pair_index``), so the sum is taken in a list and the pairs are
+    looked up only for the nonzero entries at the end.
     """
-    out = {}
+    pairs = _pair_index(f.degree)[0]
+    total = [0] * len(pairs)
     for mu, c in change_basis(f, "h").coeffs.items():
-        for key, k in _h_coproduct(mu):
-            out[key] = out.get(key, 0) + c * k
-    return {key: c for key, c in out.items() if c}
+        spots, ks = _h_coproduct(mu)
+        for i, k in zip(spots, ks):
+            total[i] += c * k
+    return dict(zip(compress(pairs, total), filter(None, total)))

@@ -35,3 +35,30 @@ def from_finite(w, n=None):
     if n is None:
         n = max(w.n, 3)
     return AffinePermutation(n, w.embed(n).window)
+
+
+def horizontal_strips(la, k):
+    """Partitions nu inside ``la`` such that la/nu is a horizontal strip of k
+    cells, one recursive generator call per row: row i may lose at most
+    la[i] - la[i+1] cells, so no two removed cells share a column."""
+    if not la:
+        if k == 0:
+            yield ()
+        return
+    nxt = la[1] if len(la) > 1 else 0
+    for r in range(min(k, la[0] - nxt) + 1):
+        row = la[0] - r  # 0 only in the last row, where the tail is ()
+        for tail in horizontal_strips(la[1:], k - r):
+            yield ((row,) + tail) if row else ()
+
+
+@lru_cache(maxsize=None)
+def kostka_by_strips(shape, content):
+    """K(shape, content), peeling the horizontal strip of the largest entry
+    with the strips drawn afresh from ``horizontal_strips`` on every call."""
+    if not content:
+        return 1
+    if len(shape) > len(content):
+        return 0
+    rest = content[:-1]
+    return sum(kostka_by_strips(inner, rest) for inner in horizontal_strips(shape, content[-1]))

@@ -1,4 +1,5 @@
-"""Comparing a value with an object of another type is False, not an error."""
+"""Comparing a value with an object of another type is False, not an error,
+and symmetric-function arithmetic with one is a TypeError."""
 
 import pytest
 
@@ -30,3 +31,25 @@ def test_a_foreign_operand_compares_unequal(make):
     assert x != "x"
     assert x in [None, x]
     assert not x == 0
+
+
+SYM = SymFunc.monomial("s", (2, 1))
+FOREIGN_ARITHMETIC = {
+    "SymFunc + 3": lambda: SYM + 3,
+    "SymFunc - 'x'": lambda: SYM - "x",
+    "SymFunc * 2.5": lambda: SYM * 2.5,
+    "2.5 * SymFunc": lambda: 2.5 * SYM,
+    "SymFunc * None": lambda: SYM * None,
+    "QuasiSymFunc + None": lambda: QuasiSymFunc(2, {(1, 1): 1}) + None,
+}
+
+
+@pytest.mark.parametrize("apply", FOREIGN_ARITHMETIC.values(), ids=FOREIGN_ARITHMETIC.keys())
+def test_symmetric_function_arithmetic_with_a_foreign_operand_is_a_type_error(apply):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        apply()
+
+
+def test_a_symmetric_function_still_scales_by_an_int():
+    assert (SYM * 3).coeffs == (3 * SYM).coeffs == {(2, 1): 3}
+    assert (SYM - SYM).is_zero() and (SYM + SYM).coeffs == {(2, 1): 2}

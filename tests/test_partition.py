@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from oracles import count_standard_tableaux_brute
 from stansym.partition import (
+    _conjugate,
     as_partition,
     bounded_partitions,
     conjugate,
@@ -43,6 +44,15 @@ def test_conjugate_preserves_size(la):
 def test_conjugate_examples():
     assert conjugate((3, 2)) == (2, 2, 1)
     assert conjugate((1, 1, 1)) == (3,)
+
+
+def test_the_unchecked_conjugate_counts_the_rows_longer_than_each_column():
+    for d in range(13):
+        for la in partitions_of(d):
+            columns = tuple(sum(1 for p in la if p > j) for j in range(la[0] if la else 0))
+            assert _conjugate(la) == conjugate(la) == columns
+    with pytest.raises(ValueError):
+        conjugate((1, 2))  # the public one still validates
 
 
 def test_dominance_is_a_partial_order_on_degree_5():
