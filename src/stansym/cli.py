@@ -204,7 +204,10 @@ def _suite_examples(suite, caps):
 
 
 def _suite_symmetry(suite, caps):
-    from .stanley import affine_asymmetry, check_symmetry_affine, check_symmetry_finite, stanley_fn
+    from .partition import partitions_of
+    from .stanley import (
+        affine_asymmetry, affine_stanley, check_symmetry_affine, check_symmetry_finite, stanley_fn,
+    )
 
     nf = min(5, caps["max_rank_finite"])
     suite.check(
@@ -215,6 +218,20 @@ def _suite_symmetry(suite, caps):
             for w in symmetric_group(nf)
         ),
     )
+
+    def finite_mismatch():
+        """The first (w, la, [m_la] F_w, [m_la] F~_w) over w in S_nf, F_w by
+        compatible pairs and F~_w of w in S~_n, where the two differ."""
+        n = max(nf, 3)
+        for w in symmetric_group(nf):
+            expected, got = stanley_fn(w, "original"), affine_stanley(AffinePermutation(n, w.embed(n).window))
+            for la in partitions_of(w.length()):
+                if got[la] != expected[la]:
+                    return w.window, la, expected[la], got[la]
+        return None
+
+    mismatch = finite_mismatch()
+    suite.check(f"affine F~_w = F_w on S_{nf}", mismatch is None, mismatch)
     na = min(3, caps["max_rank_affine"])
     bad = next(
         (w for l in range(6) for w in elements_of_length(na, l) if not check_symmetry_affine(w)),

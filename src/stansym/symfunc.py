@@ -342,8 +342,11 @@ def _kostka(shape, content):
 
 
 def _kostka_column(la):
-    """[m_mu] s_la = K(la, mu), nonzero exactly for mu below la in dominance order."""
-    return {mu: _kostka(la, mu) for mu in partitions_of(sum(la)) if _dominated(mu, la)}
+    """[m_mu] s_la = K(la, mu), nonzero exactly for mu below la in dominance
+    order, lex-decreasing.  A mu dominated by la is lex-smaller, so only
+    those are tried."""
+    order, position = _lex_index(sum(la))
+    return {mu: _kostka(la, mu) for mu in order[position[la]::-1] if _dominated(mu, la)}
 
 
 @lru_cache(maxsize=1 << 10)

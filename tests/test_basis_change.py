@@ -335,9 +335,8 @@ def test_basis_change_caches_are_bounded():
         symfunc._strips, symfunc._pair_index, symfunc._lex_index,
         # and the F_w and F~_w routes' element lists, split lists, counts,
         # field widths and transition tree
-        stanley._decreasing_elements, stanley._decreasing_splits,
+        stanley._decreasing_elements, stanley._splits,
         stanley._field_width, stanley._transition_tree,
-        stanley._cyclically_decreasing_elements, stanley._cyclic_splits,
-        stanley._count_cyclic_factorizations,
+        stanley._cyclically_decreasing_elements, stanley._count_cyclic_factorizations,
     ):
         assert cached.cache_info().maxsize is not None, cached

@@ -264,6 +264,38 @@ def test_verify_symmetry_names_an_asymmetric_affine_coefficient(fmt, capsys, mon
         assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_symmetry_names_an_affine_coefficient_off_the_finite_one(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import stanley
+    from stansym.symfunc import SymFunc
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    code, out, _ = run(["verify", "symmetry"], capsys)
+    assert code == 0 and "PASS [symmetry] affine F~_w = F_w on S_4" in out
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "3")
+    right = stanley.affine_stanley
+
+    def off_by_one(w):
+        f = right(w)
+        return f + SymFunc.monomial("m", (2, 1)) if f.degree == 3 else f
+
+    monkeypatch.setattr(stanley, "affine_stanley", off_by_one)
+    code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
+    assert code == 1
+    w = next(v for v in cli.symmetric_group(3) if v.length() == 3)
+    expected = stanley.stanley_fn(w, "original")[(2, 1)]
+    witness = (w.window, (2, 1), expected, expected + 1)
+    name = "affine F~_w = F_w on S_3"
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [symmetry] {name}; witness {witness}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
+
+
 def test_verify_conjectures_names_the_j_basis_error(capsys, monkeypatch, tmp_path):
     from stansym import nilhecke
 

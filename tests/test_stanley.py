@@ -1,6 +1,7 @@
 """Stanley symmetric functions, finite and affine, and their expansions."""
 
 import random
+import re
 import sys
 from functools import lru_cache
 from itertools import combinations
@@ -166,7 +167,7 @@ def test_split_lists_count_as_the_subset_loop_on_s5_and_s6():
         for w in symmetric_group(5) + symmetric_group(6):
             ell = w.length()
             for alpha in list(partitions_of(ell)) + [_composition(rng, ell) for _ in range(3)]:
-                got = stanley._count_decreasing_factorizations(w.window, alpha)
+                got = stanley._count_decreasing_factorizations(w.inverse().window, alpha)
                 assert got == _count_by_subsets(w.window, alpha), (w, alpha)
     finally:
         _count_by_subsets.cache_clear()
@@ -206,9 +207,24 @@ def test_affine_stanley_example():
 
 
 def test_affine_restricts_to_finite():
-    for v in symmetric_group(3):
-        w = from_finite(v)
-        assert affine_stanley(w) == stanley_fn(v)
+    # F~_w = F_w on S_n in S~_n, against the compatible-pair route, which
+    # shares no code with the split lists
+    for n in (3, 4, 5):
+        for v in symmetric_group(n):
+            assert affine_stanley(from_finite(v)) == stanley_fn(v, "original"), v
+
+
+def test_the_cyclic_split_lists_of_a_finite_element_are_its_decreasing_ones():
+    # a word with the letter 0 never splits off an element of S_n: only the
+    # letter n-1 moves x(n), and 0 comes before it, so at the letter 0 still
+    # x(0) = x(n) - n <= 0 < x(1)
+    for n in range(3, 7):
+        for w in symmetric_group(n):
+            window = w.inverse().window
+            for k in range(n + 1):
+                cyclic = stanley._splits(stanley._cyclically_decreasing_elements, n, window, k)
+                finite = stanley._splits(stanley._decreasing_elements, n, window, k)
+                assert sorted(cyclic) == sorted(finite), (w, k)
 
 
 def test_affine_x1_xl_coefficient_counts_reduced_words():
@@ -259,7 +275,7 @@ def test_cyclic_descent_walk_matches_the_length_count():
 def test_split_list_count_matches_the_length_count_from_cold_caches():
     # every element of length <= 6 at n = 3, 4, 5, on every composition
     for cached in (
-        stanley._cyclically_decreasing_elements, stanley._cyclic_splits, stanley._count_cyclic_factorizations,
+        stanley._cyclically_decreasing_elements, stanley._splits, stanley._count_cyclic_factorizations,
     ):
         cached.cache_clear()
     memo = {}
@@ -269,6 +285,22 @@ def test_split_list_count_matches_the_length_count_from_cold_caches():
                 for alpha in _compositions(l):
                     got = affine_stanley_coefficient(w, alpha)
                     assert got == _cyclic_count_by_length(w, alpha, memo), (w, alpha)
+
+
+def test_affine_coefficient_checks_alpha_whatever_the_caches_hold():
+    # a float part is a TypeError and a negative one a ValueError naming
+    # alpha, from cold caches and after the integer alpha has been counted
+    w = AffinePermutation.from_word((2, 1, 2, 0, 2), 3)
+    for counted_first in (False, True):
+        stanley._count_cyclic_factorizations.cache_clear()
+        stanley._splits.cache_clear()
+        if counted_first:
+            assert affine_stanley_coefficient(w, (2, 2, 1)) == 1
+        with pytest.raises(TypeError):
+            affine_stanley_coefficient(w, (2.0, 2, 1))
+        with pytest.raises(ValueError, match=re.escape("(2, -1, 4)")):
+            affine_stanley_coefficient(w, (2, -1, 4))
+        assert affine_stanley_coefficient(w, (0, 2, 0, 2, 1)) == 1
 
 
 def test_affine_stanley_calls_no_length_or_inverse_in_the_factorization_count(monkeypatch):
@@ -282,12 +314,12 @@ def test_affine_stanley_calls_no_length_or_inverse_in_the_factorization_count(mo
 
         monkeypatch.setattr(AffinePermutation, name, traced)
     stanley._count_cyclic_factorizations.cache_clear()
-    stanley._cyclic_splits.cache_clear()
+    stanley._splits.cache_clear()
     w = AffinePermutation.from_word((1, 0, 2, 3, 1, 0), 4)
     assert w.length() == 6
     callers.clear()
     assert affine_stanley(w)[(1,) * 6] == len(w.reduced_words())
-    assert "_count_cyclic_factorizations" not in callers and "_cyclic_splits" not in callers
+    assert "_count_cyclic_factorizations" not in callers and "_splits" not in callers
 
 
 def test_affine_schur_expansion_example():
