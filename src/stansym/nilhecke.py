@@ -375,7 +375,7 @@ def _add_product(acc, left, right):
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def _subtract_alpha_times(acc, i, n, lowered):
+def _minus_alpha_times(acc, i, n, lowered):
     """acc -= alpha_i * lowered, in place."""
     a, b = _alpha_positions(i, n)
     for v, poly in lowered.items():
@@ -404,7 +404,7 @@ def embed_group(w):
     n = w.n
     terms = {tuple(range(1, n + 1)): {(0,) * n: 1}}
     for i in reversed(w.reduced_word()):
-        _subtract_alpha_times(terms, i, n, _letter(i, terms, n))
+        _minus_alpha_times(terms, i, n, _letter(i, terms, n))
     return NilHeckeElement._from_valid(n, terms)
 
 
@@ -491,7 +491,7 @@ def _tensor_letter_act(i, T, n):
         if up is not None:
             longer = out.setdefault(up, {})
             _merge(longer, L)
-            _subtract_alpha_times(longer, i, n, aL)
+            _minus_alpha_times(longer, i, n, aL)
     return out
 
 

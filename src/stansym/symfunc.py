@@ -3,33 +3,26 @@
 A SymFunc is a homogeneous element of the ring of symmetric functions (or of
 the subring generated by h_1..h_{n-1}, or its dual quotient) written in one
 of the bases m, h, e, s, affine Schur, or k-Schur.  Basis change goes
-through m, s or h, degree by degree, and builds each column once:
+through m, s or h, degree by degree, and builds each column once.
 
-- s and affine Schur are unitriangular over m in dominance order, so
-  ``change_basis`` to them peels: it takes the lex-largest m-term, which is
-  dominance-maximal, subtracts that coefficient times the term's column, and
-  repeats.  It builds only the columns it meets.
-- h and e are reached from s.  h_mu = sum over la dominating mu of
-  K(la, mu) s_la, so the Kostka peel takes the lex-smallest s-term of s_la,
-  which is dominance-minimal, subtracts that coefficient times the Kostka
-  row of h_mu, and repeats; the remainder is a list over the partitions of
-  the degree in lex order (``_lex_index``), read once upward.  It runs once
-  per la: the h-column of s_la is kept in a bounded memo, and
-  ``change_basis`` to h sums c_la times the column of la; e_mu =
-  omega(h_mu), so to e it sums the column of the conjugate la'.  The Hall
-  product and the coproduct read the same columns.  Every step is an
-  integer step.
-- k-Schur is reached from h.  The k-Schur functions are dual to the affine
-  Schur functions F~_la = m_la + (terms below la), so h_mu = sum over
-  bounded la dominating mu of [m_mu] F~_la s^(k)_la.  These k-Kostka rows
-  are read off the F~_la of one (n, degree) in one pass, each term
-  [m_mu] F~_la going into row mu.  ``change_basis`` to k-Schur replaces
-  each h-term by its row, a plain integer sum.  ``k_schur``, the other
-  way, builds the k-Schur functions of the degree from the lex-largest mu
-  down: s^(k)_mu is h_mu minus the rest of its row, whose functions are
-  built already.
+Every basis change solves a unitriangular system, and one kernel,
+``_peel``, solves them all.  Its remainder is a list of ints over the
+partitions of the degree in lex order (``_lex_index``); it walks a range of
+positions, and at each nonzero entry i records the coefficient c and
+subtracts c times the cached column of i.  The remainder must end at zero,
+which checks the expansion itself.  s_la and F~_la are m_la plus terms below
+la in dominance order, hence lex-smaller, so ``change_basis`` to s and
+affine Schur walks down over their m-columns.  h_mu = sum over la dominating
+mu of K(la, mu) s_la, so the h-column of s_la walks up from la over the
+Kostka rows, once per la (``_schur_h_column``).  The k-Schur functions are
+dual to the F~_la, as h is to m, so h_mu = sum of [m_mu] F~_la s^(k)_la
+over the bounded la dominating mu, and ``k_schur`` walks up from mu over
+these k-Kostka rows, read off the F~_la of one (n, degree) in one pass.  To
+h, e (e_mu = omega(h_mu): the column of the conjugate la') and k-Schur,
+``change_basis`` only sums columns and rows, and the Hall product and the
+coproduct read the same h-columns.  Every step is an integer step.
 
-No basis is solved for.  ``_eliminate``, a fraction-free integer
+No basis change runs an elimination.  ``_eliminate``, a fraction-free integer
 elimination, and ``_replay`` serve the j-basis system and ``_solve_exact``,
 the checked entry point for dense callers.  No module of the package calls
 ``_solve_exact``: it stays for the tests' oracles and the benchmark's
@@ -74,7 +67,6 @@ from .partition import (
     _conjugate,
     _dominated,
     as_partition,
-    bounded_partitions,
     partitions_of,
     sort_composition,
     sparse_rearrangements,
@@ -241,7 +233,7 @@ class SymFunc:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _m_product(la, mu):
     """m_la * m_mu in the m basis, by counting additive superpositions."""
     out = {}
@@ -261,13 +253,13 @@ def _m_product(la, mu):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _h_to_m(k):
     """h_k = sum of all m_la with |la| = k."""
     return {la: 1 for la in partitions_of(k)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _product_to_m(parts, factor_to_m):
     """Expand a product of one-part generators into the m basis."""
     if not parts:
@@ -341,12 +333,15 @@ def _kostka(shape, content):
     return sum(_kostka(inner, rest) for inner in _strips(shape, content[-1]))
 
 
+@lru_cache(maxsize=1 << 12)
 def _kostka_column(la):
-    """[m_mu] s_la = K(la, mu), nonzero exactly for mu below la in dominance
-    order, lex-decreasing.  A mu dominated by la is lex-smaller, so only
-    those are tried."""
+    """[m_mu] s_la = K(la, mu) over the mu below la in dominance order,
+    lex-decreasing, as a tuple of positions in ``_lex_index(|la|)`` and a
+    tuple of the numbers, so the column opens with la's position and 1.  A
+    mu dominated by la is lex-smaller, so only those are tried."""
     order, position = _lex_index(sum(la))
-    return {mu: _kostka(la, mu) for mu in order[position[la]::-1] if _dominated(mu, la)}
+    spots = [i for i in range(position[la], -1, -1) if _dominated(order[i], la)]
+    return tuple(spots), tuple(_kostka(la, order[i]) for i in spots)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -437,7 +432,9 @@ def _expand_to_m(name, n, la):
     if name == "e":
         return _margin_column(la, 1)
     if name == "s":
-        return _kostka_column(la)
+        order = _lex_index(sum(la))[0]
+        spots, ks = _kostka_column(la)
+        return {order[i]: k for i, k in zip(spots, ks)}
     if name == "affineSchur":
         return dict(affine_schur(n, la).coeffs)
     if name == "kSchur":
@@ -448,14 +445,14 @@ def _expand_to_m(name, n, la):
 def change_basis(f, basis, n=None):
     """Rewrite ``f`` in another basis; exact, with integrality enforced.
 
-    s and affineSchur are reached by peeling m-terms (``_peel``).  h and e
-    sum the cached h-column of each s-term (``_schur_h_column``, s_la' for
-    e), which the Kostka peel builds once per la in the process.  kSchur
-    sums the k-Kostka rows of the h-terms, all rows of one (n, degree) read
-    off the F~_la in one pass (``_k_kostka_rows``).  No system is solved.
-    Raises ValueError naming an obstructing term when ``f`` does not lie in
-    the span of the target basis: an m-term for affine Schur, the
-    lex-least h-term with a part of at least n for k-Schur.
+    s and affineSchur are reached by the peel (``_peel``) of the m-terms,
+    walked down over the Kostka columns or the F~_la.  h and e sum the
+    cached h-column of each s-term (``_schur_h_column``, s_la' for e), and
+    kSchur sums the k-Kostka rows of the h-terms, all rows of one (n,
+    degree) read off the F~_la in one pass (``_k_kostka_rows``).  No system
+    is solved.  Raises ValueError naming an obstructing term when ``f`` does
+    not lie in the span of the target basis: the leading m-term for affine
+    Schur, the lex-least h-term with a part of at least n for k-Schur.
     """
     target = _basis_key(basis, n)
     if target == f.basis:
@@ -463,10 +460,10 @@ def change_basis(f, basis, n=None):
     name, rank = _parse_basis(target)
     out = {}
     if name in ("h", "e"):
-        fs = f if f.basis == "s" else _peel(f.to_m(), "s", None, "s")
         # omega swaps h_mu and e_mu and sends s_la to s_la'
-        for la, c in fs.coeffs.items():
-            _subtract(out, -c, _schur_h_column(_conjugate(la) if name == "e" else la))
+        for la, c in change_basis(f, "s").coeffs.items():
+            for mu, k in _schur_h_column(_conjugate(la) if name == "e" else la):
+                out[mu] = out.get(mu, 0) + c * k
         return SymFunc._from_valid(f.degree, target, out)
     if name == "kSchur":
         # the h_mu are a basis, and the k-Schur functions span those with mu_1 < n
@@ -475,46 +472,54 @@ def change_basis(f, basis, n=None):
         if unbounded:
             raise ValueError(f"not expressible in basis {target}: obstructing coefficient on h_{min(unbounded)}")
         rows = _k_kostka_rows(rank, f.degree)
+        order, position = _lex_index(f.degree)
         for mu, c in fh.items():
-            _subtract(out, -c, rows[mu])
+            for i, k in zip(*rows[position[mu]]):
+                out[order[i]] = out.get(order[i], 0) + c * k
         return SymFunc._from_valid(f.degree, target, out)
     fm = f.to_m()
-    if name == "m":
-        return fm
-    return _peel(fm, name, rank, target)
+    if name == "m" or not fm.coeffs:
+        return SymFunc._from_valid(f.degree, target, fm.coeffs)
+    top = max(fm.coeffs)
+    # the F~_la of bounded la have only bounded terms, so the leading term decides
+    if rank is not None and top and top[0] > rank - 1:
+        raise ValueError(f"not expressible in basis {target}: the leading term m_{top} is not ({rank - 1})-bounded")
+    order, position = _lex_index(f.degree)
+    rest = [0] * len(order)
+    for la, c in fm.coeffs.items():
+        rest[position[la]] = c
+    if name == "s":
+        column = lambda i: _kostka_column(order[i])
+    else:
+        column = lambda i: _affine_schur_column(rank, order[i])
+    return SymFunc._from_valid(f.degree, target, _peel(rest, range(position[top], -1, -1), column, target, top))
 
 
-def _peel(fm, name, rank, target):
-    """``fm`` in a basis unitriangular over m in dominance order (s, affineSchur).
+def _peel(rest, walk, column, target, la):
+    """Solve rest = sum of c_i column(i) for a unitriangular system, and
+    return {partition: c_i}: the one kernel of every basis change.
 
-    The lex-largest m-term is dominance-maximal, so it is the leading term
-    of exactly one basis element of the expansion, with that coefficient;
-    subtracting that element's column leaves a smaller remainder.
+    ``rest``, consumed, is a list of ints over ``_lex_index(|la|)``, and
+    ``la`` names the input.  Each column(i) is a tuple of positions and a
+    tuple of numbers that opens with (i, 1), its other positions later in
+    ``walk``.  At each nonzero entry i the kernel records c = rest[i] and
+    subtracts c times column(i).  The remainder must end at zero, which
+    checks the identity itself; a term left over raises an AssertionError
+    that names it.
     """
-    rest = dict(fm.coeffs)
     out = {}
-    while rest:
-        la = max(rest)
-        if rank is not None and la and la[0] > rank - 1:
-            raise ValueError(
-                f"not expressible in basis {target}: the leading term m_{la} is not ({rank - 1})-bounded"
-            )
-        column = _expand_to_m(name, rank, la)
-        if column.get(la) != 1 or max(column) != la:
-            raise AssertionError(f"the {target} column of {la} does not lead with m_{la}")
-        out[la] = rest[la]
-        _subtract(rest, rest[la], column.items())
-    return SymFunc._from_valid(fm.degree, target, out)
-
-
-def _subtract(rest, c, column):
-    """rest -= c * column, for (key, int) pairs, dropping what cancels."""
-    for mu, k in column:
-        v = rest.get(mu, 0) - c * k
-        if v:
-            rest[mu] = v
-        else:
-            rest.pop(mu, None)
+    for i in walk:
+        c = rest[i]
+        if c:
+            out[i] = c
+            spots, ks = column(i)
+            for j, k in zip(spots, ks):
+                rest[j] -= c * k
+    order = _lex_index(sum(la))[0]
+    if any(rest):
+        j = next(j for j, v in enumerate(rest) if v)
+        raise AssertionError(f"the {target} peel of {la} leaves {rest[j]} on {order[j]}")
+    return {order[i]: c for i, c in out.items()}
 
 
 @lru_cache(maxsize=64)
@@ -539,38 +544,15 @@ def _kostka_row(mu):
 
 @lru_cache(maxsize=1 << 12)
 def _schur_h_column(la):
-    """s_la in the h basis, as (mu, c) pairs: ``_peel_kostka`` runs once per
-    la, and the changes to h and e, the Hall product and the coproduct share
-    the column."""
-    return tuple(_peel_kostka(la).items())
-
-
-def _peel_kostka(la):
-    """The h-coefficients of s_la, by the Kostka peel.
-
-    The remainder starts as s_la.  Its lex-smallest term mu is
-    dominance-minimal, so h_mu is the one h with an s_mu term and every
-    other h of the expansion is lex-larger: its coefficient is that of s_mu,
-    and subtracting it times the Kostka row of h_mu leaves a lex-larger
-    remainder.  So the remainder is a list over ``_lex_index(|la|)``, read
-    once from la's position up.
-    """
+    """s_la in the h basis, as (mu, c) pairs: the peel of the unit vector at
+    la, walked up over the Kostka rows, since h_mu = sum over la dominating
+    mu of K(la, mu) s_la.  It runs once per la, and the changes to h and e,
+    the Hall product and the coproduct share the column."""
     order, position = _lex_index(sum(la))
     start = position[la]
     rest = [0] * len(order)
     rest[start] = 1
-    out = {}
-    for i in range(start, len(order)):
-        c = rest[i]
-        if not c:
-            continue
-        spots, ks = _kostka_row(order[i])
-        if spots[0] != i or ks[0] != 1:
-            raise AssertionError(f"the Kostka row of h_{order[i]} does not open with its own term")
-        out[order[i]] = c
-        for j, k in zip(spots, ks):
-            rest[j] -= c * k
-    return out
+    return tuple(_peel(rest, range(start, len(order)), lambda i: _kostka_row(order[i]), "h", la).items())
 
 
 def _check_ints(line):
@@ -815,43 +797,50 @@ def affine_schur(n, la):
     return f
 
 
+@lru_cache(maxsize=1 << 12)
+def _affine_schur_column(n, la):
+    """F~_la in m as a tuple of positions in ``_lex_index(|la|)`` and a
+    tuple of the numbers, converted once per column."""
+    position = _lex_index(sum(la))[1]
+    f = affine_schur(n, la).coeffs
+    return tuple(position[mu] for mu in f), tuple(f.values())
+
+
 @lru_cache(maxsize=64)
 def _k_kostka_rows(n, degree):
-    """{mu: row} over the (n-1)-bounded mu of ``degree``, with row the pairs
-    (la, [s^(k)_la] h_mu) = (la, [m_mu] F~_la) over the la dominating mu,
-    lex-increasing, so it opens with (mu, 1): the k-Schur functions are the
-    basis dual to the affine Schur functions, as the h are to the m (Lam,
-    affine Stanley symmetric functions).
-
-    The rows are read off in one pass over the terms of each F~_la, taken
-    in lex-increasing la; ``affine_schur`` checks that every term is
-    bounded and below la."""
-    rows = {}
-    for la in reversed(partitions_of(degree, n - 1)):
-        for mu, c in affine_schur(n, la).coeffs.items():
-            rows.setdefault(mu, []).append((la, c))
-    return {mu: tuple(row) for mu, row in rows.items()}
+    """The k-Kostka rows of the (n-1)-bounded partitions of ``degree``,
+    indexed by position in ``_lex_index(degree)``, where the bounded
+    partitions come first.  Row mu is [s^(k)_la] h_mu = [m_mu] F~_la over
+    the la dominating mu, lex-increasing, as a tuple of positions and a
+    tuple of the numbers, opening with (mu, 1): the k-Schur functions are
+    the basis dual to the affine Schur functions, as the h are to the m
+    (Lam, affine Stanley symmetric functions).  The rows are read off the
+    terms of each F~_la in one pass, and ``affine_schur`` checks that every
+    term is bounded and below la."""
+    order = _lex_index(degree)[0]
+    rows = [[] for _ in partitions_of(degree, n - 1)]
+    for i, row in enumerate(rows):
+        for j, c in zip(*_affine_schur_column(n, order[i])):
+            rows[j].append((i, c))
+    return tuple(tuple(zip(*row)) for row in rows)
 
 
 @lru_cache(maxsize=64)
 def _k_schur_h_table(n, degree):
     """h-expansions of all k-Schur functions of one degree.
 
-    The k-Kostka row of mu says h_mu = s^(k)_mu + sum over la > mu of
-    [m_mu] F~_la s^(k)_la, so s^(k)_mu is h_mu minus that sum.  Taken from
-    the lex-largest mu down, every s^(k)_la of the sum is built already, and
-    each function is one integer sum of them.
+    The k-Kostka rows say h_mu = sum over la of K^(k)_{la mu} s^(k)_la, as
+    the Kostka rows say it of s_la, so s^(k)_mu in h is the peel of the
+    unit vector at mu, walked up over the rows (``_peel``).
     """
     rows = _k_kostka_rows(n, degree)
+    order = _lex_index(degree)[0]
     table = {}
-    for mu in bounded_partitions(n, degree):
-        row = rows[mu]
-        if row[0] != (mu, 1):
-            raise AssertionError(f"the k-Kostka row of h_{mu} (n={n}) does not open with its own term")
-        out = {mu: 1}
-        for la, c in row[1:]:
-            _subtract(out, c, table[la].coeffs.items())
-        table[mu] = SymFunc._from_valid(degree, "h", out)
+    for start in range(len(rows)):
+        rest = [0] * len(rows)
+        rest[start] = 1
+        out = _peel(rest, range(start, len(rows)), rows.__getitem__, f"kSchur({n})", order[start])
+        table[order[start]] = SymFunc._from_valid(degree, "h", out)
     return table
 
 

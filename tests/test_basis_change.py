@@ -1,9 +1,10 @@
 """The basis-change paths against the full solve they replace.
 
-Change to s and affine Schur peels the leading m-term; change to h and e
-peels the least s-term by Kostka rows; change to k-Schur sums the k-Kostka
-rows of the h-terms, and ``k_schur`` peels by them; products are taken in
-h.  The oracle ``_change_basis_by_solve`` builds every column of the degree
+One kernel peels every unitriangular system: change to s and affine Schur
+walks down over the m-columns, the h-column of s_la and ``k_schur`` walk
+up over the Kostka and k-Kostka rows, and a wrong column fails the peel;
+change to h, e and k-Schur sums those columns and rows; products are taken
+in h.  The oracle ``_change_basis_by_solve`` builds every column of the degree
 and solves the whole system with ``_solve_exact``.  The coproduct, split once
 per h-term, is checked against the part-at-a-time split it replaced, and the
 Kostka numbers, counted over cached strip lists, against the strip generator
@@ -116,6 +117,7 @@ def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
 
     f = stanley_fn(Permutation.longest(7))
     _expand_to_m.cache_clear()
+    column.cache_clear()
     monkeypatch.setattr(symfunc, "_kostka_column", one_column)
     monkeypatch.setattr(symfunc, "_eliminate", no_elimination)
     assert change_basis(f, "s") == SymFunc.monomial("s", (6, 5, 4, 3, 2, 1))
@@ -158,8 +160,8 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
         raise AssertionError("the Kostka peel solved or counted margins")
 
     for cached in (
-        symfunc._expand_to_m, symfunc._kostka, symfunc._strips, symfunc._kostka_row, symfunc._margin_count,
-        symfunc._schur_h_column, symfunc._pair_index, symfunc._lex_index,
+        symfunc._expand_to_m, symfunc._kostka, symfunc._strips, symfunc._kostka_column, symfunc._kostka_row,
+        symfunc._margin_count, symfunc._schur_h_column, symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
     for name in ("_eliminate", "_replay", "_margin_count"):
@@ -216,15 +218,7 @@ def test_h_and_e_columns_equal_jacobi_trudi_through_products_in_m():
 
 
 @pytest.mark.parametrize("la", [(4, 2, 1), (3, 3), (2, 2)])
-def test_a_schur_function_builds_its_h_column_and_its_conjugates_once(la, monkeypatch):
-    built = []
-    peel = symfunc._peel_kostka
-
-    def counted(la):
-        built.append(la)
-        return peel(la)
-
-    monkeypatch.setattr(symfunc, "_peel_kostka", counted)
+def test_a_schur_function_builds_its_h_column_and_its_conjugates_once(la):
     symfunc._schur_h_column.cache_clear()
     s = SymFunc.monomial("s", la)
     h, e = change_basis(s, "h"), change_basis(s, "e")
@@ -232,7 +226,7 @@ def test_a_schur_function_builds_its_h_column_and_its_conjugates_once(la, monkey
     assert {mu: c for (left, mu), c in coproduct(s).items() if left == ()} == h.coeffs
     assert change_basis(h, "s") == change_basis(e, "s") == s
     # (2, 2) is its own conjugate, so its column serves both
-    assert built == ([la] if la == conjugate(la) else [la, conjugate(la)])
+    assert symfunc._schur_h_column.cache_info().misses == (1 if la == conjugate(la) else 2)
 
 
 def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
@@ -254,6 +248,49 @@ def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
             g = change_basis(h, "kSchur", n)
             assert g.basis == f"kSchur({n})" and min(g.coeffs) == la and g.coeffs[la] == 1
             assert change_basis(g, "h") == h
+
+
+def _doubled(right, at):
+    """``right``, a column function, with the numbers of the column at ``at`` doubled."""
+
+    def wrong(*key):
+        spots, ks = right(*key)
+        return (spots, tuple(2 * k for k in ks)) if key[-1] == at else (spots, ks)
+
+    return wrong
+
+
+def test_a_wrong_column_fails_each_peel_naming_the_basis_and_the_partition(monkeypatch):
+    # each doubled column opens with 2, so its peel leaves -1 at its own position
+    def fails(text):
+        return pytest.raises(AssertionError, match=re.escape(text))
+
+    s21 = SymFunc(3, "m", {(2, 1): 1, (1, 1, 1): 2})
+    monkeypatch.setattr(symfunc, "_kostka_column", _doubled(symfunc._kostka_column, (2, 1)))
+    with fails("the s peel of (2, 1) leaves -1 on (2, 1)"):
+        change_basis(s21, "s")
+    monkeypatch.undo()  # one wrong column at a time, so no other memo takes it in
+    f21 = symfunc.affine_schur(3, (2, 1))
+    monkeypatch.setattr(symfunc, "_affine_schur_column", _doubled(symfunc._affine_schur_column, (2, 1)))
+    with fails("the affineSchur(3) peel of (2, 1) leaves -1 on (2, 1)"):
+        change_basis(f21, "affineSchur", 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(symfunc, "_kostka_row", _doubled(symfunc._kostka_row, (1, 1, 1)))
+    symfunc._schur_h_column.cache_clear()
+    with fails("the h peel of (1, 1, 1) leaves -1 on (1, 1, 1)"):
+        change_basis(SymFunc.monomial("s", (1, 1, 1)), "h")
+    monkeypatch.undo()
+    right = symfunc._k_kostka_rows
+
+    def wrong_rows(n, degree):  # position 0 holds (1, 1, 1)
+        rows = right(n, degree)
+        return tuple(map(_doubled(rows.__getitem__, 0), range(len(rows))))
+
+    monkeypatch.setattr(symfunc, "_k_kostka_rows", wrong_rows)
+    symfunc._k_schur_h_table.cache_clear()
+    with fails("the kSchur(3) peel of (1, 1, 1) leaves -1 on (1, 1, 1)"):
+        k_schur(3, (1, 1, 1))
+    symfunc._k_schur_h_table.cache_clear()
 
 
 def test_not_in_the_k_schur_span_names_an_unbounded_h_term():
@@ -329,9 +366,9 @@ def test_coproduct_equals_the_part_at_a_time_split():
 
 def test_basis_change_caches_are_bounded():
     for cached in (
-        symfunc._kostka, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
+        symfunc._kostka, symfunc._kostka_column, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_kostka_rows, symfunc._expand_to_m,
-        symfunc.affine_schur, symfunc._h_coproduct, symfunc._schur_h_column,
+        symfunc.affine_schur, symfunc._affine_schur_column, symfunc._h_coproduct, symfunc._schur_h_column,
         symfunc._strips, symfunc._pair_index, symfunc._lex_index,
         # and the F_w and F~_w routes' element lists, split lists, counts,
         # field widths and transition tree

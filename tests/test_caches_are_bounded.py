@@ -13,7 +13,7 @@ import pkgutil
 import stansym
 from stansym import stanley
 
-OPEN = {"symfunc._m_product", "symfunc._h_to_m", "symfunc._product_to_m"}
+OPEN = set()
 
 
 def _unbounded_caches():
