@@ -170,11 +170,13 @@ def product_expansion_check(n):
 @lru_cache(maxsize=64)
 def _layer(n, degree):
     """The permutations of S_n of length ``degree``, each layer built once
-    from the one below by the ascents of its elements."""
+    from the one below by the ascents of its elements: w s_i for w(i) <
+    w(i + 1), one swap of two adjacent window entries."""
     if degree == 0:
         return frozenset({Permutation.identity(n)})
-    return frozenset(w.transposition_right(i, i + 1)
-                     for w in _layer(n, degree - 1) for i in range(1, n) if w(i) < w(i + 1))
+    return frozenset(Permutation(x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:])
+                     for x in (w.window for w in _layer(n, degree - 1))
+                     for i in range(1, n) if x[i - 1] < x[i])
 
 
 @lru_cache(maxsize=64)

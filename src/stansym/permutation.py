@@ -5,6 +5,7 @@ sequences of generator indices ``1 .. n-1``; the word ``i_1 i_2 ... i_l``
 stands for the product ``s_{i_1} s_{i_2} ... s_{i_l}``.
 """
 
+from bisect import bisect, insort
 from functools import lru_cache
 from itertools import permutations as _itpermutations
 from operator import index
@@ -78,10 +79,7 @@ class Permutation:
 
     def _stable_window(self):
         """The window without trailing fixed points, the same for every embedding."""
-        w = self.window
-        while w and w[-1] == len(w):
-            w = w[:-1]
-        return w
+        return _stable(self.window)
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -97,9 +95,7 @@ class Permutation:
         return f"Permutation({list(self.window)})"
 
     def __str__(self):
-        if self.n <= 9:
-            return "".join(map(str, self.window))
-        return ",".join(map(str, self.window))
+        return _one_line(self.window)
 
     def length(self):
         """Number of inversions."""
@@ -121,7 +117,7 @@ class Permutation:
 
     def shape(self):
         """The partition conjugate to the sorted code of the inverse."""
-        return _conjugate(sort_composition(self.inverse().code()))
+        return _shape(self.window)
 
     def reduced_words(self):
         """All reduced words, lexicographically sorted."""
@@ -141,21 +137,8 @@ class Permutation:
         return len(self.right_descents()) <= 1
 
     def is_vexillary(self):
-        """True iff w avoids the pattern 2143: no positions a < b < c < d with
-        w(b) < w(a) < w(d) < w(c).  Walk c from the left, keeping the least
-        w(a) > w(b) over the pairs a < b < c; a 2143 ends at c iff some w(d)
-        right of c lies strictly between that value and w(c)."""
-        w = self.window
-        least = self.n + 1
-        for c, y in enumerate(w):
-            if least < y:
-                for x in w[c + 1:]:
-                    if least < x < y:
-                        return False
-            for x in w[:c]:  # c becomes a b for the positions right of it
-                if y < x < least:
-                    least = x
-        return True
+        """True iff w avoids the pattern 2143 (``_is_vexillary``)."""
+        return _is_vexillary(self.window)
 
     def one_times(self):
         """The permutation 1 x w, shifting the one-line notation up by one."""
@@ -177,6 +160,49 @@ class Permutation:
         if w.n != data.get("n", w.n):
             raise ValueError("window length disagrees with n")
         return w
+
+
+def _stable(window):
+    """The window without its trailing fixed points."""
+    while window and window[-1] == len(window):
+        window = window[:-1]
+    return window
+
+
+def _one_line(window):
+    """The one-line notation of a window: digits run together up to S_9,
+    comma-separated above."""
+    return ("" if len(window) <= 9 else ",").join(map(str, window))
+
+
+def _is_vexillary(window):
+    """True iff the window avoids the pattern 2143: no positions a < b < c < d
+    with w(b) < w(a) < w(d) < w(c).  Walk c from the left, keeping the least
+    w(a) > w(b) over the pairs a < b < c, read off the sorted values left of
+    b; a 2143 ends at c iff some w(d) right of c lies strictly between that
+    value and w(c)."""
+    least, seen = len(window) + 1, []
+    for c, y in enumerate(window):
+        if least < y:
+            for x in window[c + 1:]:
+                if least < x < y:
+                    return False
+        i = bisect(seen, y)  # c becomes a b for the positions right of it
+        if i < c and seen[i] < least:
+            least = seen[i]
+        insort(seen, y)
+    return True
+
+
+def _shape(window):
+    """The partition conjugate to the sorted code of the inverse.  The code
+    of w^-1 at w(p) counts the larger values left of position p, so its
+    entries are read off the sorted values left of each position."""
+    code, seen = [], []
+    for p, y in enumerate(window):
+        code.append(p - bisect(seen, y))
+        insort(seen, y)
+    return _conjugate(sort_composition(code))
 
 
 @lru_cache(maxsize=1 << 13)

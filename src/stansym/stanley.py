@@ -17,22 +17,26 @@ affine F~_w are counted by one dynamic program on the window of w^{-1}
 (F~_w = F_w for w in S_n): ``_splits`` lists once per (element list, n,
 window, k) the windows left when an element of length k splits off, and
 every composition with that first part sums over the list.  The Schur
-expansion walks the transition tree, whose expanded nodes every call in the
-process shares.  Every memo is bounded.  Monomial coefficients are
-extracted on partitions; the symmetry of the result is a theorem, and
-``check_symmetry`` verifies it on arbitrary compositions.
+expansion walks the Lascoux-Schutzenberger transition tree on stable
+windows: each node is a tuple, tested for 2143 and read for its shape in
+place, and both sides of the transition identity at a node come from one
+cover scan over the window (``tableaux._transition_covers``), so no
+permutation object is built below the root.  Its expanded nodes are shared
+by every call in the process.  Every memo is bounded.  Monomial
+coefficients are extracted on partitions; the symmetry of the result is a
+theorem, and ``check_symmetry`` verifies it on arbitrary compositions.
 """
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import combinations
 from operator import index
 
 from .affine import cyclically_decreasing_word
 from .partition import count_standard_tableaux, partitions_of, staircase
-from .permutation import Permutation
+from .permutation import _is_vexillary, _one_line, _shape, _stable
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
-from .tableaux import transition_sides
+from .tableaux import _transition_covers, transition_sides
 
 
 class _FieldMemo:
@@ -163,10 +167,7 @@ def _walk(window, ell, ascents, width):
 
 def _swap(v, d):
     """The stable window of v s_d."""
-    u = v[:d - 1] + (v[d], v[d - 1]) + v[d + 1:]
-    while u and u[-1] == len(u):
-        u = u[:-1]
-    return u
+    return _stable(v[:d - 1] + (v[d], v[d - 1]) + v[d + 1:])
 
 
 def _histogram(window, ell, ascents):
@@ -400,32 +401,46 @@ def schur_expand(w):
     or, when there are none, F_u for u = (1 x v) t_{1,r+1}.  The coefficients
     count Edelman-Greene tableaux for w^{-1}; ``eg_tableaux_by_shape`` counts
     them directly and is the cross-check in the tests and ``stansym verify``.
-    ``_transition_tree`` keeps the expanded nodes, up to 8192 of them, keyed
-    on the window without its trailing fixed points, and every call in the
-    process shares them.
+
+    ``_transition_tree`` walks the tree on stable windows: it tests for 2143
+    and reads the shape on the tuple, finds r and s there, and takes both
+    sides of the identity from one cover scan (``_transition_covers``), with
+    no permutation object built below w.  It keeps the expanded nodes, up to
+    8192 of them, and every call in the process shares them.  The degree is
+    read off the result, as every shape in it has size ell(w).
     """
-    return SymFunc._from_valid(w.length(), "s", _transition_tree(w._stable_window()))
+    coeffs = _transition_tree(w._stable_window())
+    return SymFunc._from_valid(sum(next(iter(coeffs))), "s", coeffs)
 
 
 @lru_cache(maxsize=8192)
 def _transition_tree(key):
     """{la: [s_la] F_u} for u the permutation whose stable window is ``key``;
-    the dict is shared, so callers only read it."""
-    u = Permutation(key)
-    if u.is_vexillary():
-        return {u.shape(): 1}
-    r = u.right_descents()[-1]
-    s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
-    v = u.transposition_right(r, s)
-    left, right, extra = transition_sides(v, r)
-    if left != [u]:
+    the dict is shared, so callers only read it.  Every node checks that u
+    is the only left cover of v at r."""
+    if _is_vexillary(key):
+        return {_shape(key): 1}
+    r = len(key) - 1  # the last descent
+    while key[r - 1] < key[r]:
+        r -= 1
+    a, s = key[r - 1], len(key)  # the last position right of r below u(r)
+    while key[s - 1] > a:
+        s -= 1
+    v = key[:r - 1] + (key[s - 1],) + key[r:s - 1] + (a,) + key[s:]
+    left, right, extra = _transition_covers(v, r)
+    if left != [key]:
         raise AssertionError(
-            f"transition tree at {u}: the left side at (v, r) = ({v}, {r}) is {left}, not [{u}]"
+            f"transition tree at {_one_line(key)}: the left side at (v, r) = "
+            f"({_one_line(v)}, {r}) is {list(map(_one_line, left))}, not [{_one_line(key)}]"
         )
-    out = Counter()
-    for child in right if extra is None else right + [extra]:
-        out.update(_transition_tree(child._stable_window()))
-    return dict(out)
+    first, *rest = right or [extra]
+    out = _transition_tree(first)
+    if rest:
+        out = dict(out)  # the child's dict is shared
+        for child in rest:
+            for la, c in _transition_tree(child).items():
+                out[la] = out.get(la, 0) + c
+    return out
 
 
 # -- affine -------------------------------------------------------------------

@@ -5,7 +5,7 @@ and the transition-formula bookkeeping.
 from operator import index
 
 from .partition import as_partition
-from .permutation import is_reduced
+from .permutation import Permutation, _stable, is_reduced
 
 
 class Tableau:
@@ -269,12 +269,38 @@ def little_move_backward(mw):
 # -- transition formula -------------------------------------------------------
 
 
-def _covers(w, i, j):
-    """True iff w t_{ij} covers w, for i < j: w(i) < w(j), and no value w(k)
-    with i < k < j lies between them.  An O(n) scan, where comparing lengths
-    would cost O(n^2)."""
-    a, b = w(i), w(j)
-    return a < b and not any(a < w(k) < b for k in range(i + 1, j))
+def _transition_covers(v, r):
+    """The three pieces of the transition identity at (v, r), as stable
+    windows, for v given by a window of length at least r (v fixes every
+    position past it).
+
+    Returns (left, right, extra).  The left covers v t_{rs}, s > r, are the
+    positions s scanned rightward to len(v) + 1 whose value is the least
+    above v(r) so far; the right covers v t_{sr}, s < r, in increasing s,
+    those scanned leftward whose value is the largest below v(r) so far.  The
+    shifted term (1 x v) t_{1,r+1} covers 1 x v iff every value left of r
+    exceeds v(r), that is iff there is no right cover; otherwise it is None.
+    One O(n) pass each, where comparing lengths would cost O(n^2).
+    """
+    m, a = len(v), v[r - 1]
+    head, tail = v[:r - 1], v + (m + 1,)
+    left, least = [], m + 2
+    for i in range(r, m + 1):  # position i + 1
+        b = tail[i]
+        if a < b < least:
+            least = b
+            left.append(_stable(head + (b,) + tail[r:i] + (a,) + tail[i + 1:]))
+    right, largest = [], 0
+    for i in range(r - 2, -1, -1):
+        b = v[i]
+        if largest < b < a:
+            largest = b
+            right.append(_stable(v[:i] + (a,) + v[i + 1:r - 1] + (b,) + v[r:]))
+    if right:
+        right.reverse()
+        return left, right, None
+    shifted = tuple(x + 1 for x in v)
+    return left, right, _stable((a + 1,) + shifted[:r - 1] + (1,) + shifted[r:])
 
 
 def transition_sides(w, r):
@@ -282,12 +308,20 @@ def transition_sides(w, r):
 
     Returns (left, right, extra): left are the covers w(r,s) with s > r,
     right the covers w(s',r) with s' < r, and extra the shifted term
-    (1 x w)(1, r+1) when it covers 1 x w.
+    (1 x w)(1, r+1) when it covers 1 x w (``_transition_covers``).  The
+    covers are in S_n, or in S_{n+1} for the cover at s = n + 1, and the
+    shifted term is in S_{n+1}.
     """
-    if not 1 <= r <= w.n:
-        raise ValueError(f"position r={r} out of range for S_{w.n}")
-    left = [w.transposition_right(r, s) for s in range(r + 1, w.n + 2) if _covers(w, r, s)]
-    right = [w.transposition_right(s, r) for s in range(1, r) if _covers(w, s, r)]
-    one = w.one_times()
-    extra = one.transposition_right(1, r + 1) if _covers(one, 1, r + 1) else None
-    return left, right, extra
+    n = w.n
+    if not 1 <= r <= n:
+        raise ValueError(f"position r={r} out of range for S_{n}")
+    left, right, extra = _transition_covers(w.window, r)
+
+    def pad(u, m):
+        return Permutation(u + tuple(range(len(u) + 1, m + 1)))
+
+    return (
+        [pad(u, n) for u in left],
+        [pad(u, n) for u in right],
+        None if extra is None else pad(extra, n + 1),
+    )

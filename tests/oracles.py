@@ -8,6 +8,8 @@ from functools import lru_cache
 
 from stansym.affine import AffinePermutation
 from stansym.partition import as_partition
+from stansym.permutation import Permutation
+from stansym.tableaux import transition_sides
 
 
 @lru_cache(maxsize=None)
@@ -62,3 +64,25 @@ def kostka_by_strips(shape, content):
         return 0
     rest = content[:-1]
     return sum(kostka_by_strips(inner, rest) for inner in horizontal_strips(shape, content[-1]))
+
+
+@lru_cache(maxsize=None)
+def transition_tree_by_objects(key):
+    """{la: [s_la] F_u} for u the permutation whose stable window is ``key``,
+    by the transition tree on validated ``Permutation``s: each node, v, and
+    every term of the identity at (v, r) is an object, and the sides come
+    from the public ``transition_sides``."""
+    u = Permutation(key)
+    if u.is_vexillary():
+        return {u.shape(): 1}
+    r = u.right_descents()[-1]
+    s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
+    v = u.transposition_right(r, s)
+    left, right, extra = transition_sides(v, r)
+    if left != [u]:
+        raise AssertionError(f"transition tree at {u}: the left side at ({v}, {r}) is {left}")
+    out = {}
+    for child in right if extra is None else right + [extra]:
+        for la, c in transition_tree_by_objects(child._stable_window()).items():
+            out[la] = out.get(la, 0) + c
+    return out

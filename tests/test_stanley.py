@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import from_finite
+from oracles import from_finite, transition_tree_by_objects
 from stansym import stanley
 from stansym.affine import AffinePermutation, cyclically_decreasing, elements_of_length
 from stansym.partition import count_standard_tableaux, partitions_of, staircase
@@ -120,6 +120,21 @@ def test_schur_coefficients_count_reduced_words():
         assert sum(c * count_standard_tableaux(la) for la, c in coeffs.items()) == count_reduced_words(w), w
 
 
+def test_window_tree_equals_the_object_tree_on_s1_to_s7_and_a_sample_of_s8():
+    group = [w for n in range(1, 8) for w in symmetric_group(n)]
+    group += random.Random(26).sample(symmetric_group(8), 2000)
+    keys = [w._stable_window() for w in group]
+    try:
+        stanley._transition_tree.cache_clear()
+        fast = [stanley._transition_tree(key) for key in keys]
+        transition_tree_by_objects.cache_clear()
+        slow = [transition_tree_by_objects(key) for key in keys]
+        for w, got, want in zip(group, fast, slow):
+            assert got == want, w
+    finally:
+        transition_tree_by_objects.cache_clear()
+
+
 def test_schur_expand_with_a_warm_memo_equals_a_cleared_one_on_s6():
     s6 = symmetric_group(6)
     stanley._transition_tree.cache_clear()
@@ -175,7 +190,8 @@ def test_split_lists_count_as_the_subset_loop_on_s5_and_s6():
 
 def test_transition_tree_names_w_when_its_left_side_is_wrong(monkeypatch):
     stanley._transition_tree.cache_clear()  # a node expanded earlier would not be checked again
-    monkeypatch.setattr(stanley, "transition_sides", lambda v, r: ([], [], None))
+    scan = stanley._transition_covers
+    monkeypatch.setattr(stanley, "_transition_covers", lambda v, r: ([],) + scan(v, r)[1:])
     with pytest.raises(AssertionError, match="2143"):
         schur_expand(Permutation([2, 1, 4, 3]))
 
