@@ -14,6 +14,7 @@ against products in the algebra on every pair at n <= 5 and a fixed sample
 of pairs above.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from operator import index
@@ -103,7 +104,8 @@ class NilCoxeterElement:
                 uv = u * v
                 if uv.length() == lu + v.length():
                     out[uv] = out.get(uv, 0) + cu * cv
-        return NilCoxeterElement(self.n, self.affine, out)
+        # products of validated keys of one rank are keys of that rank
+        return NilCoxeterElement._from_valid(self.n, self.affine, out)
 
     def __eq__(self, other):
         if not isinstance(other, NilCoxeterElement):
@@ -205,7 +207,9 @@ def noncommutative_schur(n, la, affine=False):
         raise ValueError(f"partition {la} is not ({n-1})-bounded")
     if not affine and sum(la) > n * (n - 1) // 2:
         return NilCoxeterElement.zero(n)  # above the top degree of S_n
-    return NilCoxeterElement(n, affine, _schur_table(n, sum(la), affine).get(la, {}))
+    # the table's keys are the length-n windows of ``_layer`` or rank-n
+    # affine elements; _from_valid copies the shared row
+    return NilCoxeterElement._from_valid(n, affine, _schur_table(n, sum(la), affine).get(la, {}))
 
 
 def divided_difference_action(a, f):
@@ -302,9 +306,10 @@ def conjecture_52_report(n):
     shapes = partitions_inside(top)
     elements = {la: noncommutative_schur(n, la) for la in shapes}
     dominant = {nu: from_code(nu) for nu in shapes}
+    degrees = [sum(la) for la in shapes]
     by_degree = [[] for _ in range(sum(top) + 1)]
-    for la in shapes:
-        by_degree[sum(la)].append(la)
+    for la, d in zip(shapes, degrees):
+        by_degree[d].append(la)
     hilbert = [len(group) for group in by_degree]
 
     # elements of different degrees have disjoint supports
@@ -326,9 +331,11 @@ def conjecture_52_report(n):
                     series[a + b + (k + 1) * (m - 1 - k)] += x * y
         ideals.append(series)
 
+    # the shapes run by degree, so the partners of shapes[i] of degree at
+    # most sum(top) - degrees[i] are one slice
     pairs = [
-        (la, mu) for i, la in enumerate(shapes) for mu in shapes[i:]
-        if sum(la) + sum(mu) <= sum(top)
+        (la, mu) for i, la in enumerate(shapes)
+        for mu in shapes[i:bisect_right(degrees, sum(top) - degrees[i])]
     ]
     if n >= 6:
         # the middle pair of each of _SAMPLED_PAIRS equal runs

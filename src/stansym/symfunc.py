@@ -32,18 +32,16 @@ Each basis element is first expanded into m, and the plain bases are
 counted there rather than multiplied out (Macdonald, Symmetric Functions
 and Hall Polynomials, I.6):
 
-- s by Kostka numbers, K(la, mu) = [m_mu] s_la, counting semistandard
-  tableaux one horizontal strip at a time (``_kostka``), over the list of
-  the strips of k cells of each shape, built once per (shape, k) and kept
-  (``_strips``);
+- s by Kostka numbers, K(la, mu) = [m_mu] s_la = [s_la] h_mu, every one of
+  a degree in one Pieri pass that builds each h_mu in s by adding
+  horizontal strips (``_kostka_table``), kept one table per degree;
 - h and e by matrices with row sums la and column sums mu, with entries in
-  N or in {0, 1} (``_margin_count``).
+  N or in {0, 1} (``_margin_count``), a bounded memo whose subproblems are
+  shared across columns and degrees.
 
-The counts and the strip lists are bounded module-level memos, so
-subproblems are shared across columns and degrees.  Since h and e are
-reached from s by Kostka numbers and expanded into m by margin counts, a
-round trip through m checks one count against the other.  Products are
-taken in h, where h_la h_mu = h_{la u mu}.  The coproduct sums
+Since h and e are reached from s by Kostka numbers and expanded into m by
+margin counts, a round trip through m checks one count against the other.
+Products are taken in h, where h_la h_mu = h_{la u mu}.  The coproduct sums
 Delta(h_mu) over the h-column: each degree d keeps an index of the pairs
 (alpha, beta) with |alpha| + |beta| = d (``_pair_index``), Delta(h_mu) is
 split once into (position, coefficient) pairs (``_h_coproduct``), and the
@@ -293,55 +291,65 @@ def _jacobi_trudi_h(la):
     return {mu: c for mu, c in out.items() if c}
 
 
-@lru_cache(maxsize=1 << 14)
-def _strips(la, k):
-    """The partitions nu inside ``la`` with la/nu a horizontal strip of k
-    cells, as a tuple.
-
-    Row i may lose at most la[i] - la[i+1] cells, so no two removed cells
-    share a column.  The rows are taken from the last up, and a partial
-    removal is kept only while the rows above, which can lose la[0] - la[i]
-    cells in all, can still bring it to k; the first row takes what is left.
-    """
-    states = [((), 0)]  # (rows i.. of nu, cells removed from them)
-    below = 0
-    for p in reversed(la):
-        above = la[0] - p
+def _added_strips(la, k):
+    """The partitions nu containing ``la`` with nu/la a horizontal strip of
+    k cells.  Row i > 0 may gain at most la[i-1] - la[i] cells, and a new
+    last row at most la[-1], so no two added cells share a column; the rows
+    are filled from the new one up, and the first row takes what is left."""
+    if not la:
+        return [(k,)] if k else [()]
+    states = [((), 0)]  # (rows i.. of nu, cells added to them)
+    for i in range(len(la), 0, -1):
+        p = la[i] if i < len(la) else 0
         states = [
-            (((p - r,) + tail) if r < p else tail, used + r)  # only the last row can empty
+            (((p + r,) + tail) if p + r else tail, used + r)  # only the new row can stay empty
             for tail, used in states
-            for r in range(max(0, k - used - above), min(k - used, p - below) + 1)
+            for r in range(min(la[i - 1] - p, k - used) + 1)
         ]
-        below = p
-    return tuple(tail for tail, used in states if used == k)  # for la = (), k > 0
+    return [(la[0] + k - used,) + tail for tail, used in states]
 
 
-@lru_cache(maxsize=1 << 16)
-def _kostka(shape, content):
-    """K(shape, content), the number of SSYT of a shape and a partition content.
+# a table keeps 1.5 MiB at d=16, 8.5 at d=20 and 21 at d=22, and its pass
+# peaks at about 3, 20 and 50 MiB (tracemalloc)
+@lru_cache(maxsize=4)
+def _kostka_table(d):
+    """The Kostka numbers K(la, mu) = [m_mu] s_la = [s_la] h_mu of degree d,
+    as (rows, columns) indexed by position in ``_lex_index(d)`` (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5-6).
 
-    The cells holding the largest entry, len(content), form a horizontal
-    strip of content[-1] cells; peeling it leaves a tableau of content
-    content[:-1].  The strips come from a bounded list per (shape, k)
-    (``_strips``), and one memo serves every column and degree.
+    Row mu holds the la dominating mu, lex-increasing, and column la the mu
+    below la, lex-decreasing, each as a tuple of positions and a tuple of
+    the numbers that opens with its own position and 1.  One Pieri pass
+    builds them: h_mu = h_mu1 h_mu2 ... is built in s by adding horizontal
+    strips of mu1, mu2, ... cells (``_added_strips``).  ``partitions_of``
+    lists the contents along their prefix trie, so each prefix is built once
+    on a stack of {shape: count} dicts, and each strip list once per pass.
     """
-    if not content:
-        return 1
-    if len(shape) > len(content):
-        return 0  # the first column needs len(shape) distinct entries
-    rest = content[:-1]
-    return sum(_kostka(inner, rest) for inner in _strips(shape, content[-1]))
-
-
-@lru_cache(maxsize=1 << 12)
-def _kostka_column(la):
-    """[m_mu] s_la = K(la, mu) over the mu below la in dominance order,
-    lex-decreasing, as a tuple of positions in ``_lex_index(|la|)`` and a
-    tuple of the numbers, so the column opens with la's position and 1.  A
-    mu dominated by la is lex-smaller, so only those are tried."""
-    order, position = _lex_index(sum(la))
-    spots = [i for i in range(position[la], -1, -1) if _dominated(order[i], la)]
-    return tuple(spots), tuple(_kostka(la, order[i]) for i in spots)
+    order, position = _lex_index(d)
+    strips = {}
+    stack = [{(): 1}]  # stack[k]: the product of the first k parts, in s
+    prev = ()
+    rows, columns = [None] * len(order), [[] for _ in order]
+    for mu in partitions_of(d):  # lex-decreasing
+        k = 0
+        while k < len(prev) and prev[k] == mu[k]:  # no partition of d is a prefix of another
+            k += 1
+        del stack[k + 1:]
+        for p in mu[k:]:
+            counts = {}
+            for la, c in stack[-1].items():
+                added = strips.get((la, p))
+                if added is None:
+                    added = strips[la, p] = _added_strips(la, p)
+                for nu in added:
+                    counts[nu] = counts.get(nu, 0) + c
+            stack.append(counts)
+        prev, j = mu, position[mu]
+        row = sorted((position[la], c) for la, c in stack[-1].items())
+        rows[j] = tuple(zip(*row))
+        for i, c in row:
+            columns[i].append((j, c))
+    return tuple(rows), tuple(tuple(zip(*column)) for column in columns)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -420,10 +428,10 @@ def _margin_column(la, cap):
 def _expand_to_m(name, n, la):
     """Basis element in the m basis, as a dict partition -> int.
 
-    The plain bases are counted: s by Kostka numbers (``_kostka``, oracle
-    ``_jacobi_trudi_h`` through ``_product_to_m(mu, _h_to_m)``), h and e by
-    matrices with given margins (``_margin_count``, oracle ``_product_to_m``
-    over one-part factors).
+    The plain bases are counted: s by Kostka numbers, a column of the
+    degree's table (``_kostka_table``, oracle ``_jacobi_trudi_h`` through
+    ``_product_to_m(mu, _h_to_m)``), h and e by matrices with given margins
+    (``_margin_count``, oracle ``_product_to_m`` over one-part factors).
     """
     if name == "m":
         return {la: 1}
@@ -432,8 +440,8 @@ def _expand_to_m(name, n, la):
     if name == "e":
         return _margin_column(la, 1)
     if name == "s":
-        order = _lex_index(sum(la))[0]
-        spots, ks = _kostka_column(la)
+        order, position = _lex_index(sum(la))
+        spots, ks = _kostka_table(sum(la))[1][position[la]]
         return {order[i]: k for i, k in zip(spots, ks)}
     if name == "affineSchur":
         return dict(affine_schur(n, la).coeffs)
@@ -489,7 +497,7 @@ def change_basis(f, basis, n=None):
     for la, c in fm.coeffs.items():
         rest[position[la]] = c
     if name == "s":
-        column = lambda i: _kostka_column(order[i])
+        column = _kostka_table(f.degree)[1].__getitem__
     else:
         column = lambda i: _affine_schur_column(rank, order[i])
     return SymFunc._from_valid(f.degree, target, _peel(rest, range(position[top], -1, -1), column, target, top))
@@ -529,30 +537,18 @@ def _lex_index(d):
     return order, {la: i for i, la in enumerate(order)}
 
 
-@lru_cache(maxsize=1 << 10)
-def _kostka_row(mu):
-    """[s_la] h_mu = K(la, mu) over the la dominating mu, lex-increasing, as
-    a tuple of positions in ``_lex_index(|mu|)`` and a tuple of the numbers,
-    so the row opens with mu's position and 1 (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.6).  A la dominating mu is lex-larger,
-    so only those are tried."""
-    order, position = _lex_index(sum(mu))
-    start = position[mu]
-    spots = [start + i for i, la in enumerate(order[start:]) if _dominated(mu, la)]
-    return tuple(spots), tuple(_kostka(order[i], mu) for i in spots)
-
-
 @lru_cache(maxsize=1 << 12)
 def _schur_h_column(la):
     """s_la in the h basis, as (mu, c) pairs: the peel of the unit vector at
     la, walked up over the Kostka rows, since h_mu = sum over la dominating
     mu of K(la, mu) s_la.  It runs once per la, and the changes to h and e,
     the Hall product and the coproduct share the column."""
-    order, position = _lex_index(sum(la))
+    d = sum(la)
+    order, position = _lex_index(d)
     start = position[la]
     rest = [0] * len(order)
     rest[start] = 1
-    return tuple(_peel(rest, range(start, len(order)), lambda i: _kostka_row(order[i]), "h", la).items())
+    return tuple(_peel(rest, range(start, len(order)), _kostka_table(d)[0].__getitem__, "h", la).items())
 
 
 def _check_ints(line):

@@ -7,8 +7,8 @@ change to h, e and k-Schur sums those columns and rows; products are taken
 in h.  The oracle ``_change_basis_by_solve`` builds every column of the degree
 and solves the whole system with ``_solve_exact``.  The coproduct, split once
 per h-term, is checked against the part-at-a-time split it replaced, and the
-Kostka numbers, counted over cached strip lists, against the strip generator
-they replaced.
+Kostka table of a degree, built in one Pieri pass, against the strip
+generator it replaced.
 """
 
 import random
@@ -102,26 +102,27 @@ def test_affine_schur_peel_rejects_an_unbounded_leading_term():
         change_basis(SymFunc.monomial("s", (3,)), "affineSchur", 3)
 
 
-def test_peel_of_w0_in_s7_builds_one_column(monkeypatch):
-    built = []
-    column = symfunc._kostka_column
+def test_peel_of_w0_in_s7_reads_one_column(monkeypatch):
+    read = []
+    table = symfunc._kostka_table
 
-    def one_column(la):
-        built.append(la)
-        if len(built) > 1:
-            raise AssertionError(f"built a second s column, {la}")
-        return column(la)
+    class Columns(tuple):
+        def __getitem__(self, i):
+            read.append(i)
+            return tuple.__getitem__(self, i)
+
+    def recorded(d):
+        rows, columns = table(d)
+        return rows, Columns(columns)
 
     def no_elimination(rows, width):
         raise AssertionError("the peel ran an elimination")
 
     f = stanley_fn(Permutation.longest(7))
-    _expand_to_m.cache_clear()
-    column.cache_clear()
-    monkeypatch.setattr(symfunc, "_kostka_column", one_column)
+    monkeypatch.setattr(symfunc, "_kostka_table", recorded)
     monkeypatch.setattr(symfunc, "_eliminate", no_elimination)
     assert change_basis(f, "s") == SymFunc.monomial("s", (6, 5, 4, 3, 2, 1))
-    assert built == [(6, 5, 4, 3, 2, 1)]
+    assert read == [symfunc._lex_index(21)[1][6, 5, 4, 3, 2, 1]]
 
 
 @pytest.mark.parametrize("basis, n", [("h", None), ("e", None), ("kSchur", 3), ("kSchur", 4), ("kSchur", 5)])
@@ -160,8 +161,8 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
         raise AssertionError("the Kostka peel solved or counted margins")
 
     for cached in (
-        symfunc._expand_to_m, symfunc._kostka, symfunc._strips, symfunc._kostka_column, symfunc._kostka_row,
-        symfunc._margin_count, symfunc._schur_h_column, symfunc._pair_index, symfunc._lex_index,
+        symfunc._expand_to_m, symfunc._kostka_table, symfunc._margin_count, symfunc._schur_h_column,
+        symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
     for name in ("_eliminate", "_replay", "_margin_count"):
@@ -174,17 +175,45 @@ def test_h_and_e_are_peeled_from_s_with_no_solve_and_no_margin_count(monkeypatch
 
 
 def test_kostka_numbers_equal_the_strip_generator_from_cold_caches():
-    # the strips of each (shape, k) are listed once and kept; the oracle
-    # draws them from a recursive generator on every call
-    symfunc._kostka.cache_clear()
-    symfunc._strips.cache_clear()
+    # the table adds strips to shapes, one Pieri pass per degree; the oracle
+    # removes them, drawn from a recursive generator on every call
+    symfunc._kostka_table.cache_clear()
     for d in range(13):
-        for la in partitions_of(d):
-            for mu in partitions_of(d):
-                assert symfunc._kostka(la, mu) == kostka_by_strips(la, mu), (la, mu)
-    for la in partitions_of(8):
-        for k in range(10):
-            assert sorted(symfunc._strips(la, k)) == sorted(horizontal_strips(la, k)), (la, k)
+        order = symfunc._lex_index(d)[0]
+        rows, columns = symfunc._kostka_table(d)
+        by_column, by_row = {}, {}
+        for i, (spots, ks) in enumerate(columns):
+            assert (spots[0], ks[0]) == (i, 1) and list(spots) == sorted(spots, reverse=True), order[i]
+            by_column.update(((order[i], order[j]), k) for j, k in zip(spots, ks))
+        for j, (spots, ks) in enumerate(rows):
+            assert (spots[0], ks[0]) == (j, 1) and list(spots) == sorted(spots), order[j]
+            by_row.update(((order[i], order[j]), k) for i, k in zip(spots, ks))
+        assert by_column == by_row
+        for la in order:
+            for mu in order:  # zeros included
+                assert by_column.get((la, mu), 0) == kostka_by_strips(la, mu), (la, mu)
+
+
+def test_added_strips_invert_the_strip_generator():
+    # nu is in _added_strips(la, k) exactly when la is in horizontal_strips(nu, k)
+    for size in range(9):
+        for la in partitions_of(size):
+            for k in range(10):
+                added = symfunc._added_strips(la, k)
+                assert len(set(added)) == len(added), (la, k)
+                assert set(added) == {nu for nu in partitions_of(size + k) if la in horizontal_strips(nu, k)}, (la, k)
+
+
+def test_one_kostka_table_serves_both_directions_of_a_degree():
+    # s -> m reads a column, m -> s peels down the columns, s -> h peels up the rows
+    for cached in (symfunc._kostka_table, symfunc._expand_to_m, symfunc._schur_h_column):
+        cached.cache_clear()
+    for la in partitions_of(10):
+        s = SymFunc.monomial("s", la)
+        m = s.to_m()
+        assert change_basis(m, "s") == s
+        assert change_basis(s, "h").to_m() == m
+    assert symfunc._kostka_table.cache_info().misses == 1
 
 
 def _e_to_m(k):
@@ -235,7 +264,7 @@ def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
 
     for cached in (
         symfunc._expand_to_m, symfunc._k_kostka_rows, symfunc._k_schur_h_table, symfunc._schur_h_column,
-        symfunc._strips, symfunc._pair_index, symfunc._lex_index,
+        symfunc._kostka_table, symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
     for name in ("_eliminate", "_replay", "_solve_exact"):
@@ -260,13 +289,29 @@ def _doubled(right, at):
     return wrong
 
 
+def _doubled_in_table(side, la):
+    """``_kostka_table`` with the numbers of la's row (side 0) or column
+    (side 1) doubled."""
+    right = symfunc._kostka_table
+
+    def wrong(d):
+        halves = list(right(d))
+        if d == sum(la):
+            entries = halves[side]
+            at = symfunc._lex_index(d)[1][la]
+            halves[side] = tuple(map(_doubled(entries.__getitem__, at), range(len(entries))))
+        return tuple(halves)
+
+    return wrong
+
+
 def test_a_wrong_column_fails_each_peel_naming_the_basis_and_the_partition(monkeypatch):
     # each doubled column opens with 2, so its peel leaves -1 at its own position
     def fails(text):
         return pytest.raises(AssertionError, match=re.escape(text))
 
     s21 = SymFunc(3, "m", {(2, 1): 1, (1, 1, 1): 2})
-    monkeypatch.setattr(symfunc, "_kostka_column", _doubled(symfunc._kostka_column, (2, 1)))
+    monkeypatch.setattr(symfunc, "_kostka_table", _doubled_in_table(1, (2, 1)))
     with fails("the s peel of (2, 1) leaves -1 on (2, 1)"):
         change_basis(s21, "s")
     monkeypatch.undo()  # one wrong column at a time, so no other memo takes it in
@@ -275,7 +320,7 @@ def test_a_wrong_column_fails_each_peel_naming_the_basis_and_the_partition(monke
     with fails("the affineSchur(3) peel of (2, 1) leaves -1 on (2, 1)"):
         change_basis(f21, "affineSchur", 3)
     monkeypatch.undo()
-    monkeypatch.setattr(symfunc, "_kostka_row", _doubled(symfunc._kostka_row, (1, 1, 1)))
+    monkeypatch.setattr(symfunc, "_kostka_table", _doubled_in_table(0, (1, 1, 1)))
     symfunc._schur_h_column.cache_clear()
     with fails("the h peel of (1, 1, 1) leaves -1 on (1, 1, 1)"):
         change_basis(SymFunc.monomial("s", (1, 1, 1)), "h")
@@ -366,10 +411,10 @@ def test_coproduct_equals_the_part_at_a_time_split():
 
 def test_basis_change_caches_are_bounded():
     for cached in (
-        symfunc._kostka, symfunc._kostka_column, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
+        symfunc._kostka_table, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_kostka_rows, symfunc._expand_to_m,
         symfunc.affine_schur, symfunc._affine_schur_column, symfunc._h_coproduct, symfunc._schur_h_column,
-        symfunc._strips, symfunc._pair_index, symfunc._lex_index,
+        symfunc._pair_index, symfunc._lex_index,
         # and the F_w and F~_w routes' element lists, split lists, counts,
         # field widths and transition tree
         stanley._decreasing_elements, stanley._splits,

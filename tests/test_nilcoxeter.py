@@ -317,6 +317,54 @@ def test_report_compares_every_pair_to_n5_and_a_fixed_sample_above(n, pairs):
     assert (r["structure_pairs_compared"], r["structure_mismatch"]) == (pairs, None)
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_report_samples_the_pairs_of_degree_at_most_the_staircase(n, monkeypatch):
+    calls = []
+    right = nilcoxeter._littlewood_richardson
+
+    def recorded(la, mu, top):
+        calls.append((mu, la))
+        return right(la, mu, top)
+
+    monkeypatch.setattr(nilcoxeter, "_littlewood_richardson", recorded)
+    conjecture_52_report(n)
+    shapes = partitions_inside(staircase(n - 1))
+    pairs = [
+        (la, mu) for i, la in enumerate(shapes) for mu in shapes[i:]
+        if sum(la) + sum(mu) <= sum(staircase(n - 1))
+    ]
+    runs = 2 * nilcoxeter._SAMPLED_PAIRS
+    assert calls == [pairs[(2 * i + 1) * len(pairs) // runs] for i in range(nilcoxeter._SAMPLED_PAIRS)]
+
+
+def test_schur_elements_and_their_products_skip_the_key_check(monkeypatch):
+    # their keys are length-n windows of one layer, rank-n affine elements
+    # or products of those, so none is embedded again
+    n = 5
+    shapes = partitions_inside(staircase(n - 1))
+    bounded = [la for d in range(6) for la in bounded_partitions(n, d)]
+    checked = {la: NilCoxeterElement(n, False, nilcoxeter._schur_table(n, sum(la), False).get(la, {})) for la in shapes}
+    checked_affine = {la: NilCoxeterElement(n, True, nilcoxeter._schur_table(n, sum(la), True).get(la, {})) for la in bounded}
+
+    def refuse(w, n):
+        raise AssertionError(f"{w!r} was embedded again")
+
+    monkeypatch.setattr(Permutation, "embed", refuse)
+    elements = {la: noncommutative_schur(n, la) for la in shapes}
+    affine = {la: noncommutative_schur(n, la, affine=True) for la in bounded}
+    products = [elements[la] * elements[mu] for la in shapes for mu in shapes]
+    products += [affine[la] * affine[mu] for la in bounded[:12] for mu in bounded[:12]]
+    monkeypatch.undo()
+    assert elements == checked and affine == checked_affine
+    for a in [*elements.values(), *affine.values(), *products]:
+        assert a == NilCoxeterElement(a.n, a.affine, a.coeffs)
+        assert all(w.n == n for w in a.coeffs)
+    # the shared table is copied, not handed out
+    a = noncommutative_schur(n, (2, 1))
+    a.coeffs.clear()
+    assert noncommutative_schur(n, (2, 1)) == checked[2, 1] != a
+
+
 def test_conjecture_report_n3():
     r = conjecture_52_report(3)
     assert r["h_commutes"]

@@ -28,9 +28,9 @@ def no_enumeration(monkeypatch):
     monkeypatch.setattr(symfunc, "sparse_rearrangements", _enumeration)
     for cached in (
         symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product,
-        symfunc._kostka, symfunc._kostka_column, symfunc._kostka_row, symfunc._margin_count, symfunc._row_fills,
+        symfunc._kostka_table, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_kostka_rows, symfunc._h_coproduct, symfunc._schur_h_column,
-        symfunc._strips, symfunc._pair_index, symfunc._lex_index,
+        symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
 
