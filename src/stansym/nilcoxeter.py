@@ -81,21 +81,27 @@ class NilCoxeterElement:
             raise ValueError("mixed nilCoxeter algebras")
 
     def __add__(self, other):
+        if not isinstance(other, NilCoxeterElement):
+            return NotImplemented
         self._compat(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
-        return NilCoxeterElement(self.n, self.affine, out)
+        return NilCoxeterElement._from_valid(self.n, self.affine, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, k):
-        return NilCoxeterElement(self.n, self.affine, {w: k * c for w, c in self.coeffs.items()})
+        if not isinstance(k, int):
+            return NotImplemented
+        return NilCoxeterElement._from_valid(self.n, self.affine, {w: k * c for w, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
+        if not isinstance(other, NilCoxeterElement):
+            return NotImplemented
         self._compat(other)
         out = {}
         for u, cu in self.coeffs.items():
@@ -223,7 +229,7 @@ def divided_difference_action(a, f):
     for w, c in a.coeffs.items():
         g = f
         for i in reversed(w.reduced_word()):
-            g = g.divided_difference(i, affine=False)
+            g = g.divided_difference(i)
         total = total + c * g
     return total
 

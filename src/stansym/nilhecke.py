@@ -16,7 +16,8 @@ the window (``affine._left_raise``: values = i mod n go up by one, values
 their letters through it and wrap the result once, by the unchecked
 ``NilHeckeElement._from_valid``.  The Chevalley formula reads the cover list
 of ``_chevalley_covers`` and never the product, so the two stay independent
-routes.
+routes; ``_j_basis_system`` reads the same list, building the phi0(A_x x_i)
+rows of a length and its linear system in one pass.
 """
 
 from functools import lru_cache
@@ -78,6 +79,8 @@ class ScalarPoly:
         return ScalarPoly.x(n, i if i != 0 else n) - ScalarPoly.x(n, i + 1)
 
     def __add__(self, other):
+        if not isinstance(other, ScalarPoly):
+            return NotImplemented
         self._check_rank(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -91,7 +94,8 @@ class ScalarPoly:
         return (-1) * self
 
     def __rmul__(self, k):
-        k = index(k)
+        if not isinstance(k, int):
+            return NotImplemented
         return ScalarPoly._from_valid(self.n, {e: k * c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -142,19 +146,14 @@ class ScalarPoly:
             out[key] = out.get(key, 0) + c
         return ScalarPoly._from_valid(self.n, out)
 
-    def divided_difference(self, i, affine=True):
-        """(f - s_i.f) / alpha_i, exact over the integers.
+    def divided_difference(self, i):
+        """(f - s_i.f) / alpha_i, exact over the integers, with i taken mod n.
 
         The quotient of an alpha-antisymmetric g by x_a - x_b is computed
         termwise from x_a^k M = (x_a^k - x_b^k) M + x_b^k M.
         """
-        if affine:
-            i = i % self.n
-            a, b = (i, i + 1) if i != 0 else (self.n, 1)
-        else:
-            if not 1 <= i <= self.n - 1:
-                raise ValueError(f"finite divided difference needs 1 <= i <= {self.n - 1}")
-            a, b = i, i + 1
+        i = i % self.n
+        a, b = (i, i + 1) if i != 0 else (self.n, 1)
         g = self - self.swap(a, b)
         out = {}
         for e, c in g.coeffs.items():
@@ -254,6 +253,8 @@ class NilHeckeElement:
         return NilHeckeElement(a.n, dict(a.coeffs))
 
     def __add__(self, other):
+        if not isinstance(other, NilHeckeElement):
+            return NotImplemented
         return NilHeckeElement(self.n, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other):
@@ -261,6 +262,8 @@ class NilHeckeElement:
 
     def __rmul__(self, k):
         """Left multiplication by an integer or a scalar polynomial."""
+        if not isinstance(k, (int, ScalarPoly)):
+            return NotImplemented
         return NilHeckeElement(self.n, {w: k * p for w, p in self.coeffs.items()})
 
     def __eq__(self, other):
@@ -447,7 +450,8 @@ def chevalley(w, f):
 
     A reflection lowers the length of w exactly when it exchanges an
     inversion (i, j) of w, so the sum runs over ``_chevalley_covers(w)``,
-    the same cover list the j-basis builds its phi0(A_x x_i) table from.
+    the same cover list from which ``_j_basis_system`` builds the
+    phi0(A_x x_i) rows of the j-basis system.
     """
     n = w.n
     if f.n != n:
@@ -561,51 +565,36 @@ def phi0(a):
 
 
 @lru_cache(maxsize=16)
-def _phi0_x_table(n, ell):
-    """{x: [phi0(A_x x_i) for i = 1..n]} over the x of length ell.
-
-    By the Chevalley formula the degree-1 head of A_x x_i has no constant
-    term, and a cover (y, a, b) of x contributes +1 to row a and -1 to row b.
-    The table is cached and shared, so callers only read it.
-    """
-    table = {}
-    for x in elements_of_length(n, ell):
-        rows = [{} for _ in range(n)]
-        for y, a, b in _chevalley_covers(x):
-            rows[a][y] = 1
-            rows[b][y] = -1
-        table[x] = [NilCoxeterElement._from_valid(n, True, row) for row in rows]
-    return table
-
-
-@lru_cache(maxsize=16)
 def _j_basis_system(n, ell):
     """The j-basis linear system of length ell, built and factored once.
 
-    The unknowns are the coefficients of the A_x with l(x) = ell.  Row (i, y)
-    asks phi0(a x_i) to vanish at y, for each i and each y of length ell - 1,
-    gathering the nonzero phi0(A_x x_i)[y] of ``_phi0_x_table`` by the column
-    of x; one normalization row per Grassmannian x follows.  Returns
-    ``(index, support, grassmannian, system)``: the x, the (i, y) rows, the
-    Grassmannian x in row order, and the ``_eliminate`` result.
+    The unknowns are the coefficients of the A_x with l(x) = ell.  By the
+    Chevalley formula the degree-1 head of A_x x_i has no constant term, and
+    a cover (y, a, b) of x contributes +1 to phi0(A_x x_{a+1}) and -1 to
+    phi0(A_x x_{b+1}) at y.  One pass over the x and their covers gathers
+    these entries by x and by row: row (i, y) asks phi0(a x_i) to vanish at
+    y, for each i and each y of length ell - 1, and one normalization row
+    per Grassmannian x follows.  Returns ``(phi, support, grassmannian,
+    system)``: {x: [phi0(A_x x_i) as {y: +-1} for i = 1..n]}, the (i, y)
+    rows, the Grassmannian x in row order, and the ``_eliminate`` result.
+    The result is cached and shared, so callers only read it.
     """
     from .symfunc import _eliminate
 
-    table = _phi0_x_table(n, ell)
-    index = tuple(table)
-    entries = {}
-    for col, x in enumerate(index):
-        for i, phi in enumerate(table[x]):
-            for y, c in phi.coeffs.items():
-                entries.setdefault((i, y), {})[col] = c
-    support = sorted(entries, key=lambda t: (t[0], t[1].window))
-    rows = [entries[key] for key in support]
-    grassmannian = []
-    for col, x in enumerate(index):
+    phi, entries, grassmannian, normalization = {}, {}, [], []
+    for col, x in enumerate(elements_of_length(n, ell)):
+        rows = phi[x] = [{} for _ in range(n)]
+        for y, a, b in _chevalley_covers(x):
+            rows[a][y] = 1
+            rows[b][y] = -1
+            entries.setdefault((a, y), {})[col] = 1
+            entries.setdefault((b, y), {})[col] = -1
         if x.is_grassmannian():
             grassmannian.append(x)
-            rows.append({col: 1})
-    return index, tuple(support), tuple(grassmannian), _eliminate(rows, len(index))
+            normalization.append({col: 1})
+    support = sorted(entries, key=lambda t: (t[0], t[1].window))
+    rows = [entries[key] for key in support] + normalization
+    return phi, tuple(support), tuple(grassmannian), _eliminate(rows, len(phi))
 
 
 def _j_basis_by_solver(n, w):
@@ -617,7 +606,7 @@ def _j_basis_by_solver(n, w):
     """
     from .symfunc import _replay
 
-    index, support, grassmannian, system = _j_basis_system(n, w.length())
+    phi, support, grassmannian, system = _j_basis_system(n, w.length())
     rhs = [0] * len(support) + [1 if x == w else 0 for x in grassmannian]
     sol, _, bad = _replay(system, rhs)
     if bad is not None:
@@ -627,10 +616,11 @@ def _j_basis_by_solver(n, w):
         else:
             row = f"the normalization row of {grassmannian[bad - len(support)]!r}"
         raise AssertionError(f"j-basis system inconsistent for {w!r}: {row} contradicts the others")
-    for x, c in zip(index, sol):
+    for x, c in zip(phi, sol):
         if c.denominator != 1:
             raise AssertionError(f"j-basis solution not integral for {w!r}: {x!r} has coefficient {c}")
-    return NilCoxeterElement(n, True, {x: c.numerator for x, c in zip(index, sol)})
+    # the keys are the system's own elements of length l(w)
+    return NilCoxeterElement._from_valid(n, True, {x: c.numerator for x, c in zip(phi, sol)})
 
 
 def j_basis_element(n, w):
@@ -648,11 +638,11 @@ def j_basis_element(n, w):
     grass = [x for x in a.coeffs if x.is_grassmannian()]
     if grass != [w] or a.coeffs[w] != 1:
         raise AssertionError(f"Grassmannian part of j-element for {w!r} is wrong")
-    table = _phi0_x_table(n, w.length())
-    if not table.keys() >= a.coeffs.keys():
+    phi = _j_basis_system(n, w.length())[0]
+    if not phi.keys() >= a.coeffs.keys():
         raise AssertionError(f"j-element for {w!r} is not of length {w.length()}")
     solved = _j_basis_by_solver(n, w)
-    for x in table:
+    for x in phi:
         c, d = a.coeffs.get(x, 0), solved.coeffs.get(x, 0)
         if c != d:
             raise AssertionError(
@@ -662,7 +652,7 @@ def j_basis_element(n, w):
     for i in range(n):
         ax = {}
         for x, c in a.coeffs.items():
-            for y, d in table[x][i].coeffs.items():
+            for y, d in phi[x][i].items():
                 ax[y] = ax.get(y, 0) + c * d
         y = next((y for y, c in ax.items() if c), None)
         if y is not None:

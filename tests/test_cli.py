@@ -157,6 +157,18 @@ def test_verify_examples_suite(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_runs_every_suite_in_process_and_every_check_passes(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    for key in cli.DEFAULT_CAPS:
+        monkeypatch.delenv(f"STANSYM_{key.upper()}", raising=False)
+    code, out, _ = run(["verify", "all", "--format", "json"], capsys)
+    results = json.loads(out)
+    assert code == 0
+    assert [r["suite"] for r in results] == sorted(cli.SUITES)
+    assert [(r["suite"], c["name"]) for r in results for c in r["checks"] if not c["ok"]] == []
+    assert all(r["checks"] for r in results)
+
+
 @pytest.mark.parametrize("cap, scope", [(None, "ranks 3..4"), ("3", "rank 3")])
 def test_verify_conjectures_runs_the_j_basis_up_to_the_affine_cap(cap, scope, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))

@@ -1,5 +1,6 @@
 """Comparing a value with an object of another type is False, not an error,
-and symmetric-function arithmetic with one is a TypeError."""
+and arithmetic with one is a TypeError: for symmetric functions, and for
+nilCoxeter elements, nilHecke elements and their scalars."""
 
 import pytest
 
@@ -34,6 +35,9 @@ def test_a_foreign_operand_compares_unequal(make):
 
 
 SYM = SymFunc.monomial("s", (2, 1))
+NILCOXETER = NilCoxeterElement.basis(Permutation([2, 1]))
+NILHECKE = NilHeckeElement.one(3)
+SCALAR = ScalarPoly.alpha(3, 1)
 FOREIGN_ARITHMETIC = {
     "SymFunc + 3": lambda: SYM + 3,
     "SymFunc - 'x'": lambda: SYM - "x",
@@ -41,6 +45,14 @@ FOREIGN_ARITHMETIC = {
     "2.5 * SymFunc": lambda: 2.5 * SYM,
     "SymFunc * None": lambda: SYM * None,
     "QuasiSymFunc + None": lambda: QuasiSymFunc(2, {(1, 1): 1}) + None,
+    "NilCoxeterElement * 2.5": lambda: NILCOXETER * 2.5,
+    "NilCoxeterElement * None": lambda: NILCOXETER * None,
+    "NilCoxeterElement + None": lambda: NILCOXETER + None,
+    "2.5 * NilCoxeterElement": lambda: 2.5 * NILCOXETER,
+    "NilHeckeElement + None": lambda: NILHECKE + None,
+    "2.5 * NilHeckeElement": lambda: 2.5 * NILHECKE,
+    "ScalarPoly + None": lambda: SCALAR + None,
+    "2.5 * ScalarPoly": lambda: 2.5 * SCALAR,
 }
 
 

@@ -16,7 +16,6 @@ from stansym.nilcoxeter import NilCoxeterElement, h_element, noncommutative_schu
 from stansym.nilhecke import (
     NilHeckeElement,
     ScalarPoly,
-    _phi0_x_table,
     chevalley,
     commute_past,
     coproduct,
@@ -336,10 +335,10 @@ def test_j_basis_example_rank_3():
 def test_phi0_table_matches_the_chevalley_formula():
     for n, top in ((3, 6), (4, 5), (5, 4)):
         for l in range(top + 1):
-            table = _phi0_x_table(n, l)
-            assert list(table) == list(elements_of_length(n, l))
-            for x, rows in table.items():
-                assert rows == [chevalley(x, ScalarPoly.x(n, i)).phi0() for i in range(1, n + 1)]
+            phi = nilhecke._j_basis_system(n, l)[0]
+            assert list(phi) == list(elements_of_length(n, l))
+            for x, rows in phi.items():
+                assert rows == [chevalley(x, ScalarPoly.x(n, i)).phi0().coeffs for i in range(1, n + 1)]
 
 
 def _count_transpositions(monkeypatch):
@@ -355,20 +354,19 @@ def _count_transpositions(monkeypatch):
 
 
 def test_j_basis_finds_each_cover_once_per_element(monkeypatch):
-    _phi0_x_table.cache_clear()
+    nilhecke._j_basis_system.cache_clear()
     calls = _count_transpositions(monkeypatch)
     w = grassmannian_from_partition(4, (2, 1, 1))
     j_basis_element(4, w)
     assert len(calls) == 4 * len(elements_of_length(4, 4))
 
 
-def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch):
+def test_j_basis_of_one_length_builds_one_system_and_one_elimination(monkeypatch):
     n, ell = 4, 4
     grassmannians = [w for w in elements_of_length(n, ell) if w.is_grassmannian()]
     assert len(grassmannians) == 4
     for w in grassmannians:  # the read-off route builds its own tables; warm them first
         noncommutative_schur(n, w.shape(), affine=True)
-    _phi0_x_table.cache_clear()
     nilhecke._j_basis_system.cache_clear()
     eliminations = []
     eliminate = symfunc._eliminate
@@ -384,6 +382,7 @@ def test_j_basis_of_one_length_builds_one_table_and_one_elimination(monkeypatch)
     # each x of length ell has ell inversions, each tried once over all four
     assert len(calls) == ell * len(elements_of_length(n, ell))
     assert eliminations == [len(elements_of_length(n, ell))]
+    assert nilhecke._j_basis_system.cache_info().misses == 1
 
 
 def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
@@ -403,7 +402,6 @@ def test_j_basis_replays_one_cached_system_per_length(monkeypatch):
 
 def test_solver_and_phi0_caches_are_bounded():
     for cached in (
-        _phi0_x_table,
         nilhecke._j_basis_system,
         symfunc._k_schur_h_table,
         nilcoxeter._schur_table,
@@ -414,8 +412,10 @@ def test_solver_and_phi0_caches_are_bounded():
 
 
 def test_j_basis_system_holds_only_its_nonzeros():
-    # n=6 l=6 is 1522 x 461 with 4,728 nonzeros; a dense copy of it peaks near 15 MiB
-    _phi0_x_table(6, 6)
+    # n=6 l=6 is 1522 x 461 with 4,728 nonzeros; a dense copy of it peaks near 15 MiB.
+    # Measured cold, with the phi0 rows it builds on the way; only the element
+    # list, a cache of its own, is warmed first.
+    elements_of_length(6, 6)
     nilhecke._j_basis_system.cache_clear()
     tracemalloc.start()
     try:
