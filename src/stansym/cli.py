@@ -375,22 +375,26 @@ def _suite_nilhecke(suite, caps):
         phi0(3 * (a1 * a1 * a2) + a2 + ScalarPoly.const(n, 5)) == 5,
     )
     unit = {e: NilHeckeElement.one(n)}
-    ok = True
-    for l in range(5):
-        for w in elements_of_length(n, l):
-            if embed_group(w) * embed_group(w.inverse()) != NilHeckeElement.one(n):
-                ok = False
-            # A_w acts as A_i A_{s_i w} for each left descent i, so all reduced words agree
-            base = tensor_act(NilHeckeElement.basis(w), unit)
-            for i in w.inverse().right_descents():
-                si = AffinePermutation.simple(i, n)
-                rest = tensor_act(NilHeckeElement.basis(si * w), unit)
-                if tensor_act(NilHeckeElement.basis(si), rest) != base:
-                    ok = False
-            for i in (1, 2, 3):
-                if chevalley(w, x(i)) != NilHeckeElement.basis(w) * NilHeckeElement.from_scalar(x(i)):
-                    ok = False
-    suite.check("group embedding, coproduct and Chevalley engine (rank 3)", ok)
+
+    def first_failure():
+        for l in range(5):
+            for w in elements_of_length(n, l):
+                if embed_group(w) * embed_group(w.inverse()) != NilHeckeElement.one(n):
+                    return w.window, "embedding"
+                # A_w acts as A_i A_{s_i w} for each left descent i, so all reduced words agree
+                base = tensor_act(NilHeckeElement.basis(w), unit)
+                for i in w.inverse().right_descents():
+                    si = AffinePermutation.simple(i, n)
+                    rest = tensor_act(NilHeckeElement.basis(si * w), unit)
+                    if tensor_act(NilHeckeElement.basis(si), rest) != base:
+                        return w.window, "word", i
+                for i in (1, 2, 3):
+                    if chevalley(w, x(i)) != NilHeckeElement.basis(w) * NilHeckeElement.from_scalar(x(i)):
+                        return w.window, "chevalley", i
+        return None
+
+    witness = first_failure()
+    suite.check("group embedding, coproduct and Chevalley engine (rank 3)", witness is None, witness)
     suite.check(
         "Hopf generator identity for n in {3, 4}",
         all(hopf_generator_check(3, k) for k in range(3))

@@ -225,6 +225,10 @@ def divided_difference_action(a, f):
         raise ValueError("divided difference action is for the finite algebra")
     from .nilhecke import ScalarPoly
 
+    if not isinstance(f, ScalarPoly):
+        raise TypeError(f"expected a ScalarPoly: {f!r}")
+    if f.n != a.n:
+        raise ValueError(f"rank mismatch: an element of S_{a.n} and a scalar in {f.n} variables")
     total = ScalarPoly.zero(a.n)
     for w, c in a.coeffs.items():
         g = f

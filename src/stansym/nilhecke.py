@@ -14,7 +14,11 @@ the window (``affine._left_raise``: values = i mod n go up by one, values
 = i + 1 down by one) and the swap and d_i acting on the exponent tuples.  The product,
 ``commute_past``, ``embed_group`` and the coproduct's tensor action all walk
 their letters through it and wrap the result once, by the unchecked
-``NilHeckeElement._from_valid``.  The Chevalley formula reads the cover list
+``NilHeckeElement._from_valid``.  The terms are live: a window whose scalar
+vanishes gets no entry and a coefficient that cancels is deleted where it
+does, so a letter walks only what the element holds.  A_w x_i, which has at
+most l(w) + 1 terms by the Chevalley formula, costs one ``_left_raise`` per
+term per letter.  The Chevalley formula reads the cover list
 of ``_chevalley_covers`` and never the product, so the two stay independent
 routes; ``_j_basis_system`` reads the same list, building the phi0(A_x x_i)
 rows of a length and its linear system in one pass.
@@ -48,9 +52,15 @@ class ScalarPoly:
     def _from_valid(cls, n, coeffs):
         """An internal result, unchecked: ``coeffs`` maps exponent tuples of
         length n to int coefficients, and the zero ones are dropped here."""
+        return cls._live(n, {e: c for e, c in coeffs.items() if c})
+
+    @classmethod
+    def _live(cls, n, coeffs):
+        """An internal result whose coefficients are all nonzero, unchecked
+        and wrapped as it is."""
         self = object.__new__(cls)
         self.n = n
-        self.coeffs = {e: c for e, c in coeffs.items() if c}
+        self.coeffs = coeffs
         return self
 
     def _check_rank(self, other):
@@ -208,22 +218,24 @@ class NilHeckeElement:
                 raise ValueError(f"expected affine permutations of rank {self.n}: {w!r}")
             if not isinstance(p, ScalarPoly):
                 p = ScalarPoly.const(self.n, p)
+            elif p.n != self.n:
+                raise ValueError(
+                    f"rank mismatch: an element of rank {self.n} and a scalar in {p.n} variables"
+                )
             if not p.is_zero():
                 clean[w] = clean[w] + p if w in clean else p
         self.coeffs = {w: p for w, p in clean.items() if not p.is_zero()}
 
     @classmethod
     def _from_valid(cls, n, terms):
-        """An internal result, unchecked: ``terms`` maps the windows of
-        elements of S~_n to exponent dicts {length-n tuple: int}, and the zero
-        coefficients and scalars are dropped here."""
+        """An internal result, unchecked and wrapped as it is: ``terms`` are
+        live kernel terms, mapping the windows of elements of S~_n to nonempty
+        exponent dicts {length-n tuple: nonzero int}."""
         self = object.__new__(cls)
         self.n = n
-        self.coeffs = {}
-        for v, poly in terms.items():
-            p = ScalarPoly._from_valid(n, poly)
-            if p.coeffs:
-                self.coeffs[AffinePermutation._from_valid(n, v)] = p
+        self.coeffs = {
+            AffinePermutation._from_valid(n, v): ScalarPoly._live(n, poly) for v, poly in terms.items()
+        }
         return self
 
     def _terms(self):
@@ -286,7 +298,10 @@ class NilHeckeElement:
         out = {}
         for u, p in self.coeffs.items():
             for v, poly in _act(u.reduced_word(), right, n).items():
-                _add_product(out.setdefault(v, {}), p.coeffs, poly)
+                acc = out.setdefault(v, {})
+                _add_product(acc, p.coeffs, poly)
+                if not acc:
+                    del out[v]
         return NilHeckeElement._from_valid(n, out)
 
     def phi0(self):
@@ -314,8 +329,12 @@ class NilHeckeElement:
 # -- the letter kernel ---------------------------------------------------------
 #
 # Terms are {window: {exponent tuple: int}}, the windows those of elements of
-# S~_n and the tuples of length n; a result may hold zero coefficients, which
-# ``NilHeckeElement._from_valid`` drops.
+# S~_n and the tuples of length n.  Every kernel function takes and returns
+# live terms only: no window maps to an empty dict and no coefficient is 0.
+# A sum is taken as ``s = acc.get(key, 0) + c``; where it cancels, the key is
+# deleted on the spot, and a window whose dict empties goes with it, so no
+# later letter walks a dead term.  ``NilHeckeElement._from_valid`` wraps the
+# result as it is.
 
 
 def _alpha_positions(i, n):
@@ -329,7 +348,7 @@ def _letter(i, terms, n):
 
     s_i.f swaps the exponents at a and b; d_i sends x_a^k x_b^l to
     sum_{l <= t < k} x_a^t x_b^(k+l-1-t) for k > l, to minus that of its swap
-    for k < l, and to 0 for k = l.
+    for k < l, and to 0 for k = l.  A v whose d_i f vanishes gets no entry.
     """
     a, b = _alpha_positions(i, n)
     out = {}
@@ -343,8 +362,14 @@ def _letter(i, terms, n):
                     e = list(e)
                     e[a], e[b] = l, k
                     e = tuple(e)
-                acc[e] = acc.get(e, 0) + c
-        acc = out.setdefault(v, {})
+                s = acc.get(e, 0) + c
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+            if not acc:
+                del out[up]
+        acc = out.get(v, {})
         for e, c in poly.items():
             k, l = e[a], e[b]
             if k == l:
@@ -355,7 +380,15 @@ def _letter(i, terms, n):
             for t in range(l, k):
                 e[a], e[b] = t, k + l - 1 - t
                 key = tuple(e)
-                acc[key] = acc.get(key, 0) + c
+                s = acc.get(key, 0) + c
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        if acc:
+            out[v] = acc
+        elif v in out:
+            del out[v]
     return out
 
 
@@ -369,17 +402,18 @@ def _act(word, terms, n):
 def _add_product(acc, left, right):
     """acc += left * right, all three exponent dicts."""
     for e1, c1 in left.items():
-        if not any(e1):
-            for e2, c2 in right.items():
-                acc[e2] = acc.get(e2, 0) + c1 * c2
-            continue
+        constant = not any(e1)
         for e2, c2 in right.items():
-            e = tuple(map(add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
+            e = e2 if constant else tuple(map(add, e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
 
 
 def _minus_alpha_times(acc, i, n, lowered):
-    """acc -= alpha_i * lowered, in place."""
+    """acc -= alpha_i * lowered, in place: x_a e with -c, x_b e with +c."""
     a, b = _alpha_positions(i, n)
     for v, poly in lowered.items():
         into = acc.setdefault(v, {})
@@ -387,11 +421,21 @@ def _minus_alpha_times(acc, i, n, lowered):
             e = list(e)
             e[a] += 1
             key = tuple(e)
-            into[key] = into.get(key, 0) - c
+            s = into.get(key, 0) - c
+            if s:
+                into[key] = s
+            else:
+                del into[key]
             e[a] -= 1
             e[b] += 1
             key = tuple(e)
-            into[key] = into.get(key, 0) + c
+            s = into.get(key, 0) + c
+            if s:
+                into[key] = s
+            else:
+                del into[key]
+        if not into:
+            del acc[v]
 
 
 def commute_past(i, f):
@@ -399,7 +443,8 @@ def commute_past(i, f):
     if not isinstance(f, ScalarPoly):
         raise TypeError(f"expected a ScalarPoly: {f!r}")
     n = f.n
-    return NilHeckeElement._from_valid(n, _act((index(i),), {tuple(range(1, n + 1)): f.coeffs}, n))
+    terms = {tuple(range(1, n + 1)): f.coeffs} if f.coeffs else {}
+    return NilHeckeElement._from_valid(n, _act((index(i),), terms, n))
 
 
 def embed_group(w):
@@ -461,11 +506,13 @@ def chevalley(w, f):
     coeff = [0] * n
     for e, c in f.coeffs.items():
         coeff[e.index(1)] = c
-    terms = {w.window: f.permute_variables(_level_zero_target(w)).coeffs}
+    head = f.permute_variables(_level_zero_target(w)).coeffs
+    terms = {w.window: head} if head else {}
     # distinct inversions are distinct reflections, so each cover is new
     zero = (0,) * n
     for wt, a, b in _chevalley_covers(w):
-        terms[wt.window] = {zero: coeff[a] - coeff[b]}
+        if coeff[a] != coeff[b]:
+            terms[wt.window] = {zero: coeff[a] - coeff[b]}
     return NilHeckeElement._from_valid(n, terms)
 
 
@@ -477,7 +524,13 @@ def _merge(acc, terms):
     for v, poly in terms.items():
         into = acc.setdefault(v, {})
         for e, c in poly.items():
-            into[e] = into.get(e, 0) + c
+            s = into.get(e, 0) + c
+            if s:
+                into[e] = s
+            else:
+                del into[e]
+        if not into:
+            del acc[v]
 
 
 def _tensor_letter_act(i, T, n):
@@ -490,12 +543,18 @@ def _tensor_letter_act(i, T, n):
     out = {}
     for w, L in T.items():
         aL = _letter(i, L, n)
-        _merge(out.setdefault(w, {}), aL)
+        if aL:
+            into = out.setdefault(w, {})
+            _merge(into, aL)
+            if not into:
+                del out[w]
         up = _left_raise(i, w, n)
         if up is not None:
             longer = out.setdefault(up, {})
             _merge(longer, L)
             _minus_alpha_times(longer, i, n, aL)
+            if not longer:
+                del out[up]
     return out
 
 
@@ -513,13 +572,15 @@ def tensor_act(a, T):
         for w, L in cur.items():
             acc = out.setdefault(w, {})
             for v, poly in L.items():
-                _add_product(acc.setdefault(v, {}), p.coeffs, poly)
-    result = {}
-    for w, L in out.items():
-        left = NilHeckeElement._from_valid(n, L)
-        if left.coeffs:
-            result[AffinePermutation._from_valid(n, w)] = left
-    return result
+                into = acc.setdefault(v, {})
+                _add_product(into, p.coeffs, poly)
+                if not into:
+                    del acc[v]
+            if not acc:
+                del out[w]
+    return {
+        AffinePermutation._from_valid(n, w): NilHeckeElement._from_valid(n, L) for w, L in out.items()
+    }
 
 
 def coproduct(a):

@@ -6,7 +6,8 @@ import it as ``oracles``.
 
 from functools import lru_cache
 
-from stansym.affine import AffinePermutation
+from stansym.affine import AffinePermutation, _left_raise
+from stansym.nilhecke import NilHeckeElement, ScalarPoly
 from stansym.partition import as_partition
 from stansym.permutation import Permutation
 from stansym.tableaux import transition_sides
@@ -86,3 +87,137 @@ def transition_tree_by_objects(key):
         for la, c in transition_tree_by_objects(child._stable_window()).items():
             out[la] = out.get(la, 0) + c
     return out
+
+
+# -- the nilHecke letter kernel that keeps every term it has visited ----------
+#
+# Terms are {window: {exponent tuple: int}} as in ``nilhecke``, but here a
+# letter keeps an entry, possibly empty, for every window it has reached, and
+# a coefficient that cancels stays as 0.  The results are wrapped by the
+# checked constructors, which drop both.
+
+
+def letter_with_dead_terms(i, terms, n):
+    """A_i times terms, 0 <= i < n: A_i f A_v = (s_i.f) A_{s_i v} + (d_i f) A_v,
+    with an entry for every v of ``terms`` whether d_i leaves anything or not."""
+    a, b = (i - 1, i) if i else (n - 1, 0)
+    out = {}
+    for v, poly in terms.items():
+        up = _left_raise(i, v, n)
+        if up is not None:
+            acc = out.setdefault(up, {})
+            for e, c in poly.items():
+                k, l = e[a], e[b]
+                if k != l:
+                    e = list(e)
+                    e[a], e[b] = l, k
+                    e = tuple(e)
+                acc[e] = acc.get(e, 0) + c
+        acc = out.setdefault(v, {})
+        for e, c in poly.items():
+            k, l = e[a], e[b]
+            if k == l:
+                continue
+            if k < l:
+                k, l, c = l, k, -c
+            e = list(e)
+            for t in range(l, k):
+                e[a], e[b] = t, k + l - 1 - t
+                key = tuple(e)
+                acc[key] = acc.get(key, 0) + c
+    return out
+
+
+def _act_with_dead_terms(word, terms, n):
+    for i in reversed(word):
+        terms = letter_with_dead_terms(i % n, terms, n)
+    return terms
+
+
+def _add_product(acc, left, right):
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _minus_alpha_times(acc, i, n, lowered):
+    a, b = (i - 1, i) if i else (n - 1, 0)
+    for v, poly in lowered.items():
+        into = acc.setdefault(v, {})
+        for e, c in poly.items():
+            for pos, sign in ((a, -1), (b, 1)):
+                e2 = list(e)
+                e2[pos] += 1
+                key = tuple(e2)
+                into[key] = into.get(key, 0) + sign * c
+
+
+def _merge(acc, terms):
+    for v, poly in terms.items():
+        into = acc.setdefault(v, {})
+        for e, c in poly.items():
+            into[e] = into.get(e, 0) + c
+
+
+def _element(n, terms):
+    """The checked element of kernel terms, zeros and empty terms dropped."""
+    return NilHeckeElement(n, {AffinePermutation(n, v): ScalarPoly(n, poly) for v, poly in terms.items()})
+
+
+def _identity_window(n):
+    return tuple(range(1, n + 1))
+
+
+def product_with_dead_terms(x, y):
+    """x * y, each term of x walking its letters through the whole of y."""
+    n = x.n
+    right = {w.window: p.coeffs for w, p in y.coeffs.items()}
+    out = {}
+    for u, p in x.coeffs.items():
+        for v, poly in _act_with_dead_terms(u.reduced_word(), right, n).items():
+            _add_product(out.setdefault(v, {}), p.coeffs, poly)
+    return _element(n, out)
+
+
+def commute_past_with_dead_terms(i, f):
+    """A_i * f in normal form."""
+    n = f.n
+    return _element(n, letter_with_dead_terms(i % n, {_identity_window(n): f.coeffs}, n))
+
+
+def embed_group_with_dead_terms(w):
+    """The image of w under s_i -> 1 - alpha_i A_i."""
+    n = w.n
+    terms = {_identity_window(n): {(0,) * n: 1}}
+    for i in reversed(w.reduced_word()):
+        _minus_alpha_times(terms, i, n, letter_with_dead_terms(i, terms, n))
+    return _element(n, terms)
+
+
+def tensor_act_with_dead_terms(a, T):
+    """The coproduct module action of a on {right AffinePermutation: left
+    NilHeckeElement}: A_i.(m (x) n) = A_i m (x) n + m (x) A_i n
+    - alpha_i A_i m (x) A_i n, letter by letter."""
+    n = a.n
+    start = {w.window: {v.window: p.coeffs for v, p in L.coeffs.items()} for w, L in T.items()}
+    out = {}
+    for u, p in a.coeffs.items():
+        cur = start
+        for i in reversed(u.reduced_word()):
+            step = {}
+            for w, L in cur.items():
+                aL = letter_with_dead_terms(i, L, n)
+                _merge(step.setdefault(w, {}), aL)
+                up = _left_raise(i, w, n)
+                if up is not None:
+                    longer = step.setdefault(up, {})
+                    _merge(longer, L)
+                    _minus_alpha_times(longer, i, n, aL)
+            cur = step
+        for w, L in cur.items():
+            acc = out.setdefault(w, {})
+            for v, poly in L.items():
+                _add_product(acc.setdefault(v, {}), p.coeffs, poly)
+    result = {AffinePermutation(n, w): _element(n, L) for w, L in out.items()}
+    return {w: L for w, L in result.items() if not L.is_zero()}

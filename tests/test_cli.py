@@ -308,6 +308,51 @@ def test_verify_symmetry_names_an_affine_coefficient_off_the_finite_one(fmt, cap
         assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
 
 
+def _drop_terms_on_the_input(letter):
+    """A wrong letter kernel: it loses every term that lands on a window of
+    its input, the d_i f part among them."""
+    return lambda i, terms, n: {v: p for v, p in letter(i, terms, n).items() if v not in terms}
+
+
+def _act_only_on_one_right_factor(tensor_act):
+    """A wrong tensor action: zero on a tensor with more than one right factor."""
+    return lambda a, T: tensor_act(a, T) if len(T) == 1 else {}
+
+
+def _shift_by_a_w(chevalley):
+    """A wrong Chevalley formula: A_w too many."""
+    from stansym.nilhecke import NilHeckeElement
+
+    return lambda w, f: chevalley(w, f) + NilHeckeElement.basis(w)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, witness",
+    [
+        # the first element of length 1 is s_0, window (0, 2, 4)
+        ("_letter", _drop_terms_on_the_input, ((0, 2, 4), "embedding")),
+        # the first element of length 2 is s_2 s_0, whose left descent is 2; below
+        # length 2 every right factor it meets is single
+        ("tensor_act", _act_only_on_one_right_factor, ((-1, 3, 4), "word", 2)),
+        ("chevalley", _shift_by_a_w, ((1, 2, 3), "chevalley", 1)),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_nilhecke_names_the_first_failure_of_the_engine(name, wrong, witness, fmt, capsys, monkeypatch):
+    from stansym import nilhecke
+
+    monkeypatch.setattr(nilhecke, name, wrong(getattr(nilhecke, name)))
+    code, out, _ = run(["verify", "nilhecke", "--format", fmt], capsys)
+    assert code == 1
+    check = "group embedding, coproduct and Chevalley engine (rank 3)"
+    if fmt == "text":
+        assert f"FAIL [nilhecke] {check}; witness {witness}" in out.splitlines()
+    else:
+        [suite] = json.loads(out)
+        [got] = [c for c in suite["checks"] if c["name"] == check]
+        assert got == {"name": check, "ok": False, "witness": json.loads(json.dumps(witness))}
+
+
 def test_verify_conjectures_names_the_j_basis_error(capsys, monkeypatch, tmp_path):
     from stansym import nilhecke
 

@@ -1,6 +1,7 @@
 """Comparing a value with an object of another type is False, not an error,
 and arithmetic with one is a TypeError: for symmetric functions, and for
-nilCoxeter elements, nilHecke elements and their scalars."""
+nilCoxeter elements, nilHecke elements and their scalars.  A nilHecke
+element takes no scalar of another rank."""
 
 import pytest
 
@@ -65,3 +66,11 @@ def test_symmetric_function_arithmetic_with_a_foreign_operand_is_a_type_error(ap
 def test_a_symmetric_function_still_scales_by_an_int():
     assert (SYM * 3).coeffs == (3 * SYM).coeffs == {(2, 1): 3}
     assert (SYM - SYM).is_zero() and (SYM + SYM).coeffs == {(2, 1): 2}
+
+
+def test_a_nilhecke_element_rejects_a_scalar_of_another_rank():
+    w = AffinePermutation.identity(3)
+    with pytest.raises(ValueError, match="rank mismatch: an element of rank 3 and a scalar in 4 variables"):
+        NilHeckeElement(3, {w: ScalarPoly.x(4, 1)})
+    with pytest.raises(ValueError, match="rank mismatch"):
+        NilHeckeElement(3, [(w, ScalarPoly.x(3, 1)), (w, ScalarPoly.x(4, 1))])

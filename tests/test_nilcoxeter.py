@@ -111,6 +111,15 @@ def test_divided_difference_action():
     assert divided_difference_action(A((1, 2, 1), 3), x1 * x1 * x2) == ScalarPoly.const(3, 1)
 
 
+def test_divided_difference_action_checks_its_scalar_up_front():
+    # the zero element walks no word, so only an up-front check sees the scalar
+    for a in (A((1,), 3), NilCoxeterElement.zero(3)):
+        with pytest.raises(ValueError, match="rank mismatch: an element of S_3 and a scalar in 4 variables"):
+            divided_difference_action(a, ScalarPoly.x(4, 1))
+        with pytest.raises(TypeError, match="expected a ScalarPoly"):
+            divided_difference_action(a, 1)
+
+
 def test_divided_difference_action_is_faithful_on_s4():
     # pairwise distinct basis elements act differently on the staircase monomial
     x = [ScalarPoly.x(4, i) for i in range(1, 5)]

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import oracles
 import pytest
 
 from stansym import nilcoxeter, nilhecke, symfunc
@@ -151,6 +152,103 @@ def test_embed_group_and_coproduct_equal_their_validated_forms():
         if w.length() <= 3:
             a = NilHeckeElement.basis(w, _scalar(rng, w.n))
             assert coproduct(a) == _coproduct(a), w
+
+
+# -- the kernel that keeps every term it has visited, kept as an oracle --------
+
+
+def _dead_entry(terms):
+    """The first empty term or zero coefficient of kernel terms, or None."""
+    for v, poly in terms.items():
+        if not poly:
+            return v
+        for e, c in poly.items():
+            if not c:
+                return v, e
+    return None
+
+
+@pytest.fixture
+def live_kernel(monkeypatch):
+    """Fail on any letter, tensor letter or wrapped result that holds an empty
+    term or a zero coefficient."""
+    letter, tensor_letter = nilhecke._letter, nilhecke._tensor_letter_act
+    wrap = NilHeckeElement._from_valid
+
+    def checked_letter(i, terms, n):
+        out = letter(i, terms, n)
+        assert _dead_entry(out) is None, (i, terms)
+        return out
+
+    def checked_tensor_letter(i, T, n):
+        out = tensor_letter(i, T, n)
+        for w, L in out.items():
+            assert L and _dead_entry(L) is None, (i, w)
+        return out
+
+    def checked_wrap(cls, n, terms):
+        assert _dead_entry(terms) is None, terms
+        return wrap(n, terms)
+
+    monkeypatch.setattr(nilhecke, "_letter", checked_letter)
+    monkeypatch.setattr(nilhecke, "_tensor_letter_act", checked_tensor_letter)
+    monkeypatch.setattr(NilHeckeElement, "_from_valid", classmethod(checked_wrap))
+
+
+def _kernel_scalars(n):
+    """x_1..x_n, alpha_0..alpha_{n-1} and one quadratic."""
+    x = [ScalarPoly.x(n, i) for i in range(1, n + 1)]
+    quadratic = x[0] * x[0] - 2 * (x[0] * x[-1]) + 3 * x[1]
+    return x + [ScalarPoly.alpha(n, i) for i in range(n)] + [quadratic]
+
+
+def test_product_equals_the_kernel_with_dead_terms(live_kernel):
+    for w in ELEMENTS:
+        aw = NilHeckeElement.basis(w)
+        for f in _kernel_scalars(w.n):
+            right = NilHeckeElement.from_scalar(f)
+            assert aw * right == oracles.product_with_dead_terms(aw, right), (w, f)
+
+
+def test_commute_past_equals_the_kernel_with_dead_terms(live_kernel):
+    for n in (3, 4, 5):
+        for i in range(n):
+            for f in [ScalarPoly.zero(n), *_kernel_scalars(n)]:
+                assert commute_past(i, f) == oracles.commute_past_with_dead_terms(i, f), (i, f)
+
+
+def test_embed_group_equals_the_kernel_with_dead_terms(live_kernel):
+    for w in ELEMENTS:
+        assert embed_group(w) == oracles.embed_group_with_dead_terms(w), w
+
+
+def test_tensor_act_equals_the_kernel_with_dead_terms(live_kernel):
+    # the coproduct is the costly one: one scalar per element, taken in turn
+    for k, w in enumerate(ELEMENTS):
+        n = w.n
+        unit = {AffinePermutation.identity(n): NilHeckeElement.one(n)}
+        scalars = _kernel_scalars(n)
+        a = NilHeckeElement.basis(w, scalars[k % len(scalars)])
+        assert tensor_act(a, unit) == oracles.tensor_act_with_dead_terms(a, unit), a
+
+
+def test_tensor_act_on_group_elements_equals_the_kernel_with_dead_terms(live_kernel):
+    # A_1 on 1 (x) (1 - alpha_1 A_1) gives A_1 (x) (-1) + s_1 (x) 1: the term
+    # alpha_1 A_1 of the right factor cancels against -alpha_1 A_1 A_1 (x) A_1
+    for w in ELEMENTS:
+        if w.length() <= 3:
+            n = w.n
+            T = {AffinePermutation.identity(n): embed_group(w)}
+            for i in range(n):
+                a = NilHeckeElement.basis(AffinePermutation.simple(i, n))
+                assert tensor_act(a, T) == oracles.tensor_act_with_dead_terms(a, T), (w, i)
+
+
+def test_the_liveness_check_sees_a_dead_term(live_kernel):
+    with pytest.raises(AssertionError):
+        NilHeckeElement._from_valid(3, {(1, 2, 3): {(0, 0, 0): 0}})
+    with pytest.raises(AssertionError):
+        NilHeckeElement._from_valid(3, {(1, 2, 3): {}})
 
 
 def test_products_check_their_operands():
