@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import index
 
-from .partition import _conjugate, as_partition, sort_composition
+from .partition import _conjugate, _distinct_rearrangements, as_partition, sort_composition
 from .permutation import Permutation
 
 
@@ -75,6 +75,8 @@ class AffinePermutation:
         return AffinePermutation._from_valid(self.n, tuple(w))
 
     def __mul__(self, other):
+        if not isinstance(other, AffinePermutation):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
         n, w = self.n, self.window
@@ -267,6 +269,10 @@ class CorootVector:
         return len(self.coords)
 
     def __add__(self, other):
+        if not isinstance(other, CorootVector):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError(f"rank mismatch: coroot vectors of ranks {self.n} and {other.n}")
         return CorootVector(a + b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self):
@@ -285,8 +291,7 @@ class CorootVector:
 
     def orbit(self):
         """The S_n orbit, as a sorted list of distinct vectors."""
-        from itertools import permutations as itp
-        return sorted({tuple(p) for p in itp(self.coords)})
+        return list(_distinct_rearrangements(self.coords))
 
 
 def translation_element(la):

@@ -15,11 +15,12 @@ import sys
 from functools import lru_cache
 from math import comb
 
-from .affine import AffinePermutation, CorootVector, elements_of_length
+from . import nilhecke, stanley
+from .affine import AffinePermutation, CorootVector, elements_of_length, grassmannian_from_partition
 from .partition import as_partition
 from .permutation import Permutation, count_reduced_words, symmetric_group
-from .symfunc import change_basis, k_schur
-from .tableaux import MarkedWord, little_move_chain
+from .symfunc import k_schur
+from .tableaux import MarkedWord, eg_insert, little_move_chain
 
 DEFAULT_CAPS = {
     "max_rank_finite": 5,
@@ -65,60 +66,60 @@ def load_caps():
     return caps
 
 
-def _json_integers(text):
-    """A JSON array of integers; any other entry is a usage error."""
-    items = json.loads(text)
-    if not isinstance(items, list):
-        raise ValueError(f"not a JSON array: {text}")
-    bad = [x for x in items if type(x) is not int]  # a bool is an int too
-    if bad:
-        raise ValueError(f"not an integer: {bad[0]!r} in {text}")
-    return items
+# The ASCII forms of an integer argument besides a JSON array.  int() alone
+# would also read '+2', '1_0', ' 2' and non-ASCII digits such as '٢'.
+_FORMS = {
+    "digits": re.compile("[0-9]+"),  # one integer per letter
+    "parts": re.compile("(?:-?[0-9]+(?: *, *-?[0-9]+)*)?"),  # between commas; none when empty
+    "decimal": re.compile("-?[0-9]+"),  # one integer, and never a JSON array
+}
+
+
+def _integers(text, form=None, what="an integer"):
+    """The integers of an argument, as a JSON array or, unless ``form`` is
+    None, in that form of _FORMS; space around the whole is ignored.  Any
+    other text raises ValueError, naming ``what`` was expected."""
+    text = text.strip()
+    if form is None or text.startswith("[") and form != "decimal":
+        items = json.loads(text)
+        if not isinstance(items, list):
+            raise ValueError(f"not a JSON array: {text}")
+        bad = [x for x in items if type(x) is not int]  # a bool is an int too
+        if bad:
+            raise ValueError(f"not an integer: {bad[0]!r} in {text}")
+        return items
+    if not _FORMS[form].fullmatch(text):
+        raise ValueError(f"not {what}: {text!r}")
+    parts = text if form == "digits" else text.split(",")  # a digit is a part
+    return [int(p) for p in parts if p]
 
 
 def parse_permutation(text):
     """One-line digit string (n <= 9) or a JSON array."""
-    text = text.strip()
-    if text.startswith("["):
-        return Permutation(_json_integers(text))
-    if not text.isdigit():
-        raise ValueError(f"not a one-line permutation or JSON array: {text!r}")
-    return Permutation([int(c) for c in text])
+    return Permutation(_integers(text, "digits", "a one-line permutation or JSON array"))
 
 
 def parse_word(text):
-    text = text.strip()
-    if text.startswith("["):
-        return tuple(_json_integers(text))
-    if not text.isdigit():
-        raise ValueError(f"not a generator word: {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple(_integers(text, "digits", "a generator word"))
 
 
 def parse_affine(text, n, mode):
     """A generator word (digits, residues mod n) or a window (JSON array)."""
-    text = text.strip()
-    if mode == "auto":
-        mode = "window" if text.startswith("[") else "word"
-    if mode == "window":
-        return AffinePermutation(n, _json_integers(text))
+    if mode == "window" or mode == "auto" and text.strip().startswith("["):
+        return AffinePermutation(n, _integers(text))
     return AffinePermutation.from_word(parse_word(text), n)
 
 
 def parse_partition(text):
-    text = text.strip()
-    if text.startswith("["):
-        return as_partition(_json_integers(text))
-    if not text:
-        return ()
-    return as_partition([int(p) for p in text.split(",")])
+    """Comma-separated parts, empty for the empty partition, or a JSON array."""
+    return as_partition(_integers(text, "parts", "a partition"))
 
 
 def emit(as_json, fmt, as_text):
     """Print one of the two forms; each is a callable, so only the printed
     one is rendered."""
     if fmt == "json":
-        print(json.dumps(as_json(), sort_keys=True))
+        print(json.dumps(as_json(), sort_keys=True, default=str))  # default: a witness of a failed check
     else:
         print(as_text())
 
@@ -136,10 +137,6 @@ class Suite:
         if not ok and witness is not None:
             entry["witness"] = witness
         self.checks.append(entry)
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
 
 
 def _suite_examples(suite, caps):
@@ -455,23 +452,51 @@ SUITES = {
 }
 
 
-def run_verify(names, fmt, caps):
+# -- entry point --------------------------------------------------------------
+#
+# Each subcommand carries its handler(args, fmt, caps): it prints the output and
+# returns the exit status, None for 0.  It looks up what it calls when it runs.
+
+
+def _shows(compute, as_json=lambda value: value.to_json(), as_text=repr):
+    """The handler of a command that prints ``value = compute(args)``:
+    ``as_json(value)`` under --format json, else ``as_text(value)``."""
+
+    def handler(args, fmt, caps):
+        value = compute(args)
+        emit(lambda: as_json(value), fmt, lambda: as_text(value))
+
+    return handler
+
+
+def _reduced_words(args, fmt, caps):
+    if args.count:
+        if args.rank is not None:
+            raise ValueError("--count is finite-only: it takes no -n/--rank")
+        count = count_reduced_words(parse_permutation(args.perm))
+        return emit(lambda: count, fmt, lambda: str(count))
+    w = parse_permutation(args.perm) if args.rank is None else parse_affine(args.perm, args.rank, args.input_mode)
+    words = w.reduced_words()
+    emit(
+        lambda: [list(word) for word in words],
+        fmt,
+        lambda: "\n".join("".join(map(str, word)) for word in words),
+    )
+
+
+def _verify(args, fmt, caps):
     results = []
-    for name in names:
+    for name in sorted(SUITES) if args.suite == "all" else [args.suite]:
         suite = Suite()
         SUITES[name](suite, caps)
-        results.append({"suite": name, "ok": suite.ok, "checks": suite.checks})
-    if fmt == "json":
-        print(json.dumps(results, sort_keys=True, default=str))
-    else:
-        for r in results:
-            for c in r["checks"]:
-                witness = f"; witness {c['witness']}" if "witness" in c else ""
-                print(f"{'PASS' if c['ok'] else 'FAIL'} [{r['suite']}] {c['name']}{witness}")
+        results.append({"suite": name, "ok": all(c["ok"] for c in suite.checks), "checks": suite.checks})
+    lines = (
+        f"{'PASS' if c['ok'] else 'FAIL'} [{r['suite']}] {c['name']}" + (f"; witness {c['witness']}" if "witness" in c else "")
+        for r in results
+        for c in r["checks"]
+    )
+    emit(lambda: results, fmt, lambda: "\n".join(lines))
     return 0 if all(r["ok"] for r in results) else 1
-
-
-# -- entry point --------------------------------------------------------------
 
 
 def build_parser():
@@ -480,38 +505,56 @@ def build_parser():
     p = argparse.ArgumentParser(prog="stansym", parents=[common])
     sub = p.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
-    sp = sub.add_parser("stanley")
-    sp.add_argument("perm")
+    def command(name, handler, *positionals):
+        sp = sub.add_parser(name)
+        sp.set_defaults(handler=handler)
+        for arg in positionals:
+            sp.add_argument(arg)
+        return sp
+
+    def integer(text):  # -n/--rank and the mark; argparse makes a ValueError a usage error
+        [k] = _integers(text, "decimal")
+        return k
+
+    sp = command("stanley", _shows(lambda a: stanley.stanley_fn(parse_permutation(a.perm), a.method)), "perm")
     sp.add_argument("--method", choices=("original", "decreasing", "quasisym"), default="decreasing")
 
-    sp = sub.add_parser("schur-expand")
-    sp.add_argument("perm")
+    command("schur-expand", _shows(lambda a: stanley.schur_expand(parse_permutation(a.perm))), "perm")
 
-    for name in ("affine-stanley", "affine-schur-expand"):
-        sp = sub.add_parser(name)
-        sp.add_argument("-n", "--rank", type=int, required=True)
-        sp.add_argument("element")
+    for name, compute in (
+        ("affine-stanley", lambda a: stanley.affine_stanley(parse_affine(a.element, a.rank, a.input_mode))),
+        ("affine-schur-expand", lambda a: stanley.affine_schur_expand(parse_affine(a.element, a.rank, a.input_mode))),
+    ):
+        sp = command(name, _shows(compute), "element")
+        sp.add_argument("-n", "--rank", type=integer, required=True)
         sp.add_argument("--as", dest="input_mode", choices=("word", "window", "auto"), default="auto")
 
-    sp = sub.add_parser("eg-insert")
-    sp.add_argument("word")
+    command("eg-insert", _shows(
+        lambda a: eg_insert(parse_word(a.word)),
+        lambda PQ: {"P": PQ[0].to_json(), "Q": PQ[1].to_json()},
+        lambda PQ: f"P:\n{PQ[0].render()}\nQ:\n{PQ[1].render()}",
+    ), "word")
 
-    sp = sub.add_parser("reduced-words")
-    sp.add_argument("perm")
-    sp.add_argument("-n", "--rank", type=int, help="affine rank; finite if omitted")
+    sp = command("reduced-words", _reduced_words, "perm")
+    sp.add_argument("-n", "--rank", type=integer, help="affine rank; finite if omitted")
     sp.add_argument("--as", dest="input_mode", choices=("word", "window", "auto"), default="auto")
     sp.add_argument("--count", action="store_true", help="print #R(w) and list no word (finite only)")
 
-    sp = sub.add_parser("little-move")
-    sp.add_argument("word")
-    sp.add_argument("mark", type=int)
+    sp = command("little-move", _shows(
+        lambda a: little_move_chain(MarkedWord(parse_word(a.word), a.mark)),
+        lambda chain: [{"word": list(c.word), "mark": c.mark} for c in chain],
+        lambda chain: "\n".join(f"{''.join(map(str, c.word))} (mark {c.mark})" for c in chain),
+    ), "word")
+    sp.add_argument("mark", type=integer)
 
-    for name in ("kschur", "jbasis"):
-        sp = sub.add_parser(name)
-        sp.add_argument("-n", "--rank", type=int, required=True)
-        sp.add_argument("partition")
+    for name, compute in (
+        ("kschur", lambda a: k_schur(a.rank, parse_partition(a.partition))),
+        ("jbasis", lambda a: nilhecke.j_basis_element(a.rank, grassmannian_from_partition(a.rank, parse_partition(a.partition)))),
+    ):
+        sp = command(name, _shows(compute), "partition")
+        sp.add_argument("-n", "--rank", type=integer, required=True)
 
-    sp = sub.add_parser("verify")
+    sp = command("verify", _verify)
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     return p
 
@@ -526,9 +569,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        status = dispatch(args, fmt, load_caps())
+        status = args.handler(args, fmt, load_caps())
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
-        return status
+        return status or 0
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -539,74 +582,6 @@ def main(argv=None):
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-
-
-def dispatch(args, fmt, caps):
-    from .stanley import affine_schur_expand, affine_stanley, schur_expand, stanley_fn
-
-    cmd = args.command
-    if cmd == "stanley":
-        w = parse_permutation(args.perm)
-        f = stanley_fn(w, args.method)
-        emit(f.to_json, fmt, lambda: repr(f))
-    elif cmd == "schur-expand":
-        f = schur_expand(parse_permutation(args.perm))
-        emit(f.to_json, fmt, lambda: repr(f))
-    elif cmd == "affine-stanley":
-        w = parse_affine(args.element, args.rank, args.input_mode)
-        f = affine_stanley(w)
-        emit(f.to_json, fmt, lambda: repr(f))
-    elif cmd == "affine-schur-expand":
-        w = parse_affine(args.element, args.rank, args.input_mode)
-        f = affine_schur_expand(w)
-        emit(f.to_json, fmt, lambda: repr(f))
-    elif cmd == "eg-insert":
-        from .tableaux import eg_insert
-
-        P, Q = eg_insert(parse_word(args.word))
-        emit(
-            lambda: {"P": P.to_json(), "Q": Q.to_json()},
-            fmt,
-            lambda: f"P:\n{P.render()}\nQ:\n{Q.render()}",
-        )
-    elif cmd == "reduced-words" and args.count:
-        if args.rank is not None:
-            raise ValueError("--count is finite-only: it takes no -n/--rank")
-        count = count_reduced_words(parse_permutation(args.perm))
-        emit(lambda: count, fmt, lambda: str(count))
-    elif cmd == "reduced-words":
-        if args.rank is not None:
-            w = parse_affine(args.perm, args.rank, args.input_mode)
-        else:
-            w = parse_permutation(args.perm)
-        words = w.reduced_words()
-        emit(
-            lambda: [list(word) for word in words],
-            fmt,
-            lambda: "\n".join("".join(map(str, word)) for word in words),
-        )
-    elif cmd == "little-move":
-        mw = MarkedWord(parse_word(args.word), args.mark)
-        chain = little_move_chain(mw)
-        emit(
-            lambda: [{"word": list(c.word), "mark": c.mark} for c in chain],
-            fmt,
-            lambda: "\n".join(f"{''.join(map(str, c.word))} (mark {c.mark})" for c in chain),
-        )
-    elif cmd == "kschur":
-        f = k_schur(args.rank, parse_partition(args.partition))
-        emit(f.to_json, fmt, lambda: repr(f))
-    elif cmd == "jbasis":
-        from .affine import grassmannian_from_partition
-        from .nilhecke import j_basis_element
-
-        w = grassmannian_from_partition(args.rank, parse_partition(args.partition))
-        a = j_basis_element(args.rank, w)
-        emit(a.to_json, fmt, lambda: repr(a))
-    elif cmd == "verify":
-        names = sorted(SUITES) if args.suite == "all" else [args.suite]
-        return run_verify(names, fmt, caps)
-    return 0
 
 
 if __name__ == "__main__":

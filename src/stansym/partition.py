@@ -6,7 +6,7 @@ contain internal zeros (codes of permutations do).
 """
 
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from math import prod
 from operator import index, le
 
@@ -138,5 +138,22 @@ def sparse_rearrangements(la, length):
     la = as_partition(la)
     if len(la) > length:
         return []
-    padded = la + (0,) * (length - len(la))
-    return sorted(set(permutations(padded)))
+    return list(_distinct_rearrangements(la + (0,) * (length - len(la))))
+
+
+def _distinct_rearrangements(parts):
+    """Each distinct rearrangement of ``parts`` once, in lex order, by the
+    next-permutation step (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(parts)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = reversed(a[j + 1:])

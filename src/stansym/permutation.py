@@ -67,6 +67,8 @@ class Permutation:
         return Permutation(self.window + tuple(range(self.n + 1, n + 1)))
 
     def __mul__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
         w, m = self.window, self.n
         # beyond other's window, other fixes i and the product is w(i)
         return Permutation([w[x - 1] if x <= m else x for x in other.window] + list(w[other.n:]))

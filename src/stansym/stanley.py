@@ -33,7 +33,7 @@ from itertools import combinations
 from operator import index
 
 from .affine import cyclically_decreasing_word
-from .partition import count_standard_tableaux, partitions_of, staircase
+from .partition import _distinct_rearrangements, count_standard_tableaux, partitions_of, staircase
 from .permutation import _is_vexillary, _one_line, _shape, _stable
 from .symfunc import SymFunc, change_basis, fundamental_quasisym
 from .tableaux import _transition_covers, transition_sides
@@ -371,24 +371,6 @@ def check_symmetry_finite(w):
         if seen.setdefault(la, count) != count:
             return False
     return True
-
-
-def _distinct_rearrangements(parts):
-    """Each distinct rearrangement of ``parts`` once, in lex order, by the
-    next-permutation step (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
-    a = sorted(parts)
-    while True:
-        yield tuple(a)
-        j = len(a) - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(a) - 1
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1:] = reversed(a[j + 1:])
 
 
 def schur_expand(w):

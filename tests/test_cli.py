@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -453,6 +454,39 @@ def test_json_boolean_entry_exits_2(capsys):
         assert err.startswith("error: not an integer: True")
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        pytest.param(["kschur", "-n", "12", "1_0"], False, id="partition 1_0"),
+        pytest.param(["jbasis", "-n", "4", "+2"], False, id="partition +2"),
+        pytest.param(["stanley", "\u0662\u0661"], False, id="Arabic-Indic permutation"),
+        pytest.param(["eg-insert", "\u0662\u0661"], False, id="Arabic-Indic word"),
+        pytest.param(["affine-stanley", "-n", "3", "\u0662\u0661"], False, id="Arabic-Indic affine word"),
+        pytest.param(["kschur", "-n", "1_0", "2,1"], True, id="rank 1_0"),
+        pytest.param(["little-move", "2134321", "\u0665"], True, id="Arabic-Indic mark"),
+    ],
+)
+def test_an_integer_that_int_alone_would_read_exits_2(argv, usage, capsys):
+    # int() takes '1_0' as 10, '+2' as 2 and Arabic-Indic digits as ASCII ones
+    if usage:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, out = exc.value.code, capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "invalid integer value" in out.err
+    else:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("partition", ["2,1", "2, 1", " 2 ,1 ", "2,1,0", "[2, 1]", ""])
+def test_the_accepted_forms_of_a_partition_read_alike(partition, capsys):
+    got = run(["kschur", "-n", "3", partition], capsys)
+    assert got == run(["kschur", "-n", "3", "[2, 1]" if partition else "[]"], capsys)
+    assert got[:2] == (0, "h{2,1}\n" if partition else "1h{}\n")
+
+
 def test_affine_rank_zero_exits_2(capsys):
     code, out, err = run(["reduced-words", "321", "-n", "0"], capsys)
     assert code == 2 and out == ""
@@ -524,6 +558,37 @@ def test_valid_cap_takes_effect(monkeypatch, tmp_path):
     for key in ("STANSYM_MAX_RANK_FINITE", "STANSYM_MAX_RANK_AFFINE"):
         monkeypatch.delenv(key, raising=False)
     assert load_caps()["max_rank_finite"] == 4
+
+
+# one argv per subcommand; each must exit 0 in text and in JSON
+SAMPLES = {
+    "stanley": ["stanley", "2431"],
+    "schur-expand": ["schur-expand", "2431"],
+    "affine-stanley": ["affine-stanley", "-n", "3", "21202"],
+    "affine-schur-expand": ["affine-schur-expand", "-n", "3", "[-2, 2, 6]", "--as", "window"],
+    "eg-insert": ["eg-insert", "21232"],
+    "reduced-words": ["reduced-words", "4321"],
+    "little-move": ["little-move", "2134321", "5"],
+    "kschur": ["kschur", "-n", "3", "2,1"],
+    "jbasis": ["jbasis", "-n", "3", "2,1"],
+    "verify": ["verify", "transition"],
+}
+
+
+def _subcommands():
+    [action] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_every_subcommand_carries_a_handler_that_prints_text_and_json(name, capsys):
+    assert callable(_subcommands()[name].get_default("handler"))
+    argv = SAMPLES[name]  # a command added without a sample fails here
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "") and out
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    json.loads(out)
 
 
 SEQUENCE = (

@@ -1,7 +1,8 @@
 """Comparing a value with an object of another type is False, not an error,
-and arithmetic with one is a TypeError: for symmetric functions, and for
-nilCoxeter elements, nilHecke elements and their scalars.  A nilHecke
-element takes no scalar of another rank."""
+and arithmetic with one is a TypeError: for symmetric functions, for finite
+and affine permutations and coroot vectors, and for nilCoxeter elements,
+nilHecke elements and their scalars.  A nilHecke element takes no scalar of
+another rank, and a coroot vector no vector of another rank."""
 
 import pytest
 
@@ -54,6 +55,11 @@ FOREIGN_ARITHMETIC = {
     "2.5 * NilHeckeElement": lambda: 2.5 * NILHECKE,
     "ScalarPoly + None": lambda: SCALAR + None,
     "2.5 * ScalarPoly": lambda: 2.5 * SCALAR,
+    "AffinePermutation * Permutation": lambda: AffinePermutation(3, [-2, 2, 6]) * Permutation([2, 1, 3]),
+    "Permutation * AffinePermutation": lambda: Permutation([2, 1, 3]) * AffinePermutation(3, [-2, 2, 6]),
+    "Permutation * 2": lambda: Permutation([2, 1]) * 2,
+    "CorootVector + None": lambda: CorootVector((1, -1, 0)) + None,
+    "CorootVector + tuple": lambda: CorootVector((1, -1, 0)) + (1, -1, 0),
 }
 
 
@@ -74,3 +80,9 @@ def test_a_nilhecke_element_rejects_a_scalar_of_another_rank():
         NilHeckeElement(3, {w: ScalarPoly.x(4, 1)})
     with pytest.raises(ValueError, match="rank mismatch"):
         NilHeckeElement(3, [(w, ScalarPoly.x(3, 1)), (w, ScalarPoly.x(4, 1))])
+
+
+def test_coroot_vectors_of_different_ranks_do_not_add():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        CorootVector((1, -1, 0)) + CorootVector((1, -1))
+    assert CorootVector((1, -1, 0)) + CorootVector((0, 1, -1)) == CorootVector((1, 0, -1))

@@ -1,9 +1,12 @@
 """Partition combinatorics: conjugation, dominance, tableau counts."""
 
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import count_standard_tableaux_brute
+from stansym.affine import CorootVector
 from stansym.partition import (
     _conjugate,
     as_partition,
@@ -126,3 +129,34 @@ def test_sparse_rearrangements():
         (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2),
     }
     assert sparse_rearrangements((1, 1), 2) == [(1, 1)]
+
+
+def _all_orderings(parts):
+    """The distinct rearrangements of ``parts``, from all len(parts)! orderings."""
+    return sorted(set(permutations(parts)))
+
+
+def test_sparse_rearrangements_and_orbits_equal_the_set_of_all_orderings():
+    for length in range(8):
+        for d in range(8):
+            for la in partitions_of(d):
+                if len(la) <= length:
+                    assert sparse_rearrangements(la, length) == _all_orderings(la + (0,) * (length - len(la)))
+    # coroot vectors: every multiset of at most 7 entries in -3..3 that sums to 0
+    for length in range(1, 8):
+        for coords in combinations_with_replacement(range(-3, 4), length):
+            if sum(coords) == 0:
+                assert CorootVector(coords).orbit() == _all_orderings(coords), coords
+
+
+def test_a_13_entry_vector_with_11_equal_entries_gives_its_156_rearrangements_at_once():
+    # all 13! = 6.2e9 orderings would take hours; the distinct ones are 13 * 12
+    def placed(a, b):
+        return sorted(
+            tuple(a if k == i else b if k == j else 0 for k in range(13))
+            for i in range(13) for j in range(13) if i != j
+        )
+
+    assert len(placed(2, 1)) == 156
+    assert sparse_rearrangements((2, 1), 13) == placed(2, 1)
+    assert CorootVector((1, -1) + (0,) * 11).orbit() == placed(1, -1)
