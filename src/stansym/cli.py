@@ -205,6 +205,7 @@ def _suite_symmetry(suite, caps):
     from .stanley import (
         affine_asymmetry, affine_stanley, check_symmetry_affine, check_symmetry_finite, stanley_fn,
     )
+    from .symfunc import _kostka_table, _lex_index, affine_schur
 
     nf = min(5, caps["max_rank_finite"])
     suite.check(
@@ -238,6 +239,30 @@ def _suite_symmetry(suite, caps):
         f"affine F~ symmetric on rank-{na} elements of length <= 5",
         bad is None,
         None if bad is None else (bad.window, *affine_asymmetry(bad)),
+    )
+
+    def k_kostka_mismatch():
+        """The first (n, la, mu, [m_mu] F~_la, K^(k)(la, mu)) over the bounded
+        la of degree <= 8 at ranks up to the affine cap where the F~_la,
+        counted by factorizations, and the k-Kostka table, counted by weak
+        strips, differ."""
+        for n in range(3, caps["max_rank_affine"] + 1):
+            for d in range(9):
+                order, position = _lex_index(d)
+                columns = _kostka_table(d, n)[1]
+                for la in partitions_of(d, n - 1):
+                    expected = affine_schur(n, la).coeffs
+                    got = {order[j]: k for j, k in zip(*columns[position[la]])}
+                    for mu in sorted(expected.keys() | got.keys(), reverse=True):
+                        if expected.get(mu, 0) != got.get(mu, 0):
+                            return n, la, mu, expected.get(mu, 0), got.get(mu, 0)
+        return None
+
+    mismatch = k_kostka_mismatch()
+    suite.check(
+        f"k-Kostka numbers by weak strips = [m_mu] F~_la, ranks 3..{caps['max_rank_affine']}, degree <= 8",
+        mismatch is None,
+        mismatch,
     )
 
 

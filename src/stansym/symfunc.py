@@ -17,7 +17,7 @@ mu of K(la, mu) s_la, so the h-column of s_la walks up from la over the
 Kostka rows, once per la (``_schur_h_column``).  The k-Schur functions are
 dual to the F~_la, as h is to m, so h_mu = sum of [m_mu] F~_la s^(k)_la
 over the bounded la dominating mu, and ``k_schur`` walks up from mu over
-these k-Kostka rows, read off the F~_la of one (n, degree) in one pass.  To
+these k-Kostka rows, which the Kostka pass below counts with weak strips.  To
 h, e (e_mu = omega(h_mu): the column of the conjugate la') and k-Schur,
 ``change_basis`` only sums columns and rows, and the Hall product and the
 coproduct read the same h-columns.  Every step is an integer step.
@@ -34,7 +34,8 @@ and Hall Polynomials, I.6):
 
 - s by Kostka numbers, K(la, mu) = [m_mu] s_la = [s_la] h_mu, every one of
   a degree in one Pieri pass that builds each h_mu in s by adding
-  horizontal strips (``_kostka_table``), kept one table per degree;
+  horizontal strips, or weak strips for k-Schur (``_kostka_table``), kept
+  one table per degree and rank;
 - h and e by matrices with row sums la and column sums mu, with entries in
   N or in {0, 1} (``_margin_count``), a bounded memo whose subproblems are
   shared across columns and degrees.
@@ -61,6 +62,7 @@ from itertools import compress, groupby, permutations as _itperm
 from math import factorial
 from operator import index
 
+from .affine import AffinePermutation, _left_raise, grassmannian_from_partition
 from .partition import (
     _conjugate,
     _dominated,
@@ -309,28 +311,50 @@ def _added_strips(la, k):
     return [(la[0] + k - used,) + tail for tail, used in states]
 
 
+def _weak_strips(n, la, p):
+    """The shapes nu of the Grassmannian x_nu = v x_la over the cyclically
+    decreasing v of length p with l(x_nu) = p + |la|, each word read from
+    its end: h_p s^(k)_la = sum of s^(k)_nu (Lapointe-Morse, Adv. Math. 2008)."""
+    from .stanley import _cyclically_decreasing_elements
+
+    start = grassmannian_from_partition(n, la).window
+    for word in _cyclically_decreasing_elements(n, p):
+        w = start
+        for i in reversed(word):
+            w = _left_raise(i, w, n)
+            if w is None:
+                break
+        else:
+            if all(a < b for a, b in zip(w, w[1:])):
+                yield AffinePermutation._from_valid(n, w).shape()
+
+
 # a table keeps 1.5 MiB at d=16, 8.5 at d=20 and 21 at d=22, and its pass
-# peaks at about 3, 20 and 50 MiB (tracemalloc)
+# peaks at about 3, 20 and 50 MiB; the k-table at n=7 d=28 keeps 19 MiB and
+# peaks at 41 (tracemalloc)
 @lru_cache(maxsize=4)
-def _kostka_table(d):
-    """The Kostka numbers K(la, mu) = [m_mu] s_la = [s_la] h_mu of degree d,
-    as (rows, columns) indexed by position in ``_lex_index(d)`` (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5-6).
+def _kostka_table(d, n=None):
+    """The Kostka numbers K(la, mu) = [m_mu] s_la = [s_la] h_mu of degree d
+    (Macdonald, I.5-6), or at rank n the k-Kostka numbers [m_mu] F~_la =
+    [s^(k)_la] h_mu (Lam, Amer. J. Math. 2006), as (rows, columns) indexed
+    by position in ``_lex_index(d)``, where the (n-1)-bounded ones come first.
 
     Row mu holds the la dominating mu, lex-increasing, and column la the mu
     below la, lex-decreasing, each as a tuple of positions and a tuple of
     the numbers that opens with its own position and 1.  One Pieri pass
     builds them: h_mu = h_mu1 h_mu2 ... is built in s by adding horizontal
-    strips of mu1, mu2, ... cells (``_added_strips``).  ``partitions_of``
-    lists the contents along their prefix trie, so each prefix is built once
-    on a stack of {shape: count} dicts, and each strip list once per pass.
+    strips of mu1, mu2, ... cells (``_added_strips``), or in s^(k) by weak
+    strips (``_weak_strips``).  ``partitions_of`` lists the contents along
+    their prefix trie, so each prefix is built once on a stack of {shape:
+    count} dicts, and each strip list once per pass.
     """
     order, position = _lex_index(d)
+    contents = partitions_of(d, n - 1) if n else partitions_of(d)
     strips = {}
-    stack = [{(): 1}]  # stack[k]: the product of the first k parts, in s
+    stack = [{(): 1}]  # stack[k]: the product of the first k parts, in s or s^(k)
     prev = ()
-    rows, columns = [None] * len(order), [[] for _ in order]
-    for mu in partitions_of(d):  # lex-decreasing
+    rows, columns = [None] * len(contents), [[] for _ in contents]
+    for mu in contents:  # lex-decreasing
         k = 0
         while k < len(prev) and prev[k] == mu[k]:  # no partition of d is a prefix of another
             k += 1
@@ -340,7 +364,7 @@ def _kostka_table(d):
             for la, c in stack[-1].items():
                 added = strips.get((la, p))
                 if added is None:
-                    added = strips[la, p] = _added_strips(la, p)
+                    added = strips[la, p] = tuple(_weak_strips(n, la, p)) if n else _added_strips(la, p)
                 for nu in added:
                     counts[nu] = counts.get(nu, 0) + c
             stack.append(counts)
@@ -457,10 +481,11 @@ def change_basis(f, basis, n=None):
     walked down over the Kostka columns or the F~_la.  h and e sum the
     cached h-column of each s-term (``_schur_h_column``, s_la' for e), and
     kSchur sums the k-Kostka rows of the h-terms, all rows of one (n,
-    degree) read off the F~_la in one pass (``_k_kostka_rows``).  No system
-    is solved.  Raises ValueError naming an obstructing term when ``f`` does
-    not lie in the span of the target basis: the leading m-term for affine
-    Schur, the lex-least h-term with a part of at least n for k-Schur.
+    degree) counted in one pass over weak strips (``_kostka_table``).  No
+    system is solved.  Raises ValueError naming an obstructing term when
+    ``f`` does not lie in the span of the target basis: the leading m-term
+    for affine Schur, the lex-least h-term with a part of at least n for
+    k-Schur.
     """
     target = _basis_key(basis, n)
     if target == f.basis:
@@ -479,7 +504,7 @@ def change_basis(f, basis, n=None):
         unbounded = [mu for mu in fh if mu and mu[0] >= rank]
         if unbounded:
             raise ValueError(f"not expressible in basis {target}: obstructing coefficient on h_{min(unbounded)}")
-        rows = _k_kostka_rows(rank, f.degree)
+        rows = _kostka_table(f.degree, rank)[0]
         order, position = _lex_index(f.degree)
         for mu, c in fh.items():
             for i, k in zip(*rows[position[mu]]):
@@ -537,18 +562,22 @@ def _lex_index(d):
     return order, {la: i for i, la in enumerate(order)}
 
 
+def _unit_peel(rows, la, target):
+    """la of ``target`` in h, as {mu: c}: the peel of the unit vector at la,
+    walked up over the ``rows`` of a Kostka or k-Kostka table, since h_mu =
+    sum over la dominating mu of K(la, mu) s_la or K^(k)(la, mu) s^(k)_la."""
+    start = _lex_index(sum(la))[1][la]
+    rest = [0] * len(rows)
+    rest[start] = 1
+    return _peel(rest, range(start, len(rows)), rows.__getitem__, target, la)
+
+
 @lru_cache(maxsize=1 << 12)
 def _schur_h_column(la):
-    """s_la in the h basis, as (mu, c) pairs: the peel of the unit vector at
-    la, walked up over the Kostka rows, since h_mu = sum over la dominating
-    mu of K(la, mu) s_la.  It runs once per la, and the changes to h and e,
-    the Hall product and the coproduct share the column."""
-    d = sum(la)
-    order, position = _lex_index(d)
-    start = position[la]
-    rest = [0] * len(order)
-    rest[start] = 1
-    return tuple(_peel(rest, range(start, len(order)), _kostka_table(d)[0].__getitem__, "h", la).items())
+    """s_la in the h basis, as (mu, c) pairs (``_unit_peel``).  It runs once
+    per la, and the changes to h and e, the Hall product and the coproduct
+    share the column."""
+    return tuple(_unit_peel(_kostka_table(sum(la))[0], la, "h").items())
 
 
 def _check_ints(line):
@@ -773,12 +802,9 @@ def affine_schur(n, la):
     It is checked to be unitriangular: m_la with coefficient 1, and every
     other term (n-1)-bounded and below la in dominance order.
     """
-    from .affine import grassmannian_from_partition
     from .stanley import affine_stanley
 
     la = as_partition(la)
-    if la and la[0] > n - 1:
-        raise ValueError(f"partition {la} is not ({n-1})-bounded")
     f = affine_stanley(grassmannian_from_partition(n, la))
     if f.coeffs.get(la) != 1:
         raise AssertionError(
@@ -803,41 +829,14 @@ def _affine_schur_column(n, la):
 
 
 @lru_cache(maxsize=64)
-def _k_kostka_rows(n, degree):
-    """The k-Kostka rows of the (n-1)-bounded partitions of ``degree``,
-    indexed by position in ``_lex_index(degree)``, where the bounded
-    partitions come first.  Row mu is [s^(k)_la] h_mu = [m_mu] F~_la over
-    the la dominating mu, lex-increasing, as a tuple of positions and a
-    tuple of the numbers, opening with (mu, 1): the k-Schur functions are
-    the basis dual to the affine Schur functions, as the h are to the m
-    (Lam, affine Stanley symmetric functions).  The rows are read off the
-    terms of each F~_la in one pass, and ``affine_schur`` checks that every
-    term is bounded and below la."""
-    order = _lex_index(degree)[0]
-    rows = [[] for _ in partitions_of(degree, n - 1)]
-    for i, row in enumerate(rows):
-        for j, c in zip(*_affine_schur_column(n, order[i])):
-            rows[j].append((i, c))
-    return tuple(tuple(zip(*row)) for row in rows)
-
-
-@lru_cache(maxsize=64)
 def _k_schur_h_table(n, degree):
-    """h-expansions of all k-Schur functions of one degree.
-
-    The k-Kostka rows say h_mu = sum over la of K^(k)_{la mu} s^(k)_la, as
-    the Kostka rows say it of s_la, so s^(k)_mu in h is the peel of the
-    unit vector at mu, walked up over the rows (``_peel``).
-    """
-    rows = _k_kostka_rows(n, degree)
-    order = _lex_index(degree)[0]
-    table = {}
-    for start in range(len(rows)):
-        rest = [0] * len(rows)
-        rest[start] = 1
-        out = _peel(rest, range(start, len(rows)), rows.__getitem__, f"kSchur({n})", order[start])
-        table[order[start]] = SymFunc._from_valid(degree, "h", out)
-    return table
+    """h-expansions of all k-Schur functions of one degree, each peeled
+    (``_unit_peel``) over the k-Kostka rows that the weak-strip pass counts,
+    not read off the F~_la (``_kostka_table(degree, n)``)."""
+    rows = _kostka_table(degree, n)[0]
+    return {
+        la: SymFunc._from_valid(degree, "h", _unit_peel(rows, la, f"kSchur({n})")) for la in partitions_of(degree, n - 1)
+    }
 
 
 def k_schur(n, la):

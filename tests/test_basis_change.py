@@ -32,6 +32,7 @@ from stansym.symfunc import (
     _parse_basis,
     _product_to_m,
     _solve_exact,
+    affine_schur,
     change_basis,
     coproduct,
     hall_inner_product,
@@ -258,12 +259,54 @@ def test_a_schur_function_builds_its_h_column_and_its_conjugates_once(la):
     assert symfunc._schur_h_column.cache_info().misses == (1 if la == conjugate(la) else 2)
 
 
+def test_weak_strips_are_the_horizontal_strips_while_no_shape_reaches_the_bound():
+    # with n - 1 >= |la| + p every shape is (n-1)-bounded, and the k-Pieri
+    # rule is Pieri's
+    for n in range(3, 8):
+        for size in range(n):
+            for la in partitions_of(size):
+                for p in range(n - size):
+                    weak = list(symfunc._weak_strips(n, la, p))
+                    assert len(set(weak)) == len(weak), (n, la, p)
+                    assert set(weak) == set(symfunc._added_strips(la, p)), (n, la, p)
+
+
+def test_k_kostka_columns_equal_the_affine_schur_functions():
+    # the weak-strip pass and the factorization count of F~_la share no code
+    for n in range(3, 7):
+        for d in range(11):
+            order, position = symfunc._lex_index(d)
+            rows, columns = symfunc._kostka_table(d, n)
+            assert len(rows) == len(columns) == len(bounded_partitions(n, d))
+            for j, (spots, ks) in enumerate(rows):
+                assert (spots[0], ks[0]) == (j, 1) and list(spots) == sorted(spots), (n, order[j])
+            for la in bounded_partitions(n, d):
+                got = {order[j]: k for j, k in zip(*columns[position[la]])}
+                assert got == affine_schur(n, la).coeffs, (n, la)
+
+
+def test_k_schur_counts_no_factorization(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the k-Kostka rows were read off the F~_la")
+
+    for cached in (symfunc._k_schur_h_table, symfunc._kostka_table, symfunc._expand_to_m):
+        cached.cache_clear()
+    monkeypatch.setattr(symfunc, "affine_schur", refuse)
+    monkeypatch.setattr(stanley, "_count_cyclic_factorizations", refuse)
+    for d in range(9):
+        for la in bounded_partitions(4, d):
+            k = k_schur(4, la)
+            assert k.basis == "h" and min(k.coeffs) == la and k.coeffs[la] == 1
+            assert change_basis(k, "kSchur", 4).coeffs == {la: 1}
+    symfunc._k_schur_h_table.cache_clear()  # no table built under the patch outlives it
+
+
 def test_k_schur_is_peeled_by_k_kostka_rows_with_no_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("the k-Kostka peel solved a system")
 
     for cached in (
-        symfunc._expand_to_m, symfunc._k_kostka_rows, symfunc._k_schur_h_table, symfunc._schur_h_column,
+        symfunc._expand_to_m, symfunc._k_schur_h_table, symfunc._schur_h_column,
         symfunc._kostka_table, symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
@@ -289,16 +332,18 @@ def _doubled(right, at):
     return wrong
 
 
-def _doubled_in_table(side, la):
+def _doubled_in_table(side, la, n=None):
     """``_kostka_table`` with the numbers of la's row (side 0) or column
-    (side 1) doubled."""
+    (side 1) doubled, in the Kostka table of degree |la| or its k-table at
+    rank n."""
     right = symfunc._kostka_table
+    key = (sum(la),) if n is None else (sum(la), n)
 
-    def wrong(d):
-        halves = list(right(d))
-        if d == sum(la):
+    def wrong(*args):
+        halves = list(right(*args))
+        if args == key:
             entries = halves[side]
-            at = symfunc._lex_index(d)[1][la]
+            at = symfunc._lex_index(key[0])[1][la]
             halves[side] = tuple(map(_doubled(entries.__getitem__, at), range(len(entries))))
         return tuple(halves)
 
@@ -325,13 +370,7 @@ def test_a_wrong_column_fails_each_peel_naming_the_basis_and_the_partition(monke
     with fails("the h peel of (1, 1, 1) leaves -1 on (1, 1, 1)"):
         change_basis(SymFunc.monomial("s", (1, 1, 1)), "h")
     monkeypatch.undo()
-    right = symfunc._k_kostka_rows
-
-    def wrong_rows(n, degree):  # position 0 holds (1, 1, 1)
-        rows = right(n, degree)
-        return tuple(map(_doubled(rows.__getitem__, 0), range(len(rows))))
-
-    monkeypatch.setattr(symfunc, "_k_kostka_rows", wrong_rows)
+    monkeypatch.setattr(symfunc, "_kostka_table", _doubled_in_table(0, (1, 1, 1), 3))
     symfunc._k_schur_h_table.cache_clear()
     with fails("the kSchur(3) peel of (1, 1, 1) leaves -1 on (1, 1, 1)"):
         k_schur(3, (1, 1, 1))
@@ -412,7 +451,7 @@ def test_coproduct_equals_the_part_at_a_time_split():
 def test_basis_change_caches_are_bounded():
     for cached in (
         symfunc._kostka_table, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._k_kostka_rows, symfunc._expand_to_m,
+        symfunc._group_fills, symfunc._k_schur_h_table, symfunc._expand_to_m,
         symfunc.affine_schur, symfunc._affine_schur_column, symfunc._h_coproduct, symfunc._schur_h_column,
         symfunc._pair_index, symfunc._lex_index,
         # and the F_w and F~_w routes' element lists, split lists, counts,

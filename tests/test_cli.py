@@ -278,6 +278,36 @@ def test_verify_symmetry_names_an_asymmetric_affine_coefficient(fmt, capsys, mon
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_symmetry_names_a_k_kostka_number_off_the_affine_schur_function(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import symfunc
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    right = symfunc._kostka_table
+
+    def wrong(d, *rank):
+        # one too many on the last entry of column (2, 1), position 1, of the k-table at n=3, d=3
+        rows, columns = right(d, *rank)
+        if (d, *rank) != (3, 3):
+            return rows, columns
+        spots, ks = columns[1]
+        return rows, (columns[0], (spots, ks[:-1] + (ks[-1] + 1,)), *columns[2:])
+
+    monkeypatch.setattr(symfunc, "_kostka_table", wrong)
+    code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
+    assert code == 1
+    expected = symfunc.affine_schur(3, (2, 1))[1, 1, 1]
+    witness = (3, (2, 1), (1, 1, 1), expected, expected + 1)
+    name = "k-Kostka numbers by weak strips = [m_mu] F~_la, ranks 3..4, degree <= 8"
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [symmetry] {name}; witness {witness}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_symmetry_names_an_affine_coefficient_off_the_finite_one(fmt, capsys, monkeypatch, tmp_path):
     from stansym import stanley
     from stansym.symfunc import SymFunc

@@ -29,7 +29,7 @@ def no_enumeration(monkeypatch):
     for cached in (
         symfunc._expand_to_m, symfunc._product_to_m, symfunc._m_product,
         symfunc._kostka_table, symfunc._margin_count, symfunc._row_fills,
-        symfunc._group_fills, symfunc._k_kostka_rows, symfunc._h_coproduct, symfunc._schur_h_column,
+        symfunc._group_fills, symfunc._h_coproduct, symfunc._schur_h_column,
         symfunc._pair_index, symfunc._lex_index,
     ):
         cached.cache_clear()
