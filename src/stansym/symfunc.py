@@ -346,7 +346,8 @@ def _kostka_table(d, n=None):
     strips of mu1, mu2, ... cells (``_added_strips``), or in s^(k) by weak
     strips (``_weak_strips``).  ``partitions_of`` lists the contents along
     their prefix trie, so each prefix is built once on a stack of {shape:
-    count} dicts, and each strip list once per pass.
+    count} dicts, and each strip list once per pass.  A strip list with a
+    shape of the wrong size raises AssertionError naming (n, la, p, nu).
     """
     order, position = _lex_index(d)
     contents = partitions_of(d, n - 1) if n else partitions_of(d)
@@ -365,6 +366,10 @@ def _kostka_table(d, n=None):
                 added = strips.get((la, p))
                 if added is None:
                     added = strips[la, p] = tuple(_weak_strips(n, la, p)) if n else _added_strips(la, p)
+                    size = sum(la) + p
+                    for nu in added:
+                        if sum(nu) != size:
+                            raise AssertionError(f"a strip leaves its degree: (n, la, p, nu) = {(n, la, p, nu)}")
                 for nu in added:
                     counts[nu] = counts.get(nu, 0) + c
             stack.append(counts)

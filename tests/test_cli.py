@@ -1,6 +1,7 @@
 """Command-line interface: parsing, output formats, exit codes."""
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -310,6 +311,7 @@ def test_verify_symmetry_names_a_k_kostka_number_off_the_affine_schur_function(f
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_symmetry_names_an_affine_coefficient_off_the_finite_one(fmt, capsys, monkeypatch, tmp_path):
     from stansym import stanley
+    from stansym.permutation import symmetric_group
     from stansym.symfunc import SymFunc
 
     monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
@@ -326,7 +328,7 @@ def test_verify_symmetry_names_an_affine_coefficient_off_the_finite_one(fmt, cap
     monkeypatch.setattr(stanley, "affine_stanley", off_by_one)
     code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
     assert code == 1
-    w = next(v for v in cli.symmetric_group(3) if v.length() == 3)
+    w = next(v for v in symmetric_group(3) if v.length() == 3)
     expected = stanley.stanley_fn(w, "original")[(2, 1)]
     witness = (w.window, (2, 1), expected, expected + 1)
     name = "affine F~_w = F_w on S_3"
@@ -404,6 +406,91 @@ def test_verify_conjectures_names_the_j_basis_error(capsys, monkeypatch, tmp_pat
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_symmetry_names_a_strip_that_leaves_its_degree(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import symfunc
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.delenv("STANSYM_MAX_RANK_AFFINE", raising=False)
+    right = symfunc._weak_strips
+
+    def one_cell_too_many(n, la, p):
+        return [(nu[0] + 1,) + nu[1:] for nu in right(n, la, p)]
+
+    monkeypatch.setattr(symfunc, "_weak_strips", one_cell_too_many)
+    symfunc._kostka_table.cache_clear()
+    try:
+        code, out, err = run(["verify", "symmetry", "--format", fmt], capsys)
+    finally:
+        symfunc._kostka_table.cache_clear()
+    assert code == 1 and err == ""
+    # the first strip of the pass is h_1 on the empty shape at rank 3
+    witness = "a strip leaves its degree: (n, la, p, nu) = (3, (), 1, (2,))"
+    name = "k-Kostka numbers by weak strips = [m_mu] F~_la, ranks 3..4, degree <= 8"
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [symmetry] {name}; witness {witness}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": witness}]
+
+
+def _with_a_descent_more(word_descents):
+    return lambda word: set(word_descents(word)) | {len(word)}
+
+
+def _one_coxeter_knuth_class(coxeter_knuth_classes):
+    return lambda w: [frozenset().union(*coxeter_knuth_classes(w))]
+
+
+def _no_move_back(little_move_backward):
+    return lambda y: y
+
+
+def _one_more_m_11(stanley_fn):
+    from stansym.symfunc import SymFunc
+
+    def wrong(w, *method):
+        f = stanley_fn(w, *method)
+        return f + SymFunc.monomial("m", (1, 1)) if w.length() == 2 else f
+
+    return wrong
+
+
+def _p_and_q_swapped(eg_insert):
+    return lambda word, *n: eg_insert(word, *n)[::-1]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, wrong, check",
+    [
+        ("eg", "tableaux", "word_descents", _with_a_descent_more, "Des(i) = Des(Q(i)) on S4"),
+        ("eg", "tableaux", "coxeter_knuth_classes", _one_coxeter_knuth_class, "Coxeter-Knuth classes are P-fibers on S4"),
+        ("transition", "tableaux", "little_move_backward", _no_move_back,
+         "Little move invertible on its image over S4 marked words"),
+        ("nilcoxeter", "stanley", "stanley_fn", _one_more_m_11, "h products recover monomial coefficients of F_w on S4"),
+        ("examples", "tableaux", "eg_insert", _p_and_q_swapped, "EG insertion of 21232"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_names_a_witness_on_every_failing_check(suite, module, name, wrong, check, fmt, capsys, monkeypatch):
+    mod = importlib.import_module(f"stansym.{module}")
+    monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
+    monkeypatch.setattr(mod, name, wrong(getattr(mod, name)))
+    code, out, err = run(["verify", suite, "--format", fmt], capsys)
+    assert code == 1 and err == ""
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert any(line.startswith(f"FAIL [{suite}] {check}; witness ") for line in fails)
+        assert all("; witness " in line for line in fails)
+    else:
+        [result] = json.loads(out)
+        failed = [c for c in result["checks"] if not c["ok"]]
+        assert check in [c["name"] for c in failed]
+        assert all("witness" in c for c in failed)
+
+
 def test_verify_eg_cross_checks_the_schur_expansion(capsys, monkeypatch):
     monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "4")
     code, out, _ = run(["verify", "eg"], capsys)
@@ -446,8 +533,10 @@ def test_verify_eg_cross_checks_the_tree_against_the_kostka_peel(capsys, monkeyp
     monkeypatch.setattr(symfunc, "change_basis", doubled)
     code, out, _ = run(["verify", "eg"], capsys)
     assert code == 1
+    # 1432 is the first element of S_4 of length 3, and F_1432 = s_21
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL [eg] transition-tree Schur expansion = Kostka peel of F_w on S_4"
+        "FAIL [eg] transition-tree Schur expansion = Kostka peel of F_w on S_4; "
+        "witness ((1, 4, 3, 2), ('s', {(2, 1): 1}), ('s', {(2, 1): 2}))"
     ]
 
 
@@ -539,6 +628,25 @@ def test_closed_pipe_exits_141_without_a_traceback(fmt):
     finally:
         proc.kill()
     assert proc.returncode == 141 and err == b"", err.decode()
+
+
+def test_verify_all_checks_under_python_O_at_the_minimum_caps(tmp_path):
+    # -O strips assert statements; every check must still run and pass
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+        STANSYM_CONFIG=str(tmp_path / "absent.json"),
+        STANSYM_MAX_RANK_FINITE="2",
+        STANSYM_MAX_RANK_AFFINE="3",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "stansym.cli", "verify", "all", "--format", "json"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    results = json.loads(proc.stdout)
+    assert [r["suite"] for r in results] == sorted(cli.SUITES)
+    assert all(c["ok"] for r in results for c in r["checks"])
 
 
 def test_failed_cross_check_exits_1(capsys, monkeypatch):
