@@ -1,9 +1,9 @@
 """The verification suites behind ``stansym verify``.
 
 Each suite checks results of Lam's notes against each other.  A suite is a
-generator of checks, and a check is a name and a lazy iterable of the
-witnesses of its failure, ``(w or la, ..., expected, got)`` where it compares
-two values.  Each suite imports what it checks when it runs.
+generator of checks, and a check is a name and an iterable, mostly lazy, of
+the witnesses of its failure, ``(w or la, ..., expected, got)`` where it
+compares two values.  Each suite imports what it checks when it runs.
 """
 
 from math import comb, prod
@@ -46,6 +46,12 @@ def _differences(cases):
     return (case for case in cases if case[-2] != case[-1])
 
 
+def _terms(coeffs):
+    """The items of a coefficient dict, key-decreasing: a witness that JSON
+    can print, where a dict with tuple keys is not."""
+    return tuple(sorted(coeffs.items(), reverse=True))
+
+
 def _examples(caps):
     from .partition import count_standard_tableaux, partitions_of
     from .stanley import affine_schur_expand, affine_stanley, schur_expand, stanley_fn
@@ -76,18 +82,17 @@ def _examples(caps):
         for w in [u]
     )
     yield "affine Schur expansion of 21202", _differences(
-        (w.window, {(2, 2, 1): 1, (2, 1, 1, 1): 1}, affine_schur_expand(w).coeffs) for w in [u]
+        (w.window, _terms({(2, 2, 1): 1, (2, 1, 1, 1): 1}), _terms(affine_schur_expand(w).coeffs)) for w in [u]
     )
 
     def round_trips():
-        """(la, basis, s_la in m, its change to basis back in m), as
-        lex-decreasing terms."""
+        """(la, basis, s_la in m, its change to basis back in m), as terms."""
         for d in range(7):
             for la in partitions_of(d):
                 s = SymFunc.monomial("s", la)
-                expected = tuple(sorted(s.to_m().coeffs.items(), reverse=True))
+                expected = _terms(s.to_m().coeffs)
                 for b in ("h", "e"):
-                    yield la, b, expected, tuple(sorted(change_basis(s, b).to_m().coeffs.items(), reverse=True))
+                    yield la, b, expected, _terms(change_basis(s, b).to_m().coeffs)
 
     yield (
         "s -> h and s -> e by the Kostka peel expand back to m by margin counts (degree <= 6)",
@@ -97,7 +102,9 @@ def _examples(caps):
 
 def _symmetry(caps):
     from .partition import partitions_of
-    from .stanley import affine_asymmetry, affine_stanley, check_symmetry_affine, check_symmetry_finite, stanley_fn
+    from .stanley import (
+        affine_asymmetry, affine_stanley, check_symmetry_affine, check_symmetry_finite, stanley_fn,
+    )
     from .symfunc import _kostka_table, _lex_index, affine_schur
 
     nf = min(5, caps["max_rank_finite"])
@@ -178,12 +185,16 @@ def _eg(caps):
     ne = min(5, nf)
 
     def peel(w):
-        """F_w peeled into s by Kostka numbers, as (basis, coefficients)."""
+        """F_w peeled into s by Kostka numbers, as (basis, terms)."""
         f = change_basis(stanley_fn(w), "s")
-        return f.basis, f.coeffs
+        return f.basis, _terms(f.coeffs)
 
     yield f"transition-tree Schur expansion = EG-tableau count on S_{ne}", _differences(
-        (w.window, {la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}, schur_expand(w).coeffs)
+        (
+            w.window,
+            _terms({la: len(tabs) for la, tabs in eg_tableaux_by_shape(w.inverse()).items()}),
+            _terms(schur_expand(w).coeffs),
+        )
         for w in symmetric_group(ne)
     )
     yield f"sum of c_la f^la = #R(w) on S_{nf}", _differences(
@@ -191,7 +202,7 @@ def _eg(caps):
         for w in symmetric_group(nf)
     )
     yield f"transition-tree Schur expansion = Kostka peel of F_w on S_{nf}", _differences(
-        (w.window, ("s", schur_expand(w).coeffs), peel(w)) for w in symmetric_group(nf)
+        (w.window, ("s", _terms(schur_expand(w).coeffs)), peel(w)) for w in symmetric_group(nf)
     )
 
 
@@ -217,7 +228,8 @@ def _transition(caps):
 
 
 def _nilcoxeter(caps):
-    from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur, product_expansion_check
+    from .nilcoxeter import h_element, noncommutative_schur, product_expansion_check
+    from .nilcoxeter import NilCoxeterElement
     from .stanley import stanley_fn
 
     nf, na = caps["max_rank_finite"], caps["max_rank_affine"]
@@ -322,20 +334,20 @@ def _conjectures(caps):
             f"{r['structure_pairs_compared']} pairs (n={n})",
             [r["structure_mismatch"]] if r["structure_mismatch"] is not None else _differences([(n, True, r["nonnegative"])]),
         )
+    # j_basis_element raises AssertionError where its two constructions
+    # disagree; the kappa signs are read on every element built without one
     na = caps["max_rank_affine"]
-    built = []  # (w, j_w), as the agreement check builds them
-
-    def j_basis():
-        """Nothing: j_basis_element raises AssertionError where they disagree."""
-        for n in range(3, na + 1):
-            for l in range(7):
-                for w in elements_of_length(n, l):
-                    if w.is_grassmannian():
+    built, disagreements = [], []
+    for n in range(3, na + 1):
+        for l in range(7):
+            for w in elements_of_length(n, l):
+                if w.is_grassmannian():
+                    try:
                         built.append((w, j_basis_element(n, w)))
-        yield from ()
-
+                    except AssertionError as exc:
+                        disagreements.append(str(exc) or f"AssertionError at {w!r}")
     ranks = f"ranks 3..{na}" if na > 3 else "rank 3"
-    yield f"j-basis algorithms agree ({ranks}, length <= 6)", j_basis()
+    yield f"j-basis algorithms agree ({ranks}, length <= 6)", disagreements
     yield f"kappa of j-basis elements observed nonnegative ({ranks}, length <= 6)", (
         (w.window, v.window, c) for w, jw in built for v, c in kappa(jw).coeffs.items() if c < 0
     )

@@ -462,15 +462,26 @@ def _p_and_q_swapped(eg_insert):
     return lambda word, *n: eg_insert(word, *n)[::-1]
 
 
+def _each_eg_tableau_twice(eg_tableaux_by_shape):
+    return lambda w: {la: list(tabs) * 2 for la, tabs in eg_tableaux_by_shape(w).items()}
+
+
+def _doubled(compute):
+    return lambda w: 2 * compute(w)
+
+
 @pytest.mark.parametrize(
     "suite, module, name, wrong, check",
     [
         ("eg", "tableaux", "word_descents", _with_a_descent_more, "Des(i) = Des(Q(i)) on S4"),
         ("eg", "tableaux", "coxeter_knuth_classes", _one_coxeter_knuth_class, "Coxeter-Knuth classes are P-fibers on S4"),
+        ("eg", "tableaux", "eg_tableaux_by_shape", _each_eg_tableau_twice,
+         "transition-tree Schur expansion = EG-tableau count on S_4"),
         ("transition", "tableaux", "little_move_backward", _no_move_back,
          "Little move invertible on its image over S4 marked words"),
         ("nilcoxeter", "stanley", "stanley_fn", _one_more_m_11, "h products recover monomial coefficients of F_w on S4"),
         ("examples", "tableaux", "eg_insert", _p_and_q_swapped, "EG insertion of 21232"),
+        ("examples", "stanley", "affine_schur_expand", _doubled, "affine Schur expansion of 21202"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -536,7 +547,13 @@ def test_verify_eg_cross_checks_the_tree_against_the_kostka_peel(capsys, monkeyp
     # 1432 is the first element of S_4 of length 3, and F_1432 = s_21
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL [eg] transition-tree Schur expansion = Kostka peel of F_w on S_4; "
-        "witness ((1, 4, 3, 2), ('s', {(2, 1): 1}), ('s', {(2, 1): 2}))"
+        "witness ((1, 4, 3, 2), ('s', (((2, 1), 1),)), ('s', (((2, 1), 2),)))"
+    ]
+    code, out, err = run(["verify", "eg", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    [result] = json.loads(out)
+    assert [(c["name"], c["witness"]) for c in result["checks"] if not c["ok"]] == [
+        ("transition-tree Schur expansion = Kostka peel of F_w on S_4", [[1, 4, 3, 2], ["s", [[[2, 1], 1]]], ["s", [[[2, 1], 2]]]])
     ]
 
 
