@@ -16,13 +16,12 @@ of pairs above.
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations
 from operator import index
 
-from .affine import AffinePermutation, cyclically_decreasing, elements_of_length
+from .affine import AffinePermutation, elements_of_length
 from .partition import as_partition, partitions_inside, staircase
 from .permutation import Permutation, from_code
-from .stanley import affine_schur_expand, schur_expand
+from .stanley import _cyclically_decreasing_elements, _decreasing_elements, affine_schur_expand, schur_expand
 
 
 class NilCoxeterElement:
@@ -144,20 +143,15 @@ class NilCoxeterElement:
 
 def h_element(n, k, affine=False):
     """The Fomin-Stanley element h_k: the sum of A_w over (cyclically)
-    decreasing w of length k."""
+    decreasing w of length k, from the words that the splits of F_w and
+    F~_w run over."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"h_{k} undefined for rank {n}: need 0 <= k <= {n - 1}")
     if affine:
-        coeffs = {
-            cyclically_decreasing(n, subset): 1
-            for subset in combinations(range(n), k)
-        }
+        words, group = _cyclically_decreasing_elements(n, k), AffinePermutation
     else:
-        coeffs = {
-            Permutation.from_word(subset, n): 1
-            for subset in combinations(range(n - 1, 0, -1), k)
-        }
-    return NilCoxeterElement(n, affine, coeffs)
+        words, group = _decreasing_elements(n, k), Permutation
+    return NilCoxeterElement(n, affine, {group.from_word(word, n): 1 for word in words})
 
 
 def product_expansion_check(n):
@@ -286,10 +280,12 @@ _SAMPLED_PAIRS = 8
 def conjecture_52_report(n):
     """The Fomin-Stanley subalgebra B of the nilCoxeter algebra of S_n.
 
-    Returns a dict with: h-commutativity, the s_la basis and its linear
-    independence, the Hilbert series against the root-poset order-ideal
-    count, coefficient nonnegativity, and a check of the structure
-    constants against products in the algebra.
+    Returns a dict with: h-commutativity, the dimension of B and the linear
+    independence of its s_la basis, the Hilbert series against the
+    root-poset order-ideal count, coefficient nonnegativity, and a check of
+    the structure constants against products in the algebra.  It reads the
+    s_la(u) in place from the rows of ``_schur_table`` and returns none of
+    them; ``noncommutative_schur`` gives any one from the same row.
 
     B is the image of la -> s_la(u), with basis the s_la(u) for la inside
     delta_{n-1}.  The permutation w_nu with code nu is dominant, so
@@ -314,7 +310,8 @@ def conjecture_52_report(n):
 
     top = staircase(n - 1)
     shapes = partitions_inside(top)
-    elements = {la: noncommutative_schur(n, la) for la in shapes}
+    # {w: [A_w] s_la(u)}, the shared row of the cached table: read only
+    rows = {la: _schur_table(n, sum(la), False).get(la, {}) for la in shapes}
     dominant = {nu: from_code(nu) for nu in shapes}
     degrees = [sum(la) for la in shapes]
     by_degree = [[] for _ in range(sum(top) + 1)]
@@ -324,7 +321,7 @@ def conjecture_52_report(n):
 
     # elements of different degrees have disjoint supports
     independent = all(
-        elements[la].coeffs.get(dominant[nu], 0) == (la == nu)
+        rows[la].get(dominant[nu], 0) == (la == nu)
         for group in by_degree for la in group for nu in group
     )
 
@@ -355,12 +352,13 @@ def conjecture_52_report(n):
     mismatch = None
     for la, mu in pairs:
         compared += 1
-        product = (elements[la] * elements[mu]).coeffs
+        left, right = (NilCoxeterElement._from_valid(n, False, rows[x]) for x in (la, mu))
+        product = (left * right).coeffs
         counts = _littlewood_richardson(mu, la, top)
         read = {nu: product.get(dominant[nu], 0) for nu in by_degree[sum(la) + sum(mu)]}
         combined = {}
         for nu, c in counts.items():
-            for w, a in elements[nu].coeffs.items():
+            for w, a in rows[nu].items():
                 combined[w] = combined.get(w, 0) + c * a
         difference = _first_difference(counts, read) or _first_difference(combined, product)
         if difference:
@@ -371,12 +369,11 @@ def conjecture_52_report(n):
         "n": n,
         "h_commutes": h_commutes,
         "dimension": len(shapes),
-        "schur_elements": elements,
         "linearly_independent": independent,
         "hilbert_series": hilbert,
         "root_poset_ideal_series": ideals[n],
         "hilbert_matches": hilbert == ideals[n],
-        "nonnegative": all(c >= 0 for a in elements.values() for c in a.coeffs.values()),
+        "nonnegative": all(c >= 0 for row in rows.values() for c in row.values()),
         "structure_pairs_compared": compared,
         "structure_mismatch": mismatch,
     }

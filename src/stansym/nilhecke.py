@@ -297,11 +297,7 @@ class NilHeckeElement:
         right = other._terms()
         out = {}
         for u, p in self.coeffs.items():
-            for v, poly in _act(u.reduced_word(), right, n).items():
-                acc = out.setdefault(v, {})
-                _add_product(acc, p.coeffs, poly)
-                if not acc:
-                    del out[v]
+            _add_terms(out, p.coeffs, _act(u.reduced_word(), right, n))
         return NilHeckeElement._from_valid(n, out)
 
     def phi0(self):
@@ -399,17 +395,22 @@ def _act(word, terms, n):
     return terms
 
 
-def _add_product(acc, left, right):
-    """acc += left * right, all three exponent dicts."""
-    for e1, c1 in left.items():
-        constant = not any(e1)
-        for e2, c2 in right.items():
-            e = e2 if constant else tuple(map(add, e1, e2))
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
+def _add_terms(acc, p, terms):
+    """acc += p * terms, in place: p an exponent dict, acc and terms kernel
+    terms."""
+    for v, poly in terms.items():
+        into = acc.setdefault(v, {})
+        for e1, c1 in p.items():
+            constant = not any(e1)
+            for e2, c2 in poly.items():
+                e = e2 if constant else tuple(map(add, e1, e2))
+                s = into.get(e, 0) + c1 * c2
+                if s:
+                    into[e] = s
+                else:
+                    del into[e]
+        if not into:
+            del acc[v]
 
 
 def _minus_alpha_times(acc, i, n, lowered):
@@ -519,20 +520,6 @@ def chevalley(w, f):
 # -- coproduct ----------------------------------------------------------------
 
 
-def _merge(acc, terms):
-    """acc += terms, both kernel terms."""
-    for v, poly in terms.items():
-        into = acc.setdefault(v, {})
-        for e, c in poly.items():
-            s = into.get(e, 0) + c
-            if s:
-                into[e] = s
-            else:
-                del into[e]
-        if not into:
-            del acc[v]
-
-
 def _tensor_letter_act(i, T, n):
     """A_i acting on a tensor {right window w: left terms}:
     A_i.(m (x) n) = A_i m (x) n + m (x) A_i n - alpha_i A_i m (x) A_i n.
@@ -540,18 +527,19 @@ def _tensor_letter_act(i, T, n):
     Scalars stay in the left factor, so this representation is canonical.
     """
     i %= n
+    one = {(0,) * n: 1}
     out = {}
     for w, L in T.items():
         aL = _letter(i, L, n)
         if aL:
             into = out.setdefault(w, {})
-            _merge(into, aL)
+            _add_terms(into, one, aL)
             if not into:
                 del out[w]
         up = _left_raise(i, w, n)
         if up is not None:
             longer = out.setdefault(up, {})
-            _merge(longer, L)
+            _add_terms(longer, one, L)
             _minus_alpha_times(longer, i, n, aL)
             if not longer:
                 del out[up]
@@ -571,11 +559,7 @@ def tensor_act(a, T):
             cur = _tensor_letter_act(i, cur, n)
         for w, L in cur.items():
             acc = out.setdefault(w, {})
-            for v, poly in L.items():
-                into = acc.setdefault(v, {})
-                _add_product(into, p.coeffs, poly)
-                if not into:
-                    del acc[v]
+            _add_terms(acc, p.coeffs, L)
             if not acc:
                 del out[w]
     return {

@@ -58,7 +58,7 @@ and e.
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, permutations as _itperm
+from itertools import combinations, compress, groupby, permutations as _itperm
 from math import factorial
 from operator import index
 
@@ -455,7 +455,8 @@ def _margin_column(la, cap):
 
 @lru_cache(maxsize=1 << 12)
 def _expand_to_m(name, n, la):
-    """Basis element in the m basis, as a dict partition -> int.
+    """Basis element in the m basis, as a dict partition -> int, cached and,
+    for affineSchur and kSchur, the element's own coefficients: read only.
 
     The plain bases are counted: s by Kostka numbers, a column of the
     degree's table (``_kostka_table``, oracle ``_jacobi_trudi_h`` through
@@ -473,9 +474,9 @@ def _expand_to_m(name, n, la):
         spots, ks = _kostka_table(sum(la))[1][position[la]]
         return {order[i]: k for i, k in zip(spots, ks)}
     if name == "affineSchur":
-        return dict(affine_schur(n, la).coeffs)
+        return affine_schur(n, la).coeffs
     if name == "kSchur":
-        return dict(k_schur(n, la).to_m().coeffs)
+        return k_schur(n, la).to_m().coeffs
     raise ValueError(f"unknown basis {name!r}")
 
 
@@ -529,7 +530,10 @@ def change_basis(f, basis, n=None):
     if name == "s":
         column = _kostka_table(f.degree)[1].__getitem__
     else:
-        column = lambda i: _affine_schur_column(rank, order[i])
+        def column(i):
+            """F~ of order[i] in m, its keys read as positions."""
+            g = affine_schur(rank, order[i]).coeffs
+            return map(position.__getitem__, g), g.values()
     return SymFunc._from_valid(f.degree, target, _peel(rest, range(position[top], -1, -1), column, target, top))
 
 
@@ -538,8 +542,8 @@ def _peel(rest, walk, column, target, la):
     return {partition: c_i}: the one kernel of every basis change.
 
     ``rest``, consumed, is a list of ints over ``_lex_index(|la|)``, and
-    ``la`` names the input.  Each column(i) is a tuple of positions and a
-    tuple of numbers that opens with (i, 1), its other positions later in
+    ``la`` names the input.  Each column(i) is an iterable of positions and
+    one of numbers that opens with (i, 1), its other positions later in
     ``walk``.  At each nonzero entry i the kernel records c = rest[i] and
     subtracts c times column(i).  The remainder must end at zero, which
     checks the identity itself; a term left over raises an AssertionError
@@ -762,39 +766,27 @@ class QuasiSymFunc:
         )
 
 
-def _compositions_of(d):
-    if d == 0:
-        return [()]
-    out = []
-    for first in range(1, d + 1):
-        out.extend((first,) + rest for rest in _compositions_of(d - first))
-    return out
-
-
 def subset_to_composition(D, n):
-    """The composition of n whose partial sums are the elements of D."""
+    """The composition of n whose partial sums are the elements of D; the
+    empty one at n = 0."""
     edges = sorted(D)
     if any(not 1 <= i <= n - 1 for i in edges):
         raise ValueError(f"descent set {sorted(D)} must lie in [1, {n-1}]")
-    cuts = [0] + edges + [n]
+    cuts = [0] + edges + [n] if n else [0]
     return tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
 
 
 def fundamental_quasisym(D, n):
-    """The fundamental quasi-symmetric function L_D of degree n."""
+    """The fundamental quasi-symmetric function L_D of degree n: the sum of
+    M_alpha over the compositions alpha whose partial sums contain D, one
+    per superset of D in [1, n-1]."""
     D = frozenset(D)
     subset_to_composition(D, n)  # validates
-    coeffs = {}
-    for alpha in _compositions_of(n):
-        # partial sums of alpha are the possible strict-increase positions
-        cuts = set()
-        s = 0
-        for a in alpha[:-1]:
-            s += a
-            cuts.add(s)
-        if D <= cuts:
-            coeffs[alpha] = 1
-    return QuasiSymFunc(n, coeffs)
+    free = [i for i in range(1, n) if i not in D]
+    return QuasiSymFunc(n, {
+        subset_to_composition(D.union(more), n): 1
+        for k in range(len(free) + 1) for more in combinations(free, k)
+    })
 
 
 # -- affine Schur and k-Schur bases -------------------------------------------
@@ -822,15 +814,6 @@ def affine_schur(n, la):
                 f"F~_{la} (n={n}) has a term m_{mu} outside the bounded partitions below {la}"
             )
     return f
-
-
-@lru_cache(maxsize=1 << 12)
-def _affine_schur_column(n, la):
-    """F~_la in m as a tuple of positions in ``_lex_index(|la|)`` and a
-    tuple of the numbers, converted once per column."""
-    position = _lex_index(sum(la))[1]
-    f = affine_schur(n, la).coeffs
-    return tuple(position[mu] for mu in f), tuple(f.values())
 
 
 @lru_cache(maxsize=64)

@@ -183,6 +183,9 @@ def _eg(caps):
     # lists R(w^-1)
     nf = min(7, caps["max_rank_finite"])
     ne = min(5, nf)
+    # by length, lex within each (the sort is stable), so the peel meets each
+    # degree's Kostka table once
+    group = sorted(symmetric_group(nf), key=Permutation.length)
 
     def peel(w):
         """F_w peeled into s by Kostka numbers, as (basis, terms)."""
@@ -199,10 +202,10 @@ def _eg(caps):
     )
     yield f"sum of c_la f^la = #R(w) on S_{nf}", _differences(
         (w.window, count_reduced_words(w), sum(c * count_standard_tableaux(la) for la, c in schur_expand(w).coeffs.items()))
-        for w in symmetric_group(nf)
+        for w in group
     )
     yield f"transition-tree Schur expansion = Kostka peel of F_w on S_{nf}", _differences(
-        (w.window, ("s", _terms(schur_expand(w).coeffs)), peel(w)) for w in symmetric_group(nf)
+        (w.window, ("s", _terms(schur_expand(w).coeffs)), peel(w)) for w in group
     )
 
 

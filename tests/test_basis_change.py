@@ -361,7 +361,13 @@ def test_a_wrong_column_fails_each_peel_naming_the_basis_and_the_partition(monke
         change_basis(s21, "s")
     monkeypatch.undo()  # one wrong column at a time, so no other memo takes it in
     f21 = symfunc.affine_schur(3, (2, 1))
-    monkeypatch.setattr(symfunc, "_affine_schur_column", _doubled(symfunc._affine_schur_column, (2, 1)))
+    right = symfunc.affine_schur
+
+    def doubled_f21(n, la):
+        f = right(n, la)
+        return SymFunc(f.degree, "m", {mu: 2 * c for mu, c in f.coeffs.items()}) if (n, la) == (3, (2, 1)) else f
+
+    monkeypatch.setattr(symfunc, "affine_schur", doubled_f21)
     with fails("the affineSchur(3) peel of (2, 1) leaves -1 on (2, 1)"):
         change_basis(f21, "affineSchur", 3)
     monkeypatch.undo()
@@ -452,7 +458,7 @@ def test_basis_change_caches_are_bounded():
     for cached in (
         symfunc._kostka_table, symfunc._margin_count, symfunc._row_fills,
         symfunc._group_fills, symfunc._k_schur_h_table, symfunc._expand_to_m,
-        symfunc.affine_schur, symfunc._affine_schur_column, symfunc._h_coproduct, symfunc._schur_h_column,
+        symfunc.affine_schur, symfunc._h_coproduct, symfunc._schur_h_column,
         symfunc._pair_index, symfunc._lex_index,
         # and the F_w and F~_w routes' element lists, split lists, counts,
         # field widths and transition tree

@@ -278,13 +278,27 @@ def test_report_multiplies_only_to_check_that_the_h_elements_commute(n, monkeypa
     assert len(calls) <= n * (n - 1) + r["structure_pairs_compared"]
 
 
+def _patched_schur_table(monkeypatch, degree, patch):
+    """``nilcoxeter._schur_table`` with the finite table of ``degree``
+    replaced by ``patch`` of a copy of it, the cached one left as it is."""
+    right = nilcoxeter._schur_table
+
+    def patched(n, d, affine):
+        table = right(n, d, affine)
+        if d != degree or affine:
+            return table
+        table = {la: dict(row) for la, row in table.items()}
+        patch(table)
+        return table
+
+    monkeypatch.setattr(nilcoxeter, "_schur_table", patched)
+
+
 def test_report_sees_a_dependent_schur_basis(monkeypatch):
-    right = nilcoxeter.noncommutative_schur
+    def repeated(table):
+        table[(1, 1)] = table[(2,)]
 
-    def repeated(n, la, affine=False):
-        return right(n, (2,) if la == (1, 1) else la, affine)
-
-    monkeypatch.setattr(nilcoxeter, "noncommutative_schur", repeated)
+    _patched_schur_table(monkeypatch, 2, repeated)
     r = conjecture_52_report(4)
     assert not r["linearly_independent"]
     assert r["hilbert_matches"]
@@ -307,17 +321,25 @@ def test_report_names_a_wrong_littlewood_richardson_count(monkeypatch):
 def test_report_compares_the_product_on_every_coordinate(monkeypatch):
     # a wrong coefficient of s_2(u) at a permutation that is not dominant
     # leaves the dominant columns, and so the LR reading, as they were
-    right = nilcoxeter.noncommutative_schur
     w = Permutation.from_word((1, 3), 4)
 
-    def perturbed(n, la, affine=False):
-        a = right(n, la, affine)
-        return a + A((1, 3), 4) if la == (2,) else a
+    def perturbed(table):
+        table[(2,)][w] = table[(2,)].get(w, 0) + 1
 
-    monkeypatch.setattr(nilcoxeter, "noncommutative_schur", perturbed)
+    _patched_schur_table(monkeypatch, 2, perturbed)
     r = conjecture_52_report(4)
     assert r["linearly_independent"]
     assert r["structure_mismatch"] == ((1,), (1,), w, 3, 2)
+
+
+def test_report_reads_the_schur_table_in_place_and_returns_no_elements(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report built a noncommutative Schur element")
+
+    monkeypatch.setattr(nilcoxeter, "noncommutative_schur", refuse)
+    r = conjecture_52_report(5)
+    assert "schur_elements" not in r
+    assert r["linearly_independent"] and r["hilbert_matches"] and r["structure_mismatch"] is None
 
 
 @pytest.mark.parametrize("n, pairs", [(5, 319), (6, 8), (7, 8)])

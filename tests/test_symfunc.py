@@ -1,5 +1,6 @@
 """Symmetric function bases, the Hall pairing, and the affine bases."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -139,6 +140,32 @@ def test_fundamental_quasisym():
     assert not L.is_symmetric()
     L0 = fundamental_quasisym(set(), 3)
     assert L0.to_symfunc() == change_basis(SymFunc.monomial("h", (3,)), "m")
+
+
+def _compositions_by_filter(n, D):
+    """The compositions of n whose partial sums contain D, each composition
+    of n built and its partial sums filtered."""
+    def compositions(d):
+        if d == 0:
+            return [()]
+        return [(first,) + rest for first in range(1, d + 1) for rest in compositions(d - first)]
+
+    def partial_sums(alpha):
+        return {sum(alpha[:i]) for i in range(1, len(alpha))}
+
+    return {alpha: 1 for alpha in compositions(n) if set(D) <= partial_sums(alpha)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fundamental_quasisym_builds_the_compositions_the_filter_keeps(n):
+    for k in range(n):
+        for D in itertools.combinations(range(1, n), k):
+            assert fundamental_quasisym(D, n).coeffs == _compositions_by_filter(n, D), D
+
+
+def test_fundamental_quasisym_of_degree_0_is_the_empty_composition():
+    assert fundamental_quasisym(set(), 0).coeffs == _compositions_by_filter(0, ()) == {(): 1}
+    assert subset_to_composition(set(), 0) == ()
 
 
 def test_subset_to_composition():

@@ -92,3 +92,12 @@ def test_every_compared_witness_prints_as_json(monkeypatch, capsys):
     cli.emit(lambda: results, "json", None)  # a dict with tuple keys raises TypeError here
     printed = json.loads(capsys.readouterr().out)
     assert sum("witness" in c for r in printed for c in r["checks"]) >= 26
+
+
+def test_eg_builds_each_kostka_table_once():
+    # the Kostka peel walks S_6 by length, so it meets each degree 0..15 once
+    from stansym import symfunc
+
+    symfunc._kostka_table.cache_clear()
+    assert verify("eg", {"max_rank_finite": 6, "max_rank_affine": 3})[0]["ok"]
+    assert symfunc._kostka_table.cache_info().misses <= 16
