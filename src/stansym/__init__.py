@@ -40,6 +40,7 @@ from .permutation import Permutation, count_reduced_words, from_code, is_reduced
 from .stanley import (
     affine_schur_expand,
     affine_stanley,
+    affine_stanley_coefficient,
     schur_expand,
     stanley_fn,
     stanley_quasisym,

@@ -136,10 +136,9 @@ class AffinePermutation:
         return tuple(out)
 
     def length(self):
-        """Shi's formula: the sum of |floor((w_j - w_i) / n)| over i < j <= n."""
+        """Shi's formula (``_shi_length``), computed on first use and kept."""
         if self._length is None:
-            n = self.n
-            self._length = sum([abs((b - a) // n) for a, b in combinations(self.window, 2)])
+            self._length = _shi_length(self.window, self.n)
         return self._length
 
     def shape(self):
@@ -190,6 +189,12 @@ class AffinePermutation:
     @staticmethod
     def from_json(data):
         return AffinePermutation(data["n"], data["window"])
+
+
+def _shi_length(window, n):
+    """Shi's formula for the length of the element with this window: the sum
+    of |floor((w_j - w_i) / n)| over i < j <= n."""
+    return sum([abs((b - a) // n) for a, b in combinations(window, 2)])
 
 
 def _left_raise(i, window, n):

@@ -20,14 +20,18 @@ does, so a letter walks only what the element holds.  A_w x_i, which has at
 most l(w) + 1 terms by the Chevalley formula, costs one ``_left_raise`` per
 term per letter.  The Chevalley formula reads the cover list
 of ``_chevalley_covers`` and never the product, so the two stay independent
-routes; ``_j_basis_system`` reads the same list, building the phi0(A_x x_i)
-rows of a length and its linear system in one pass.
+routes.  That list runs on windows too: each w t_ij is a tuple, tested by
+Shi's length, and no element is built.  ``_j_basis_system`` reads the same
+list, building the phi0(A_x x_i) rows of a length and its linear system in
+one pass; it merges the unknowns that two-term rows tie by a sign
+(``_merge_ties``) before the elimination, and ``_j_basis_by_solver`` reads
+each coefficient off its class.
 """
 
 from functools import lru_cache
 from operator import add, index
 
-from .affine import AffinePermutation, _left_raise, elements_of_length, translation_element
+from .affine import AffinePermutation, _left_raise, _shi_length, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
 
 
@@ -457,35 +461,38 @@ def embed_group(w):
     return NilHeckeElement._from_valid(n, terms)
 
 
-def _affine_transposition(n, i, j):
-    """The reflection exchanging i and j (and all their n-shifts)."""
-    if (j - i) % n == 0:
-        raise ValueError("not a reflection: indices congruent mod n")
-    window = list(range(1, n + 1))
-    for k in range(1, n + 1):
-        if (k - i) % n == 0:
-            window[k - 1] = j + (k - i)
-        elif (k - j) % n == 0:
-            window[k - 1] = i + (k - j)
-    return AffinePermutation._from_valid(n, tuple(window))
+def _affine_transposition(n, window, i, j):
+    """The window of w t_ij, for w the element with this window, 1 <= i <= n
+    and j > i not congruent to i mod n.  The reflection t_ij exchanges i and
+    j and all their n-shifts, so the values at positions i and j (mod n)
+    trade places, each moved by the multiple of n between them."""
+    r = (j - 1) % n
+    shift = j - 1 - r
+    out = list(window)
+    out[i - 1], out[r] = window[r] + shift, window[i - 1] - shift
+    return tuple(out)
 
 
 def _chevalley_covers(w):
-    """The reflections that lower w by one: [(w t_ij, i - 1, (j - 1) mod n)]
-    over the inversions (i, j) of w with l(w t_ij) = l(w) - 1.
+    """The reflections that lower w by one: [(window of w t_ij, i - 1,
+    (j - 1) mod n)] over the inversions (i, j) of w with
+    l(w t_ij) = l(w) - 1.
 
     The two indices are those of the variables x_i and x_j, whose difference
-    <alpha_ij^vee, f> pairs with a linear f.  The cover test is Shi's length:
-    the finite-type scan for a value between w(j) and w(i) at the positions
-    in between disagrees with it in S~_n (on 86 of the 4,511 inversions of
-    the elements of length <= 8, 7, 6 at n = 3, 4, 5).
+    <alpha_ij^vee, f> pairs with a linear f.  The kernel runs on windows:
+    each w t_ij is the tuple ``_affine_transposition`` gives, and no element
+    is built.  The cover test is Shi's length on that tuple: the
+    finite-type scan for a value between w(j) and w(i) at the positions in
+    between disagrees with it in S~_n (on 86 of the 4,511 inversions of the
+    elements of length <= 8, 7, 6 at n = 3, 4, 5).
     """
-    n, ell = w.n, w.length()
+    n, window = w.n, w.window
+    shorter = w.length() - 1
     covers = []
     for i, j in w.inversions():
-        wt = w * _affine_transposition(n, i, j)
-        if wt.length() == ell - 1:
-            covers.append((wt, i - 1, (j - 1) % n))
+        v = _affine_transposition(n, window, i, j)
+        if _shi_length(v, n) == shorter:
+            covers.append((v, i - 1, (j - 1) % n))
     return covers
 
 
@@ -497,7 +504,8 @@ def chevalley(w, f):
     A reflection lowers the length of w exactly when it exchanges an
     inversion (i, j) of w, so the sum runs over ``_chevalley_covers(w)``,
     the same cover list from which ``_j_basis_system`` builds the
-    phi0(A_x x_i) rows of the j-basis system.
+    phi0(A_x x_i) rows of the j-basis system; its terms are keyed by the
+    windows that list gives.
     """
     n = w.n
     if f.n != n:
@@ -511,9 +519,9 @@ def chevalley(w, f):
     terms = {w.window: head} if head else {}
     # distinct inversions are distinct reflections, so each cover is new
     zero = (0,) * n
-    for wt, a, b in _chevalley_covers(w):
+    for v, a, b in _chevalley_covers(w):
         if coeff[a] != coeff[b]:
-            terms[wt.window] = {zero: coeff[a] - coeff[b]}
+            terms[v] = {zero: coeff[a] - coeff[b]}
     return NilHeckeElement._from_valid(n, terms)
 
 
@@ -609,37 +617,114 @@ def phi0(a):
     raise TypeError(f"cannot project {a!r}")
 
 
+def _merge_ties(rows, ties, width):
+    """Presolve ``rows`` (sparse ``{column: nonzero int}``, ``width``
+    columns) by the columns that two-term rows tie by a sign.
+
+    A row {a: u, b: v} among the first ``ties`` rows, which are homogeneous,
+    with |u| = |v| says x_a = -(v/u) x_b: it merges the classes of a and b,
+    through a signed union-find, and leaves the system.  Every other row is
+    rewritten on the classes, where entries of one class add up and may
+    cancel; a row that empties is implied by the merges and leaves too.  The
+    passes repeat until one merges nothing, so no row shrinks any more.  The
+    rows past ``ties`` never merge.
+
+    Returns ``(columns, classes, kept)``: ``columns[c] = (k, s)`` says
+    x_c = s y_k for the ``classes`` unknowns y, numbered by their least
+    column, and ``kept`` holds the rows left, as ``(input index, {class:
+    nonzero int})``, ordered by their number of nonzeros.  Any solution of
+    the kept rows gives one of ``rows`` through ``columns``, and every
+    solution of ``rows`` arises so.
+    """
+    parent = list(range(width))
+    sign = [1] * width
+
+    def find(c):
+        """(root, s) with x_c = s x_root; compresses the path to the root."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        s = 1
+        for p in reversed(path):
+            s *= sign[p]
+            parent[p], sign[p] = c, s
+        return c, s
+
+    live = list(enumerate(rows))
+    merged = True
+    while merged:
+        merged = False
+        kept = []
+        for k, row in live:
+            new = {}
+            for c, v in row.items():
+                root, s = find(c)
+                t = new.get(root, 0) + s * v
+                if t:
+                    new[root] = t
+                else:
+                    del new[root]
+            if k < ties and len(new) == 2:
+                (a, u), (b, v) = new.items()
+                if u == v or u == -v:
+                    if a < b:
+                        a, b = b, a
+                    parent[a], sign[a] = b, (-1 if u == v else 1)
+                    merged = True
+                    continue
+            if new:
+                kept.append((k, new))
+        live = kept
+    roots = [find(c) for c in range(width)]
+    number = {r: k for k, r in enumerate(sorted({r for r, _ in roots}))}
+    columns = tuple((number[r], s) for r, s in roots)
+    kept.sort(key=lambda t: len(t[1]))
+    return columns, len(number), [(k, {number[r]: v for r, v in row.items()}) for k, row in kept]
+
+
 @lru_cache(maxsize=16)
 def _j_basis_system(n, ell):
-    """The j-basis linear system of length ell, built and factored once.
+    """The j-basis linear system of length ell, built, presolved and factored
+    once.
 
     The unknowns are the coefficients of the A_x with l(x) = ell.  By the
     Chevalley formula the degree-1 head of A_x x_i has no constant term, and
     a cover (y, a, b) of x contributes +1 to phi0(A_x x_{a+1}) and -1 to
-    phi0(A_x x_{b+1}) at y.  One pass over the x and their covers gathers
-    these entries by x and by row: row (i, y) asks phi0(a x_i) to vanish at
-    y, for each i and each y of length ell - 1, and one normalization row
-    per Grassmannian x follows.  Returns ``(phi, support, grassmannian,
-    system)``: {x: [phi0(A_x x_i) as {y: +-1} for i = 1..n]}, the (i, y)
-    rows, the Grassmannian x in row order, and the ``_eliminate`` result.
+    phi0(A_x x_{b+1}) at y.  One pass over the x and their covers, on
+    windows, gathers these entries by x and by row: row (i, y) asks
+    phi0(a x_i) to vanish at y, for each i and each y of length ell - 1, and
+    one normalization row per Grassmannian x follows.  Only the phi0 rows by
+    x key their y by the element, the one ``elements_of_length(n, ell - 1)``
+    holds.  ``_merge_ties`` then merges the unknowns that a two-term (i, y)
+    row ties by a sign, and ``_eliminate`` factors the rows left, on the
+    classes, fewest nonzeros first.
+
+    Returns ``(phi, columns, origin, system)``: {x: [phi0(A_x x_i) as
+    {y: +-1} for i = 1..n]}, the (class, sign) of each x, the input row of
+    each row given to ``_eliminate``, as (i - 1, y window) or as the
+    Grassmannian x of a normalization row, and the ``_eliminate`` result.
     The result is cached and shared, so callers only read it.
     """
     from .symfunc import _eliminate
 
+    shorter = {y.window: y for y in elements_of_length(n, ell - 1)} if ell else {}
     phi, entries, grassmannian, normalization = {}, {}, [], []
     for col, x in enumerate(elements_of_length(n, ell)):
         rows = phi[x] = [{} for _ in range(n)]
-        for y, a, b in _chevalley_covers(x):
+        for v, a, b in _chevalley_covers(x):
+            y = shorter[v]
             rows[a][y] = 1
             rows[b][y] = -1
-            entries.setdefault((a, y), {})[col] = 1
-            entries.setdefault((b, y), {})[col] = -1
+            entries.setdefault((a, v), {})[col] = 1
+            entries.setdefault((b, v), {})[col] = -1
         if x.is_grassmannian():
             grassmannian.append(x)
             normalization.append({col: 1})
-    support = sorted(entries, key=lambda t: (t[0], t[1].window))
-    rows = [entries[key] for key in support] + normalization
-    return phi, tuple(support), tuple(grassmannian), _eliminate(rows, len(phi))
+    columns, classes, kept = _merge_ties([*entries.values(), *normalization], len(entries), len(phi))
+    labels = [*entries, *grassmannian]
+    origin = tuple(labels[k] for k, _ in kept)
+    return phi, columns, origin, _eliminate([row for _, row in kept], classes)
 
 
 def _j_basis_by_solver(n, w):
@@ -647,25 +732,29 @@ def _j_basis_by_solver(n, w):
     Grassmannian part is A_w and which phi0-commutes with every x_i.
 
     Each call replays the cached system ``_j_basis_system(n, l(w))`` on its
-    normalization right-hand side only.
+    normalization right-hand side only, and reads the coefficient of each x
+    off its class.
     """
     from .symfunc import _replay
 
-    phi, support, grassmannian, system = _j_basis_system(n, w.length())
-    rhs = [0] * len(support) + [1 if x == w else 0 for x in grassmannian]
-    sol, _, bad = _replay(system, rhs)
+    phi, columns, origin, system = _j_basis_system(n, w.length())
+    sol, _, bad = _replay(system, [1 if row == w else 0 for row in origin])
     if bad is not None:
-        if bad < len(support):
-            i, y = support[bad]
-            row = f"the coefficient of {y!r} in phi0(a x_{i + 1})"
+        row = origin[bad]
+        if isinstance(row, AffinePermutation):
+            row = f"the normalization row of {row!r}"
         else:
-            row = f"the normalization row of {grassmannian[bad - len(support)]!r}"
+            i, y = row
+            row = f"the coefficient of {AffinePermutation._from_valid(n, y)!r} in phi0(a x_{i + 1})"
         raise AssertionError(f"j-basis system inconsistent for {w!r}: {row} contradicts the others")
-    for x, c in zip(phi, sol):
+    coeffs = {}
+    for x, (k, s) in zip(phi, columns):
+        c = sol[k]
         if c.denominator != 1:
-            raise AssertionError(f"j-basis solution not integral for {w!r}: {x!r} has coefficient {c}")
+            raise AssertionError(f"j-basis solution not integral for {w!r}: {x!r} has coefficient {s * c}")
+        coeffs[x] = s * c.numerator
     # the keys are the system's own elements of length l(w)
-    return NilCoxeterElement._from_valid(n, True, {x: c.numerator for x, c in zip(phi, sol)})
+    return NilCoxeterElement._from_valid(n, True, coeffs)
 
 
 def j_basis_element(n, w):

@@ -473,12 +473,14 @@ def affine_stanley_coefficient(w, alpha):
 def affine_asymmetry(w):
     """The first (la, alpha, [m_la] F~_w, [x^alpha] F~_w) over the bounded
     la and their distinct rearrangements alpha where the two coefficients
-    differ, or None when F~_w is symmetric there."""
-    window = w.inverse().window
-    for la in partitions_of(w.length(), w.n - 1):
-        base = _count_cyclic_factorizations(w.n, window, la)
+    differ, or None when F~_w is symmetric there.  The window of w^-1 is
+    read once, and every alpha, a tuple of positive ints, goes to the
+    count as it is."""
+    n, window = w.n, w.inverse().window
+    for la in partitions_of(w.length(), n - 1):
+        base = _count_cyclic_factorizations(n, window, la)
         for alpha in _distinct_rearrangements(la):
-            got = affine_stanley_coefficient(w, alpha)
+            got = _count_cyclic_factorizations(n, window, alpha)
             if got != base:
                 return la, alpha, base, got
     return None

@@ -6,7 +6,7 @@ import it as ``oracles``.
 
 from functools import lru_cache
 
-from stansym.affine import AffinePermutation, _left_raise
+from stansym.affine import AffinePermutation, _left_raise, elements_of_length
 from stansym.nilhecke import NilHeckeElement, ScalarPoly
 from stansym.partition import as_partition
 from stansym.permutation import Permutation
@@ -221,3 +221,56 @@ def tensor_act_with_dead_terms(a, T):
                 _add_product(acc.setdefault(v, {}), p.coeffs, poly)
     result = {AffinePermutation(n, w): _element(n, L) for w, L in out.items()}
     return {w: L for w, L in result.items() if not L.is_zero()}
+
+
+# -- the Chevalley cover list and the j-basis system on objects ----------------
+
+
+def chevalley_covers_by_objects(w):
+    """The cover list of ``nilhecke._chevalley_covers``, [(window of w t_ij,
+    i - 1, (j - 1) mod n)], with each reflection t_ij a checked
+    ``AffinePermutation``, multiplied onto w and measured by ``length()``."""
+    n, ell = w.n, w.length()
+    covers = []
+    for i, j in w.inversions():
+        reflection = list(range(1, n + 1))
+        for k in range(1, n + 1):
+            if (k - i) % n == 0:
+                reflection[k - 1] = j + (k - i)
+            elif (k - j) % n == 0:
+                reflection[k - 1] = i + (k - j)
+        wt = w * AffinePermutation(n, reflection)
+        if wt.length() == ell - 1:
+            covers.append((wt.window, i - 1, (j - 1) % n))
+    return covers
+
+
+@lru_cache(maxsize=None)
+def _unpresolved_system(n, ell):
+    """The j-basis system of length ell with no presolve: one unknown per
+    element of that length, every (i, y) row and every normalization row, in
+    that order, factored by ``_eliminate``."""
+    from stansym.symfunc import _eliminate
+
+    elements = elements_of_length(n, ell)
+    entries, grassmannian = {}, []
+    for col, x in enumerate(elements):
+        for y, a, b in chevalley_covers_by_objects(x):
+            entries.setdefault((a, y), {})[col] = 1
+            entries.setdefault((b, y), {})[col] = -1
+        if x.is_grassmannian():
+            grassmannian.append((x, {col: 1}))
+    rows = [entries[key] for key in sorted(entries)] + [row for _, row in grassmannian]
+    return len(entries), tuple(x for x, _ in grassmannian), _eliminate(rows, len(elements))
+
+
+def j_basis_by_unpresolved_solver(n, w):
+    """{x: coefficient} of the j-basis element of the Grassmannian w, the
+    zeros dropped, replayed from ``_unpresolved_system``."""
+    from stansym.symfunc import _replay
+
+    chevalley_rows, grassmannian, system = _unpresolved_system(n, w.length())
+    sol, _, bad = _replay(system, [0] * chevalley_rows + [int(x == w) for x in grassmannian])
+    if bad is not None:
+        raise AssertionError(f"the unpresolved j-basis system of {w!r} is inconsistent at row {bad}")
+    return {x: c for x, c in zip(elements_of_length(n, w.length()), sol) if c}

@@ -256,17 +256,23 @@ def test_verify_symmetry_names_an_asymmetric_affine_coefficient(fmt, capsys, mon
 
     monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
     monkeypatch.setenv("STANSYM_MAX_RANK_FINITE", "3")
-    right = stanley.affine_stanley_coefficient
-
-    def off_by_one(w, alpha):
-        return right(w, alpha) + (alpha == (1, 2))
-
-    monkeypatch.setattr(stanley, "affine_stanley_coefficient", off_by_one)
-    code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
-    assert code == 1
     # (1, 2) first comes up at length 3, as the first rearrangement of (2, 1)
     w = elements_of_length(3, 3)[0]
     base = stanley.affine_stanley(w)[(2, 1)]
+    right = stanley._count_cyclic_factorizations
+
+    def off_by_one(n, window, alpha):
+        return right(n, window, alpha) + (alpha == (1, 2))
+
+    # the recursion reads the module's name too, so the cache is cleared on
+    # both sides of the run that sees the wrong counts
+    right.cache_clear()
+    monkeypatch.setattr(stanley, "_count_cyclic_factorizations", off_by_one)
+    try:
+        code, out, _ = run(["verify", "symmetry", "--format", fmt], capsys)
+    finally:
+        right.cache_clear()
+    assert code == 1
     witness = (w.window, (2, 1), (1, 2), base, base + 1)
     name = "affine F~ symmetric on rank-3 elements of length <= 5"
     if fmt == "text":

@@ -439,6 +439,72 @@ def test_phi0_table_matches_the_chevalley_formula():
                 assert rows == [chevalley(x, ScalarPoly.x(n, i)).phi0().coeffs for i in range(1, n + 1)]
 
 
+def test_cover_kernel_matches_the_object_route():
+    # every element of n = 3..5 with length <= 7 (1,151), and a seeded sample at n=6 l=8
+    elements = [x for n in (3, 4, 5) for l in range(8) for x in elements_of_length(n, l)]
+    assert len(elements) == 1151
+    elements += random.Random(8).sample(elements_of_length(6, 8), 200)
+    for x in elements:
+        assert nilhecke._chevalley_covers(x) == oracles.chevalley_covers_by_objects(x), x
+
+
+def test_presolved_solver_matches_the_unpresolved_system():
+    cases = [(n, l) for n in (3, 4, 5) for l in range(9)] + [(6, l) for l in range(8)]
+    for n, l in cases:
+        for w in elements_of_length(n, l):
+            if w.is_grassmannian():
+                got = nilhecke._j_basis_by_solver(n, w).coeffs
+                assert got == oracles.j_basis_by_unpresolved_solver(n, w), (n, w)
+
+
+def test_merge_ties_merges_by_sign_and_keeps_each_row_s_origin():
+    # row 0 ties x1 = x0 and row 1 then x2 = -x0; row 2 loses both to the merge
+    # and keeps x3; rows 3 and 4 are past ``ties`` and never merge
+    rows = [{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1, 3: 1}, {2: 1}, {0: 2, 3: -2}]
+    columns, classes, kept = nilhecke._merge_ties(rows, 3, 4)
+    assert columns == ((0, 1), (0, 1), (0, -1), (1, 1))
+    assert classes == 2
+    assert kept == [(2, {1: 1}), (3, {0: -1}), (4, {0: 2, 1: -2})]
+
+
+@pytest.mark.parametrize(
+    "n, ell, flipped, witnesses",
+    [
+        # the flip leaves the j-basis of [-1, 1, 6] alone
+        (3, 3, (-2, 3, 5), {(-2, 3, 5): "the coefficient of AffinePermutation(3, [2, 0, 4]) in phi0(a x_3)"}),
+        (4, 3, (-2, 3, 4, 5), {(-2, 3, 4, 5): "the normalization row of AffinePermutation(4, [-2, 3, 4, 5])"}),
+    ],
+)
+def test_an_inconsistent_system_names_an_input_row(n, ell, flipped, witnesses, monkeypatch):
+    # one cover of one x with its sign flipped: the rows (a, y) and (b, y) trade
+    # their entries of x, and some Grassmannian's system becomes inconsistent
+    right = nilhecke._chevalley_covers
+
+    def one_flipped(x):
+        covers = right(x)
+        if x.window == flipped:
+            v, a, b = covers[0]
+            covers[0] = (v, b, a)
+        return covers
+
+    monkeypatch.setattr(nilhecke, "_chevalley_covers", one_flipped)
+    nilhecke._j_basis_system.cache_clear()
+    named = {}
+    try:
+        for w in elements_of_length(n, ell):
+            if w.is_grassmannian():
+                try:
+                    nilhecke._j_basis_by_solver(n, w)
+                except AssertionError as err:
+                    named[w.window] = str(err)
+    finally:
+        nilhecke._j_basis_system.cache_clear()
+    assert named == {
+        w: f"j-basis system inconsistent for {AffinePermutation(n, w)!r}: {row} contradicts the others"
+        for w, row in witnesses.items()
+    }
+
+
 def _count_transpositions(monkeypatch):
     calls = []
     transposition = nilhecke._affine_transposition
@@ -479,7 +545,11 @@ def test_j_basis_of_one_length_builds_one_system_and_one_elimination(monkeypatch
         j_basis_element(n, w)
     # each x of length ell has ell inversions, each tried once over all four
     assert len(calls) == ell * len(elements_of_length(n, ell))
-    assert eliminations == [len(elements_of_length(n, ell))]
+    # the presolve hands the elimination one unknown per class of tied columns
+    columns = nilhecke._j_basis_system(n, ell)[1]
+    classes = len({k for k, _ in columns})
+    assert eliminations == [classes]
+    assert classes < len(elements_of_length(n, ell))
     assert nilhecke._j_basis_system.cache_info().misses == 1
 
 
