@@ -176,7 +176,7 @@ def _layer(n, degree):
     w(i + 1), one swap of two adjacent window entries."""
     if degree == 0:
         return frozenset({Permutation.identity(n)})
-    return frozenset(Permutation(x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:])
+    return frozenset(Permutation._from_valid(x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:])
                      for x in (w.window for w in _layer(n, degree - 1))
                      for i in range(1, n) if x[i - 1] < x[i])
 

@@ -26,6 +26,16 @@ class Permutation:
         self.n = n
         self._length = self._hash = None
 
+    @classmethod
+    def _from_valid(cls, window):
+        """An internal result, unchecked: ``window`` is the int tuple of a
+        permutation of 1..n."""
+        self = object.__new__(cls)
+        self.window = window
+        self.n = len(window)
+        self._length = self._hash = None
+        return self
+
     @staticmethod
     def identity(n):
         return Permutation(range(1, n + 1))
@@ -64,20 +74,20 @@ class Permutation:
         """Image under the natural embedding into S_n."""
         if n < self.n:
             raise ValueError(f"cannot embed S_{self.n} into S_{n}")
-        return Permutation(self.window + tuple(range(self.n + 1, n + 1)))
+        return Permutation._from_valid(self.window + tuple(range(self.n + 1, n + 1)))
 
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
         w, m = self.window, self.n
         # beyond other's window, other fixes i and the product is w(i)
-        return Permutation([w[x - 1] if x <= m else x for x in other.window] + list(w[other.n:]))
+        return Permutation._from_valid(tuple([w[x - 1] if x <= m else x for x in other.window]) + w[other.n:])
 
     def inverse(self):
         out = [0] * self.n
         for i, x in enumerate(self.window):
             out[x - 1] = i + 1
-        return Permutation(out)
+        return Permutation._from_valid(tuple(out))
 
     def _stable_window(self):
         """The window without trailing fixed points, the same for every embedding."""
@@ -100,10 +110,9 @@ class Permutation:
         return _one_line(self.window)
 
     def length(self):
-        """Number of inversions."""
+        """Number of inversions: the sum of the code of the inverse (``_left_larger``)."""
         if self._length is None:
-            w = self.window
-            self._length = sum(1 for i in range(self.n) for j in range(i + 1, self.n) if w[i] > w[j])
+            self._length = sum(_left_larger(self.window))
         return self._length
 
     def is_identity(self):
@@ -144,14 +153,14 @@ class Permutation:
 
     def one_times(self):
         """The permutation 1 x w, shifting the one-line notation up by one."""
-        return Permutation((1,) + tuple(x + 1 for x in self.window))
+        return Permutation._from_valid((1,) + tuple(x + 1 for x in self.window))
 
     def transposition_right(self, i, j):
         """w * (i, j): swap the entries in positions i and j."""
         n = max(self.n, j)
         w = list(self.embed(n).window)
         w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-        return Permutation(w)
+        return Permutation._from_valid(tuple(w))
 
     def to_json(self):
         return {"n": self.n, "window": list(self.window)}
@@ -196,15 +205,20 @@ def _is_vexillary(window):
     return True
 
 
-def _shape(window):
-    """The partition conjugate to the sorted code of the inverse.  The code
-    of w^-1 at w(p) counts the larger values left of position p, so its
-    entries are read off the sorted values left of each position."""
+def _left_larger(window):
+    """For each position p, how many values left of it are larger: the code
+    of w^-1 at w(p), read off the sorted values left of each position in
+    one sweep."""
     code, seen = [], []
     for p, y in enumerate(window):
         code.append(p - bisect(seen, y))
         insort(seen, y)
-    return _conjugate(sort_composition(code))
+    return code
+
+
+def _shape(window):
+    """The partition conjugate to the sorted code of the inverse (``_left_larger``)."""
+    return _conjugate(sort_composition(_left_larger(window)))
 
 
 @lru_cache(maxsize=1 << 13)
@@ -222,7 +236,7 @@ def _reduced_words(window):
         p, q = position[i + 1], position[i]
         if p < q:
             shorter = window[:p] + (i,) + window[p + 1:q] + (i + 1,) + window[q + 1:]
-            words.extend([(i,) + word for word in _reduced_words(shorter)])
+            words += map((i,).__add__, _reduced_words(shorter))
     # only the identity has no left descent
     return tuple(words) if words else ((),)
 

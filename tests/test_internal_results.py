@@ -3,6 +3,7 @@ each must still be exactly what the public constructor would build, and the
 length and hash a group element keeps must be those computed afresh."""
 
 from stansym.affine import AffinePermutation, elements_of_length
+from stansym.nilcoxeter import _layer
 from stansym.nilhecke import NilHeckeElement, ScalarPoly, _level_zero_target
 from stansym.partition import bounded_partitions, partitions_of
 from stansym.permutation import Permutation, symmetric_group
@@ -32,6 +33,25 @@ def test_affine_group_results_rebuild():
             assert type(r.window) is tuple and r.n == n
             assert AffinePermutation(n, r.window) == r
             _assert_keeps_fresh_values(r, AffinePermutation(n, r.window), _shi_length)
+
+
+def test_permutation_results_rebuild():
+    for n in range(1, 6):
+        longer = Permutation.longest(n + 1)
+        for w in symmetric_group(n):
+            results = [w.inverse(), w * w, w * w.inverse(), w * longer, longer * w]
+            results += [w.embed(n + 2), w.one_times()]
+            results += [w.transposition_right(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 3)]
+            for r in results:
+                assert type(r.window) is tuple and r.n == len(r.window)
+                assert all(type(x) is int for x in r.window)
+                assert Permutation(r.window).window == r.window
+                _assert_keeps_fresh_values(r, Permutation(r.window), _inversion_count)
+        for degree in range(n * (n - 1) // 2 + 1):
+            for r in _layer(n, degree):
+                assert Permutation(r.window).window == r.window and r.n == n
+                _assert_keeps_fresh_values(r, Permutation(r.window), _inversion_count)
+                assert r.length() == degree
 
 
 def _shi_length(w):

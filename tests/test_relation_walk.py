@@ -231,6 +231,65 @@ def test_a_warm_memo_gives_the_same_f_w_as_a_cleared_one():
         memo.clear()
 
 
+def test_a_cold_walk_makes_each_child_once(monkeypatch):
+    """The walk finds each child u = v s_d of a missing window on its way
+    down and builds v from that list on its way up, so a cold walk of S_5
+    w0 makes one child per descent of each element of S_5."""
+    made = []
+    swap = stanley._swap
+
+    def counted(v, d):
+        made.append((v, d))
+        return swap(v, d)
+
+    monkeypatch.setattr(stanley, "_swap", counted)
+    w0 = Permutation.longest(5)
+    want = sum(len(v.right_descents()) for v in symmetric_group(5))
+    try:
+        for method in ("original", "quasisym"):
+            stanley._WALK_MEMO.clear()
+            made.clear()
+            stanley_fn(w0, method)
+            assert len(made) == len(set(made)) == want == 240, method
+    finally:
+        stanley._WALK_MEMO.clear()
+
+
+def _inversions(v):
+    """The pairs of values (b, a), a < b, that v puts in the other order."""
+    w = v.window
+    return frozenset((w[i], w[j]) for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def test_the_walk_memo_holds_each_interval_two_lengths_below_its_top():
+    """A walk offers the memo the elements of its lower interval at least two
+    lengths below its top, and skips none below a hit, so with nothing
+    evicted the memo holds, for each top w and relation, every v of length
+    1 to l(w) - 2 with v <= w in the right weak order (the inversions of v
+    are among those of w), keyed by v's stable window and w's route and
+    field width."""
+    sample = symmetric_group(5) + random.Random(19).sample(symmetric_group(6), 60)
+    inversions = {v: _inversions(v) for v in symmetric_group(6)}
+    memo = stanley._WALK_MEMO
+    memo.clear()
+    try:
+        want = set()
+        for w in sample:
+            for method in ("original", "quasisym"):
+                stanley_fn(w, method)
+            for top, ascents in ((w, True), (w.inverse(), False)):
+                window, above = top._stable_window(), inversions[top]
+                tag = ascents, stanley._field_width(len(window))
+                want |= {
+                    v._stable_window() + tag for v, below in inversions.items()
+                    if 1 <= len(below) <= top.length() - 2 and below <= above
+                }
+        assert set(memo.entries) == want
+        assert (memo.fields, len(memo.entries)) == (298_724, 1_215)
+    finally:
+        memo.clear()
+
+
 def test_a_field_one_bit_too_narrow_raises(monkeypatch):
     width = stanley._field_width
     monkeypatch.setattr(stanley, "_field_width", lambda n: width(n) - 1)
