@@ -12,7 +12,7 @@ from itertools import combinations
 from operator import index
 
 from .partition import _conjugate, _distinct_rearrangements, as_partition, sort_composition
-from .permutation import Permutation
+from .permutation import Permutation, _least_reduced_word
 
 
 class AffinePermutation:
@@ -156,28 +156,9 @@ class AffinePermutation:
         return _affine_reduced_words(self.n, self.window)
 
     def reduced_word(self):
-        """The lexicographically least reduced word, ``reduced_words()[0]``:
-        take the least left descent (the least right descent of the inverse,
-        with 0 least), multiply it off, and repeat, on a list copy of the
-        inverse's window."""
-        n = self.n
-        v = list(self.inverse().window)
-        word = []
-        start = 1  # v[0] < ... < v[start - 1]: no right descent below start
-        while True:
-            if v[-1] > v[0] + n:
-                v[0], v[-1] = v[-1] - n, v[0] + n
-                word.append(0)
-                start = 1
-                continue
-            for i in range(start, n):
-                if v[i - 1] > v[i]:
-                    v[i - 1], v[i] = v[i], v[i - 1]
-                    word.append(i)
-                    start = max(1, i - 1)
-                    break
-            else:
-                return tuple(word)
+        """The lexicographically least reduced word, ``reduced_words()[0]``
+        (``permutation._least_reduced_word``, with 0 the least letter)."""
+        return _least_reduced_word(self.inverse().window)
 
     def is_grassmannian(self):
         w = self.window
@@ -204,6 +185,10 @@ def _left_raise(i, window, n):
     s_i w adds 1 to the value = i (mod n) and takes 1 from the value
     = i + 1.  It is shorter exactly when w^-1(i) > w^-1(i + 1), where
     w^-1(t) = t + p - w(p) for the position p with w(p) = t (mod n).
+
+    A window of S_n with 1 <= i < n is served as it stands: the values i and
+    i + 1 trade places, and s_i w is longer exactly when i stands before
+    i + 1.  So this one step is the left letter of both nilCoxeter products.
     """
     j = (i + 1) % n
     up = list(window)

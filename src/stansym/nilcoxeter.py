@@ -2,10 +2,20 @@
 
 Elements are integer combinations of basis elements A_w indexed by group
 elements; products are length-additive (A_w A_v = A_{wv} when lengths add,
-zero otherwise).  On top of this sit the Fomin-Stanley elements h_k, their
-affine analogues, the noncommutative (k-)Schur functions, and a report on
-the finite Fomin-Stanley subalgebra.  The noncommutative (k-)Schur functions
-are read off the (affine) Schur expansions of F_w by the Cauchy identity.
+zero otherwise).
+
+A product is taken letter by letter on bare windows.  For each term A_u of
+the left factor, the letters of u's least reduced word, last first, act on
+the right factor's {window: int} map, A_i A_v being A_{s_i v} when
+s_i v > v and 0 otherwise.  ``affine._left_raise`` takes that step for both
+algebras, as it does for the nilHecke ring, and the sum is wrapped into
+group elements once.  No group product is formed and no length is read;
+the product by pairs of group elements is kept as the tests' oracle.
+
+On top of this sit the Fomin-Stanley elements h_k, their affine analogues,
+the noncommutative (k-)Schur functions, and a report on the finite
+Fomin-Stanley subalgebra.  The noncommutative (k-)Schur functions are read
+off the (affine) Schur expansions of F_w by the Cauchy identity.
 The report reads coordinates in B off the same identity: a dominant
 permutation w_nu has F_{w_nu} = s_nu, so [A_{w_nu}] s_la(u) = delta_{la nu},
 with no linear solve.  It counts the Hilbert series by Dyck paths and the
@@ -15,10 +25,10 @@ of pairs above.
 """
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import index
 
-from .affine import AffinePermutation, elements_of_length
+from .affine import AffinePermutation, _left_raise, elements_of_length
 from .partition import as_partition, partitions_inside, staircase
 from .permutation import Permutation, from_code
 from .stanley import _cyclically_decreasing_elements, _decreasing_elements, affine_schur_expand, schur_expand
@@ -102,15 +112,17 @@ class NilCoxeterElement:
         if not isinstance(other, NilCoxeterElement):
             return NotImplemented
         self._compat(other)
-        out = {}
+        n, right, out = self.n, {v.window: c for v, c in other.coeffs.items()}, {}
         for u, cu in self.coeffs.items():
-            lu = u.length()
-            for v, cv in other.coeffs.items():
-                uv = u * v
-                if uv.length() == lu + v.length():
-                    out[uv] = out.get(uv, 0) + cu * cv
-        # products of validated keys of one rank are keys of that rank
-        return NilCoxeterElement._from_valid(self.n, self.affine, out)
+            terms = right
+            # A_i A_v = A_{s_i v} or 0; s_i v is injective in v, so a letter merges no terms
+            for i in reversed(u.reduced_word()):
+                terms = {up: c for v, c in terms.items() if (up := _left_raise(i, v, n)) is not None}
+            for v, c in terms.items():
+                out[v] = out.get(v, 0) + cu * c
+        # the windows are of keys of rank n, raised by letters of rank n
+        group = partial(AffinePermutation._from_valid, n) if self.affine else Permutation._from_valid
+        return NilCoxeterElement._from_valid(n, self.affine, {group(v): c for v, c in out.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NilCoxeterElement):
@@ -154,9 +166,9 @@ def h_element(n, k, affine=False):
     return NilCoxeterElement(n, affine, {group.from_word(word, n): 1 for word in words})
 
 
-def product_expansion_check(n):
-    """True iff sum_k h_k t^k = (1 + t A_{n-1}) ... (1 + t A_1)."""
-    poly = [NilCoxeterElement.one(n)]  # t-coefficients
+def _product_expansion(n):
+    """The n t-coefficients of (1 + t A_{n-1}) ... (1 + t A_1)."""
+    poly = [NilCoxeterElement.one(n)]
     for i in range(n - 1, 0, -1):
         a = NilCoxeterElement.basis(Permutation.simple(i, n), n)
         shifted = [NilCoxeterElement.zero(n)] + [p * a for p in poly]
@@ -164,9 +176,12 @@ def product_expansion_check(n):
             (poly[d] if d < len(poly) else NilCoxeterElement.zero(n)) + shifted[d]
             for d in range(len(shifted))
         ]
-    expected = [h_element(n, k) for k in range(n)]
-    poly += [NilCoxeterElement.zero(n)] * (len(expected) - len(poly))
-    return poly[: len(expected)] == expected and all(p.is_zero() for p in poly[len(expected):])
+    return poly
+
+
+def product_expansion_check(n):
+    """True iff sum_k h_k t^k = (1 + t A_{n-1}) ... (1 + t A_1)."""
+    return _product_expansion(n) == [h_element(n, k) for k in range(n)]
 
 
 @lru_cache(maxsize=64)

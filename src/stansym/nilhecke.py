@@ -14,8 +14,9 @@ the window (``affine._left_raise``: values = i mod n go up by one, values
 = i + 1 down by one) and the swap and d_i acting on the exponent tuples.  The product,
 ``commute_past``, ``embed_group`` and the coproduct's tensor action all walk
 their letters through it and wrap the result once, by the unchecked
-``NilHeckeElement._from_valid``.  The terms are live: a window whose scalar
-vanishes gets no entry and a coefficient that cancels is deleted where it
+``NilHeckeElement._from_valid``; the nilCoxeter product of both algebras
+walks the same ``_left_raise`` step on windows without scalars.  The terms
+are live: a window whose scalar vanishes gets no entry and a coefficient that cancels is deleted where it
 does, so a letter walks only what the element holds.  A_w x_i, which has at
 most l(w) + 1 terms by the Chevalley formula, costs one ``_left_raise`` per
 term per letter.  The Chevalley formula reads the cover list
@@ -33,6 +34,7 @@ from operator import add, index
 
 from .affine import AffinePermutation, _left_raise, _shi_length, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
+from .permutation import Permutation
 
 
 class ScalarPoly:
@@ -801,11 +803,9 @@ def kappa(a):
     keeping the terms supported on S_n."""
     if not a.affine:
         raise ValueError("kappa expects an affine nilCoxeter element")
-    out = {}
-    for w, c in a.coeffs.items():
-        if w.is_finite():
-            out[w.to_finite()] = c
-    return NilCoxeterElement(a.n, False, out)
+    # the keys are valid elements of S~_n, so a finite one's window is one of S_n
+    finite = {Permutation._from_valid(w.window): c for w, c in a.coeffs.items() if w.is_finite()}
+    return NilCoxeterElement._from_valid(a.n, False, finite)
 
 
 def translation_centralizer_check(n, la):

@@ -135,14 +135,9 @@ class Permutation:
         return _reduced_words(self.window)
 
     def reduced_word(self):
-        """The lexicographically least reduced word, ``reduced_words()[0]``:
-        take the least left descent (the least right descent of the inverse),
-        multiply it off, and repeat."""
-        word, v = [], self.inverse()
-        while descents := v.right_descents():
-            word.append(descents[0])
-            v = v.transposition_right(descents[0], descents[0] + 1)
-        return tuple(word)
+        """The lexicographically least reduced word, ``reduced_words()[0]``
+        (``_least_reduced_word``)."""
+        return _least_reduced_word(self.inverse().window)
 
     def is_grassmannian(self):
         return len(self.right_descents()) <= 1
@@ -203,6 +198,30 @@ def _is_vexillary(window):
             least = seen[i]
         insort(seen, y)
     return True
+
+
+def _least_reduced_word(window):
+    """The lexicographically least reduced word of the element of S_n or S~_n
+    whose inverse has this window, n = len(window): take the least right
+    descent of the inverse (s_0 first, when it is one), swap it off a list
+    copy of the window, and repeat.  A window of S_n never has s_0 as a
+    descent, since its entries lie in 1..n."""
+    v, n, word = list(window), len(window), []
+    start = 1  # v[0] < ... < v[start - 1]: no right descent below start
+    while True:
+        if v and v[-1] > v[0] + n:
+            v[0], v[-1] = v[-1] - n, v[0] + n
+            word.append(0)
+            start = 1
+            continue
+        for i in range(start, n):
+            if v[i - 1] > v[i]:
+                v[i - 1], v[i] = v[i], v[i - 1]
+                word.append(i)
+                start = max(1, i - 1)
+                break
+        else:
+            return tuple(word)
 
 
 def _left_larger(window):

@@ -231,12 +231,18 @@ def _transition(caps):
 
 
 def _nilcoxeter(caps):
-    from .nilcoxeter import h_element, noncommutative_schur, product_expansion_check
-    from .nilcoxeter import NilCoxeterElement
+    from .nilcoxeter import NilCoxeterElement, _product_expansion, h_element, noncommutative_schur
     from .stanley import stanley_fn
 
     nf, na = caps["max_rank_finite"], caps["max_rank_affine"]
-    yield f"h product expansion for n <= {nf}", (n for n in range(2, nf + 1) if not product_expansion_check(n))
+
+    def expansions():
+        """(n, k, h_k, [t^k] (1 + t A_{n-1}) ... (1 + t A_1)), as JSON."""
+        for n in range(2, nf + 1):
+            for k, got in enumerate(_product_expansion(n)):
+                yield n, k, h_element(n, k).to_json(), got.to_json()
+
+    yield f"h product expansion for n <= {nf}", _differences(expansions())
 
     def commutators(ranks, affine):
         """(n, j, k, h_j h_k, h_k h_j) over the h-elements of each rank."""

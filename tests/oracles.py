@@ -7,6 +7,7 @@ import it as ``oracles``.
 from functools import lru_cache
 
 from stansym.affine import AffinePermutation, _left_raise, elements_of_length
+from stansym.nilcoxeter import NilCoxeterElement
 from stansym.nilhecke import NilHeckeElement, ScalarPoly
 from stansym.partition import as_partition
 from stansym.permutation import Permutation
@@ -274,3 +275,19 @@ def j_basis_by_unpresolved_solver(n, w):
     if bad is not None:
         raise AssertionError(f"the unpresolved j-basis system of {w!r} is inconsistent at row {bad}")
     return {x: c for x, c in zip(elements_of_length(n, w.length()), sol) if c}
+
+
+# -- the nilCoxeter product on objects ------------------------------------------
+
+
+def nilcoxeter_product_by_objects(a, b):
+    """The nilCoxeter product a b by pairs of group elements: each u v is
+    multiplied out and kept when l(uv) = l(u) + l(v)."""
+    out = {}
+    for u, cu in a.coeffs.items():
+        lu = u.length()
+        for v, cv in b.coeffs.items():
+            uv = u * v
+            if uv.length() == lu + v.length():
+                out[uv] = out.get(uv, 0) + cu * cv
+    return NilCoxeterElement(a.n, a.affine, out)

@@ -230,6 +230,12 @@ def test_left_raise_is_none_exactly_at_the_length_drop():
                 for i in range(n):
                     v = AffinePermutation.simple(i, n) * w
                     assert _left_raise(i, w.window, n) == (None if v.length() < l else v.window)
+    # a window of S_n and a letter 1 <= i < n: the finite left letter
+    for n in range(2, 6):
+        for w in symmetric_group(n):
+            for i in range(1, n):
+                v = Permutation.simple(i, n) * w
+                assert _left_raise(i, w.window, n) == (None if v.length() < w.length() else v.window)
 
 
 def test_reduced_word_is_the_least_of_the_reduced_words():

@@ -250,6 +250,31 @@ def test_verify_examples_names_a_wrong_h_column(fmt, capsys, monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_nilcoxeter_names_the_degree_that_breaks_the_product_expansion(fmt, capsys, monkeypatch, tmp_path):
+    from stansym import nilcoxeter
+
+    monkeypatch.setenv("STANSYM_CONFIG", str(tmp_path / "absent.json"))
+    right = nilcoxeter.h_element
+
+    def doubled(n, k, affine=False):  # 2 h_1 at n = 3 still commutes with h_2
+        h = right(n, k, affine)
+        return 2 * h if (n, k, affine) == (3, 1, False) else h
+
+    monkeypatch.setattr(nilcoxeter, "h_element", doubled)
+    code, out, _ = run(["verify", "nilcoxeter", "--format", fmt], capsys)
+    assert code == 1
+    name = "h product expansion for n <= 5"
+    witness = (3, 1, (2 * right(3, 1)).to_json(), right(3, 1).to_json())
+    if fmt == "text":
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL [nilcoxeter] {name}; witness {witness}"]
+    else:
+        [suite] = json.loads(out)
+        failed = [c for c in suite["checks"] if not c["ok"]]
+        assert failed == [{"name": name, "ok": False, "witness": json.loads(json.dumps(witness))}]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_symmetry_names_an_asymmetric_affine_coefficient(fmt, capsys, monkeypatch, tmp_path):
     from stansym import stanley
     from stansym.affine import elements_of_length

@@ -1,7 +1,9 @@
 """NilCoxeter algebra: h-elements, noncommutative Schur functions, B."""
 
 import random
+from bisect import bisect_right
 
+import oracles
 import pytest
 
 from stansym import nilcoxeter
@@ -34,6 +36,50 @@ def test_length_additive_products():
     assert A((1,), 3) * A((2,), 3) == A((1, 2), 3)
     assert (A((1, 2), 3) * A((1,), 3)).coeffs  # 121 is reduced
     assert (A((1, 2), 3) * A((2,), 3)).is_zero()
+
+
+def _basis_up_to(n, top, affine):
+    """A_w over the w of length <= top in S_n or S~_n."""
+    if affine:
+        return [NilCoxeterElement.basis(w) for l in range(top + 1) for w in elements_of_length(n, l)]
+    return [NilCoxeterElement.basis(w, n) for w in symmetric_group(n) if w.length() <= top]
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_product_of_basis_elements_equals_the_product_by_objects(affine):
+    for n in (3, 4, 5):
+        basis = _basis_up_to(n, 4, affine)
+        for a in basis:
+            for b in basis:
+                assert a * b == oracles.nilcoxeter_product_by_objects(a, b), (a, b)
+
+
+def test_product_of_noncommutative_k_schur_functions_equals_the_product_by_objects():
+    # the unordered pairs of nonempty (n-1)-bounded shapes, |la| + |mu| <= 12
+    compared = 0
+    for n in (3, 4):
+        shapes = [la for d in range(1, 12) for la in bounded_partitions(n, d)]
+        elements = {la: noncommutative_schur(n, la, affine=True) for la in shapes}
+        for i, la in enumerate(shapes):
+            for mu in shapes[i:]:
+                if sum(la) + sum(mu) <= 12:
+                    a, b = elements[la], elements[mu]
+                    assert a * b == oracles.nilcoxeter_product_by_objects(a, b), (n, la, mu)
+                    compared += 1
+    assert compared == 253 + 603
+
+
+def test_products_of_the_fomin_stanley_report_equal_the_products_by_objects():
+    # the pairs that conjecture_52_report multiplies at n = 5
+    n, top = 5, staircase(4)
+    shapes = partitions_inside(top)
+    degrees = [sum(la) for la in shapes]
+    elements = {la: noncommutative_schur(n, la) for la in shapes}
+    pairs = [(la, mu) for i, la in enumerate(shapes) for mu in shapes[i:bisect_right(degrees, sum(top) - degrees[i])]]
+    assert len(pairs) == conjecture_52_report(n)["structure_pairs_compared"] == 319
+    for la, mu in pairs:
+        a, b = elements[la], elements[mu]
+        assert a * b == oracles.nilcoxeter_product_by_objects(a, b), (la, mu)
 
 
 def test_h_element_bounds():

@@ -665,6 +665,27 @@ def test_kappa_of_affine_h_is_finite_h():
             assert kappa(h_element(n, k, affine=True)) == h_element(n, k)
 
 
+def test_kappa_validates_nothing_again(monkeypatch):
+    from stansym.permutation import Permutation
+
+    n = 4
+    js = [j_basis_element(n, w) for l in range(6) for w in elements_of_length(n, l) if w.is_grassmannian()]
+    # the finite terms, keyed by validated permutations
+    expected = [
+        NilCoxeterElement(n, False, {w.to_finite(): c for w, c in j.coeffs.items() if w.is_finite()}) for j in js
+    ]
+
+    def refuse(*args):  # a refused __init__ leaves no window to print
+        raise AssertionError("kappa validated a permutation again")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    monkeypatch.setattr(Permutation, "embed", refuse)
+    got = [kappa(j) for j in js]
+    monkeypatch.undo()
+    assert got == expected
+    assert any(a.coeffs for a in got) and all(w.n == n for a in got for w in a.coeffs)
+
+
 def test_translation_centralizer():
     assert translation_centralizer_check(3, CorootVector((0, 0, 0)))
     assert translation_centralizer_check(3, CorootVector((-1, 0, 1)))
