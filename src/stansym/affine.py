@@ -12,7 +12,7 @@ from itertools import combinations
 from operator import index
 
 from .partition import _conjugate, _distinct_rearrangements, as_partition, sort_composition
-from .permutation import Permutation, _least_reduced_word
+from .permutation import _least_reduced_word
 
 
 class AffinePermutation:
@@ -114,11 +114,6 @@ class AffinePermutation:
         """True iff the element lies in the finite subgroup S_n."""
         return sorted(self.window) == list(range(1, self.n + 1))
 
-    def to_finite(self):
-        if not self.is_finite():
-            raise ValueError(f"{self!r} is not in the finite subgroup")
-        return Permutation(self.window)
-
     def inversions(self):
         """The l(w) pairs (i, j) with 1 <= i <= n, i < j and w(i) > w(j)."""
         n = self.n
@@ -129,10 +124,19 @@ class AffinePermutation:
                     yield i, r + t * n
 
     def code(self):
-        """c_i = #{j > i : w(j) < w(i)} for i = 1..n; has at least one zero."""
-        out = [0] * self.n
-        for i, _ in self.inversions():
-            out[i - 1] += 1
+        """c_i = #{j > i : w(j) < w(i)} for i = 1..n; has at least one zero.
+
+        For p < q <= n, the j = q + t*n (t >= 0) with w(j) < w(p) and the
+        j = p + t*n (t >= 1) with w(j) < w(q) number, together, Shi's term
+        |floor((w(q) - w(p)) / n)| of the pair (``_shi_length``), and all of
+        them count at p when w(p) > w(q), else at q.  So each pair of
+        residues is counted at once, not listed as ``inversions`` does.
+        """
+        n, w = self.n, self.window
+        out = [0] * n
+        for p, q in combinations(range(n), 2):
+            d = (w[q] - w[p]) // n
+            out[p if d < 0 else q] += abs(d)
         return tuple(out)
 
     def length(self):
@@ -205,14 +209,25 @@ def _left_raise(i, window, n):
 
 @lru_cache(maxsize=4096)
 def _affine_reduced_words(n, window):
-    w = AffinePermutation(n, window)
-    if w.is_identity():
-        return ((),)
+    """R(w) in lexicographic order, as ``permutation._reduced_words``.
+
+    A reduced word of w starts with a left descent i of w, where
+    w^-1(i) > w^-1(i + 1) (``_left_raise``), and the rest of it is a
+    reduced word of s_i w, which adds 1 to the value = i (mod n) and takes 1
+    from the value = i + 1.  Taking i = 0, 1, ..., n - 1 in order lists the
+    words already sorted.
+    """
     words = []
-    for i in w.right_descents():
-        shorter = w.right_mult_generator(i)
-        words.extend(word + (i,) for word in _affine_reduced_words(n, shorter.window))
-    return tuple(sorted(words))
+    position = {x % n: p for p, x in enumerate(window)}
+    for i in range(n):
+        p, q = position[i], position[(i + 1) % n]
+        if p - window[p] > 1 + q - window[q]:
+            shorter = list(window)
+            shorter[p] += 1
+            shorter[q] -= 1
+            words += map((i,).__add__, _affine_reduced_words(n, tuple(shorter)))
+    # only the identity has no left descent
+    return tuple(words) if words else ((),)
 
 
 def cyclically_decreasing_word(n, subset):

@@ -4,13 +4,16 @@ Elements are integer combinations of basis elements A_w indexed by group
 elements; products are length-additive (A_w A_v = A_{wv} when lengths add,
 zero otherwise).
 
-A product is taken letter by letter on bare windows.  For each term A_u of
-the left factor, the letters of u's least reduced word, last first, act on
-the right factor's {window: int} map, A_i A_v being A_{s_i v} when
-s_i v > v and 0 otherwise.  ``affine._left_raise`` takes that step for both
-algebras, as it does for the nilHecke ring, and the sum is wrapped into
-group elements once.  No group product is formed and no length is read;
-the product by pairs of group elements is kept as the tests' oracle.
+A product is taken letter by letter on bare windows (``_product``).  For
+each term A_u of the left factor, the letters of the least reduced word of
+u^-1, a reduced word of u read last letter first, act in order on the right
+factor's {window: int} map, A_i A_v being A_{s_i v} when s_i v > v and 0
+otherwise.  ``affine._left_raise`` takes that step for both algebras, as it
+does for the nilHecke ring.  No group product is formed, no length is read
+and no inverse is taken; the product by pairs of group elements is kept as
+the tests' oracle.  Inside this module a finite term is a window of length
+n: the tables of S_n and the report's rows hold windows, and a group element
+is built only where a public function returns an element.
 
 On top of this sit the Fomin-Stanley elements h_k, their affine analogues,
 the noncommutative (k-)Schur functions, and a report on the finite
@@ -21,7 +24,7 @@ permutation w_nu has F_{w_nu} = s_nu, so [A_{w_nu}] s_la(u) = delta_{la nu},
 with no linear solve.  It counts the Hilbert series by Dyck paths and the
 structure constants by Littlewood-Richardson tableaux, and checks the counts
 against products in the algebra on every pair at n <= 5 and a fixed sample
-of pairs above.
+of pairs above; a mismatch at A_w names w by its window.
 """
 
 from bisect import bisect_right
@@ -30,8 +33,8 @@ from operator import index
 
 from .affine import AffinePermutation, _left_raise, elements_of_length
 from .partition import as_partition, partitions_inside, staircase
-from .permutation import Permutation, from_code
-from .stanley import _cyclically_decreasing_elements, _decreasing_elements, affine_schur_expand, schur_expand
+from .permutation import Permutation, _least_reduced_word, _stable, from_code
+from .stanley import _cyclically_decreasing_elements, _decreasing_elements, _transition_tree, affine_schur_expand
 
 
 class NilCoxeterElement:
@@ -112,17 +115,11 @@ class NilCoxeterElement:
         if not isinstance(other, NilCoxeterElement):
             return NotImplemented
         self._compat(other)
-        n, right, out = self.n, {v.window: c for v, c in other.coeffs.items()}, {}
-        for u, cu in self.coeffs.items():
-            terms = right
-            # A_i A_v = A_{s_i v} or 0; s_i v is injective in v, so a letter merges no terms
-            for i in reversed(u.reduced_word()):
-                terms = {up: c for v, c in terms.items() if (up := _left_raise(i, v, n)) is not None}
-            for v, c in terms.items():
-                out[v] = out.get(v, 0) + cu * c
+        n = self.n
+        left, right = ({w.window: c for w, c in x.coeffs.items()} for x in (self, other))
         # the windows are of keys of rank n, raised by letters of rank n
         group = partial(AffinePermutation._from_valid, n) if self.affine else Permutation._from_valid
-        return NilCoxeterElement._from_valid(n, self.affine, {group(v): c for v, c in out.items()})
+        return NilCoxeterElement._from_valid(n, self.affine, {group(v): c for v, c in _product(n, left, right).items()})
 
     def __eq__(self, other):
         if not isinstance(other, NilCoxeterElement):
@@ -151,6 +148,24 @@ class NilCoxeterElement:
             }
             for w, c in sorted(self.coeffs.items(), key=lambda p: (p[0].length(), p[0].window))
         ]
+
+
+def _product(n, left, right):
+    """The product of two {window: int} maps of rank n, finite or affine.
+
+    For each term A_u of ``left``, the letters of ``_least_reduced_word(u)``,
+    the least reduced word of u^-1 and so a reduced word of u read last
+    letter first, act in order on the windows of ``right``.  The result may
+    keep a zero coefficient where terms cancel."""
+    out = {}
+    for u, cu in left.items():
+        terms = right
+        # A_i A_v = A_{s_i v} or 0; s_i v is injective in v, so a letter merges no terms
+        for i in _least_reduced_word(u):
+            terms = {up: c for v, c in terms.items() if (up := _left_raise(i, v, n)) is not None}
+        for v, c in terms.items():
+            out[v] = out.get(v, 0) + cu * c
+    return out
 
 
 def h_element(n, k, affine=False):
@@ -186,29 +201,29 @@ def product_expansion_check(n):
 
 @lru_cache(maxsize=64)
 def _layer(n, degree):
-    """The permutations of S_n of length ``degree``, each layer built once
-    from the one below by the ascents of its elements: w s_i for w(i) <
-    w(i + 1), one swap of two adjacent window entries."""
+    """The windows, int tuples of length n, of the permutations of S_n of
+    length ``degree``, each layer built once from the one below by the
+    ascents of its elements: w s_i for w(i) < w(i + 1), one swap of two
+    adjacent window entries."""
     if degree == 0:
-        return frozenset({Permutation.identity(n)})
-    return frozenset(Permutation._from_valid(x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:])
-                     for x in (w.window for w in _layer(n, degree - 1))
+        return frozenset({tuple(range(1, n + 1))})
+    return frozenset(x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:]
+                     for x in _layer(n, degree - 1)
                      for i in range(1, n) if x[i - 1] < x[i])
 
 
 @lru_cache(maxsize=64)
 def _schur_table(n, degree, affine):
-    """{la: {w: [s_la] F_w}} over the w in S_n of length ``degree`` (``_layer``),
-    or {la: {x: [F~_la] F~_x}} over those in S~_n.  The table is cached and
-    shared, so callers only read it."""
-    if affine:
-        layer, expand = elements_of_length(n, degree), affine_schur_expand
-    else:
-        layer, expand = _layer(n, degree), schur_expand
+    """{la: {x: [s_la] F_w}} over the windows x of the w in S_n of length
+    ``degree`` (``_layer``), each read off the transition tree at its stable
+    window; or {la: {x: [F~_la] F~_x}} over the x in S~_n of that length,
+    keyed by the ``elements_of_length`` objects that the j-basis system
+    also uses.  The table is cached and shared, so callers only read it."""
     table = {}
-    for w in layer:
-        for la, c in expand(w).coeffs.items():
-            table.setdefault(la, {})[w] = c
+    for x in elements_of_length(n, degree) if affine else _layer(n, degree):
+        expansion = affine_schur_expand(x).coeffs if affine else _transition_tree(_stable(x))
+        for la, c in expansion.items():
+            table.setdefault(la, {})[x] = c
     return table
 
 
@@ -222,9 +237,12 @@ def noncommutative_schur(n, la, affine=False):
         raise ValueError(f"partition {la} is not ({n-1})-bounded")
     if not affine and sum(la) > n * (n - 1) // 2:
         return NilCoxeterElement.zero(n)  # above the top degree of S_n
-    # the table's keys are the length-n windows of ``_layer`` or rank-n
-    # affine elements; _from_valid copies the shared row
-    return NilCoxeterElement._from_valid(n, affine, _schur_table(n, sum(la), affine).get(la, {}))
+    # the finite table's keys are the length-n windows of ``_layer``, the
+    # affine one's rank-n elements; the shared row is copied, not handed out
+    row = _schur_table(n, sum(la), affine).get(la, {})
+    if not affine:
+        row = {Permutation._from_valid(x): c for x, c in row.items()}
+    return NilCoxeterElement._from_valid(n, affine, row)
 
 
 def divided_difference_action(a, f):
@@ -241,7 +259,7 @@ def divided_difference_action(a, f):
     total = ScalarPoly.zero(a.n)
     for w, c in a.coeffs.items():
         g = f
-        for i in reversed(w.reduced_word()):
+        for i in _least_reduced_word(w.window):  # a reduced word of w, last letter first
             g = g.divided_difference(i)
         total = total + c * g
     return total
@@ -316,7 +334,9 @@ def conjecture_52_report(n):
     w_nu and compares it with the LR count, then compares sum_nu c^nu
     s_nu(u) with the product on every A_w.  It returns how many pairs it
     compared and the first mismatch, (la, mu, nu, expected, got), with the
-    permutation w in place of nu when the mismatch is at A_w; or None.
+    window of w, of length n, in place of nu when the mismatch is at A_w; or
+    None.  The rows are {window: int} maps and each pair is multiplied by
+    ``_product`` on them, with no element built.
     """
     hs = [h_element(n, k) for k in range(n)]
     h_commutes = all(
@@ -325,9 +345,9 @@ def conjecture_52_report(n):
 
     top = staircase(n - 1)
     shapes = partitions_inside(top)
-    # {w: [A_w] s_la(u)}, the shared row of the cached table: read only
+    # {window of w: [A_w] s_la(u)}, the shared row of the cached table: read only
     rows = {la: _schur_table(n, sum(la), False).get(la, {}) for la in shapes}
-    dominant = {nu: from_code(nu) for nu in shapes}
+    dominant = {nu: from_code(nu).embed(n).window for nu in shapes}
     degrees = [sum(la) for la in shapes]
     by_degree = [[] for _ in range(sum(top) + 1)]
     for la, d in zip(shapes, degrees):
@@ -367,8 +387,7 @@ def conjecture_52_report(n):
     mismatch = None
     for la, mu in pairs:
         compared += 1
-        left, right = (NilCoxeterElement._from_valid(n, False, rows[x]) for x in (la, mu))
-        product = (left * right).coeffs
+        product = _product(n, rows[la], rows[mu])
         counts = _littlewood_richardson(mu, la, top)
         read = {nu: product.get(dominant[nu], 0) for nu in by_degree[sum(la) + sum(mu)]}
         combined = {}

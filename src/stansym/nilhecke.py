@@ -32,7 +32,7 @@ each coefficient off its class.
 from functools import lru_cache
 from operator import add, index
 
-from .affine import AffinePermutation, _left_raise, _shi_length, elements_of_length, translation_element
+from .affine import AffinePermutation, CorootVector, _left_raise, _shi_length, elements_of_length, translation_element
 from .nilcoxeter import NilCoxeterElement, h_element, noncommutative_schur
 from .permutation import Permutation
 
@@ -810,8 +810,6 @@ def kappa(a):
 
 def translation_centralizer_check(n, la):
     """True iff sum over the Weyl orbit of A_{t_mu} commutes with every x_i."""
-    from .affine import CorootVector
-
     a = NilHeckeElement(n, {translation_element(CorootVector(mu)): 1 for mu in la.orbit()})
     for i in range(1, n + 1):
         xi = ScalarPoly.x(n, i)

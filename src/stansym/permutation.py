@@ -146,17 +146,6 @@ class Permutation:
         """True iff w avoids the pattern 2143 (``_is_vexillary``)."""
         return _is_vexillary(self.window)
 
-    def one_times(self):
-        """The permutation 1 x w, shifting the one-line notation up by one."""
-        return Permutation._from_valid((1,) + tuple(x + 1 for x in self.window))
-
-    def transposition_right(self, i, j):
-        """w * (i, j): swap the entries in positions i and j."""
-        n = max(self.n, j)
-        w = list(self.embed(n).window)
-        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-        return Permutation._from_valid(tuple(w))
-
     def to_json(self):
         return {"n": self.n, "window": list(self.window)}
 

@@ -41,6 +41,19 @@ def from_finite(w, n=None):
     return AffinePermutation(n, w.embed(n).window)
 
 
+def one_times(w):
+    """The permutation 1 x w, shifting the one-line notation up by one."""
+    return Permutation((1,) + tuple(x + 1 for x in w.window))
+
+
+def transposition_right(w, i, j):
+    """w * (i, j): swap the entries in positions i and j of w, embedded in
+    S_max(n, j)."""
+    v = list(w.embed(max(w.n, j)).window)
+    v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
+    return Permutation(v)
+
+
 def horizontal_strips(la, k):
     """Partitions nu inside ``la`` such that la/nu is a horizontal strip of k
     cells, one recursive generator call per row: row i may lose at most
@@ -79,7 +92,7 @@ def transition_tree_by_objects(key):
         return {u.shape(): 1}
     r = u.right_descents()[-1]
     s = max(j for j in range(r + 1, u.n + 1) if u(j) < u(r))
-    v = u.transposition_right(r, s)
+    v = transposition_right(u, r, s)
     left, right, extra = transition_sides(v, r)
     if left != [u]:
         raise AssertionError(f"transition tree at {u}: the left side at ({v}, {r}) is {left}")

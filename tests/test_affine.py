@@ -102,13 +102,15 @@ def test_code_example():
 
 
 def test_code_has_a_zero_and_sums_to_length():
-    # code() counts inversions, length() is Shi's formula on the window
+    # code() counts inversions without listing them, length() is Shi's
+    # formula on the window
     for n, top in ((3, 5), (4, 5), (5, 4)):
         for l in range(top + 1):
             for w in elements_of_length(n, l):
                 c = w.code()
                 assert 0 in c
                 assert sum(c) == l == w.length() == len(list(w.inversions()))
+                assert c == tuple(sum(1 for i, _ in w.inversions() if i == p) for p in range(1, n + 1))
 
 
 def test_inversions_match_a_search_of_the_window_shifts():
@@ -137,7 +139,7 @@ def test_finite_subgroup_embedding():
     for v in symmetric_group(3):
         w = from_finite(v)
         assert w.is_finite()
-        assert w.to_finite() == v
+        assert Permutation(w.window) == v
         assert w.length() == v.length()
         assert set(w.reduced_words()) == set(v.reduced_words())
 
@@ -239,10 +241,16 @@ def test_left_raise_is_none_exactly_at_the_length_drop():
 
 
 def test_reduced_word_is_the_least_of_the_reduced_words():
-    for n in (3, 4, 5):
-        for l in range(7):
+    # R(w) is also the sorted union of R(w s_i) i over the right descents i,
+    # the recursion from the right end of the word
+    for n, top in ((3, 8), (4, 7), (5, 6)):
+        for l in range(top + 1):
             for w in elements_of_length(n, l):
-                assert w.reduced_word() == w.reduced_words()[0]
+                words = w.reduced_words()
+                assert w.reduced_word() == words[0]
+                assert words == (tuple(sorted(
+                    word + (i,) for i in w.right_descents() for word in w.right_mult_generator(i).reduced_words()
+                )) or ((),))
 
 
 def test_elements_of_length_counts_rank_3():

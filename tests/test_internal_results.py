@@ -40,18 +40,16 @@ def test_permutation_results_rebuild():
         longer = Permutation.longest(n + 1)
         for w in symmetric_group(n):
             results = [w.inverse(), w * w, w * w.inverse(), w * longer, longer * w]
-            results += [w.embed(n + 2), w.one_times()]
-            results += [w.transposition_right(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 3)]
+            results += [w.embed(n + 2)]
             for r in results:
                 assert type(r.window) is tuple and r.n == len(r.window)
                 assert all(type(x) is int for x in r.window)
                 assert Permutation(r.window).window == r.window
                 _assert_keeps_fresh_values(r, Permutation(r.window), _inversion_count)
         for degree in range(n * (n - 1) // 2 + 1):
-            for r in _layer(n, degree):
-                assert Permutation(r.window).window == r.window and r.n == n
-                _assert_keeps_fresh_values(r, Permutation(r.window), _inversion_count)
-                assert r.length() == degree
+            for x in _layer(n, degree):
+                assert type(x) is tuple and len(x) == n and all(type(v) is int for v in x)
+                assert Permutation(x).length() == degree
 
 
 def _shi_length(w):

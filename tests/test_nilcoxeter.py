@@ -367,7 +367,7 @@ def test_report_names_a_wrong_littlewood_richardson_count(monkeypatch):
 def test_report_compares_the_product_on_every_coordinate(monkeypatch):
     # a wrong coefficient of s_2(u) at a permutation that is not dominant
     # leaves the dominant columns, and so the LR reading, as they were
-    w = Permutation.from_word((1, 3), 4)
+    w = Permutation.from_word((1, 3), 4).window
 
     def perturbed(table):
         table[(2,)][w] = table[(2,)].get(w, 0) + 1
@@ -415,12 +415,13 @@ def test_report_samples_the_pairs_of_degree_at_most_the_staircase(n, monkeypatch
 
 
 def test_schur_elements_and_their_products_skip_the_key_check(monkeypatch):
-    # their keys are length-n windows of one layer, rank-n affine elements
-    # or products of those, so none is embedded again
+    # their keys are built from the length-n windows of one layer, or are
+    # rank-n affine elements, or products of those, so none is embedded again
     n = 5
     shapes = partitions_inside(staircase(n - 1))
     bounded = [la for d in range(6) for la in bounded_partitions(n, d)]
-    checked = {la: NilCoxeterElement(n, False, nilcoxeter._schur_table(n, sum(la), False).get(la, {})) for la in shapes}
+    rows = {la: nilcoxeter._schur_table(n, sum(la), False).get(la, {}) for la in shapes}
+    checked = {la: NilCoxeterElement(n, False, {Permutation(x): c for x, c in row.items()}) for la, row in rows.items()}
     checked_affine = {la: NilCoxeterElement(n, True, nilcoxeter._schur_table(n, sum(la), True).get(la, {})) for la in bounded}
 
     def refuse(w, n):
@@ -535,31 +536,31 @@ def test_over_degree_partition_is_zero_without_walking_the_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("walked S_5")
 
-    monkeypatch.setattr(nilcoxeter, "schur_expand", refuse)
-    monkeypatch.setattr(Permutation, "transposition_right", refuse)
+    monkeypatch.setattr(nilcoxeter, "_transition_tree", refuse)
+    monkeypatch.setattr(nilcoxeter, "_layer", refuse)
     for la in [(11,), (6, 5), (4, 4, 3), (1,) * 11]:
         assert noncommutative_schur(5, la) == NilCoxeterElement.zero(5)
 
 
 def test_finite_table_walks_only_the_layer_it_needs(monkeypatch):
     expanded = []
-    schur_expand = nilcoxeter.schur_expand
+    transition_tree = nilcoxeter._transition_tree
 
-    def counted(w):
-        expanded.append(w)
-        return schur_expand(w)
+    def counted(key):
+        expanded.append(key)
+        return transition_tree(key)
 
     nilcoxeter._schur_table.cache_clear()
-    monkeypatch.setattr(nilcoxeter, "schur_expand", counted)
+    monkeypatch.setattr(nilcoxeter, "_transition_tree", counted)
     assert len(noncommutative_schur(8, (1,)).coeffs) == 7
-    assert sorted(w.length() for w in expanded) == [1] * 7
+    assert sorted(Permutation(key).length() for key in expanded) == [1] * 7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_a_layer_is_the_length_filter_of_the_group(n):
     group = symmetric_group(n)
     for d in range(n * (n - 1) // 2 + 2):
-        assert nilcoxeter._layer(n, d) == {w for w in group if w.length() == d}, d
+        assert nilcoxeter._layer(n, d) == {w.window for w in group if w.length() == d}, d
 
 
 def test_the_report_builds_each_layer_once():

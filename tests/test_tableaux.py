@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+from oracles import one_times, transposition_right
 from stansym import tableaux
 from stansym.partition import count_standard_tableaux
 from stansym.permutation import Permutation, is_reduced, symmetric_group
@@ -188,9 +189,9 @@ def test_transition_lengths():
 def _transition_sides_by_length(w, r):
     """The definition: keep each transposition that raises the length by one."""
     ell = w.length()
-    left = [u for s in range(r + 1, w.n + 2) if (u := w.transposition_right(r, s)).length() == ell + 1]
-    right = [v for s in range(1, r) if (v := w.transposition_right(s, r)).length() == ell + 1]
-    shifted = w.one_times().transposition_right(1, r + 1)
+    left = [u for s in range(r + 1, w.n + 2) if (u := transposition_right(w, r, s)).length() == ell + 1]
+    right = [v for s in range(1, r) if (v := transposition_right(w, s, r)).length() == ell + 1]
+    shifted = transposition_right(one_times(w), 1, r + 1)
     return left, right, shifted if shifted.length() == ell + 1 else None
 
 
